@@ -200,7 +200,8 @@ impl ReadoutChain {
     ///
     /// # Errors
     ///
-    /// Returns [`AfeError`] if `dt` or `window` is non-positive.
+    /// Returns [`AfeError`] if `dt` is not positive and finite, or `window`
+    /// is non-positive.
     pub fn baseline_noise_reference(
         &self,
         dt: Seconds,
@@ -238,7 +239,8 @@ impl ReadoutChain {
     ///
     /// # Errors
     ///
-    /// Returns [`AfeError`] if `dt` or `window` is non-positive.
+    /// Returns [`AfeError`] if `dt` is not positive and finite, or `window`
+    /// is non-positive.
     pub fn self_test_response(
         &self,
         dt: Seconds,
@@ -270,7 +272,7 @@ impl ReadoutChain {
     /// # Errors
     ///
     /// Returns [`AfeError`] if the program violates the voltage generator's
-    /// range or slew limits, or `dt` is non-positive.
+    /// range or slew limits, or `dt` is not positive and finite.
     pub fn acquire<A, B>(
         &self,
         program: &PotentialProgram,
@@ -283,11 +285,6 @@ impl ReadoutChain {
         A: FnMut(Seconds, Volts) -> Amps,
         B: FnMut(Seconds, Volts) -> Amps,
     {
-        if dt.value() <= 0.0 {
-            return Err(AfeError::invalid("dt", "must be positive"));
-        }
-        self.config.vgen.check(program)?;
-
         // Amplifier-side noise (white + flicker): chopped if enabled.
         let amp_cfg = NoiseConfig {
             drift_per_sqrt_s: 0.0,
@@ -305,15 +302,17 @@ impl ReadoutChain {
             flicker_density_1hz: 0.0,
             drift_per_sqrt_s: self.config.noise.drift_per_sqrt_s,
         };
-        let mut amp_active = NoiseSource::new(amp_cfg, seed);
-        let mut amp_blank = NoiseSource::new(amp_cfg, seed.wrapping_add(1));
-        let mut drift = NoiseSource::new(drift_cfg, seed.wrapping_add(2));
+        // Every stream binds (and validates) `dt` once, here.
+        let mut amp_active = NoiseSource::new(amp_cfg, dt, seed)?;
+        let mut amp_blank = NoiseSource::new(amp_cfg, dt, seed.wrapping_add(1))?;
+        let mut drift = NoiseSource::new(drift_cfg, dt, seed.wrapping_add(2))?;
 
         let mut pstat = self
             .config
             .potentiostat
-            .streamer(program.potential_at(Seconds::ZERO));
-        let mut tia = self.config.tia.streamer();
+            .streamer(program.potential_at(Seconds::ZERO), dt)?;
+        let mut tia = self.config.tia.streamer(dt)?;
+        self.config.vgen.check(program)?;
 
         // Fault injection sits between the ideal blocks: currents are
         // perturbed before the TIA, compliance collapse clips its output,
@@ -328,10 +327,10 @@ impl ReadoutChain {
         let inject = !fault_rt.is_noop();
         let max_code = (1i32 << (self.config.adc.bits() - 1)) - 1;
 
-        // Hoisted loop invariants: a Hold program's DAC setpoint is the
-        // same at every sample (realize = quantize(potential), independent
-        // of t), and the CDS residual fraction never changes mid-run.
-        // Both used to be recomputed per step.
+        // Loop invariants: a Hold program's DAC setpoint is the same at
+        // every sample (realize = quantize(potential), independent of t),
+        // and neither the CDS residual fraction nor the TIA gain changes
+        // mid-run.
         let hold_setpoint = match program {
             PotentialProgram::Hold { .. } => {
                 Some(self.config.vgen.realize(program, Seconds::ZERO)?)
@@ -343,6 +342,7 @@ impl ReadoutChain {
             .cds
             .as_ref()
             .map(|c| c.residual_drift_fraction());
+        let gain = self.config.tia.gain();
 
         let duration = program.duration();
         let steps = (duration.value() / dt.value()).round() as usize;
@@ -353,12 +353,12 @@ impl ReadoutChain {
                 Some(v) => v,
                 None => self.config.vgen.realize(program, t)?,
             };
-            let applied = pstat.step(setpoint, dt);
-            let drift_now = drift.sample(dt);
-            let i_active = active(t, applied) + amp_active.sample(dt);
+            let applied = pstat.step(setpoint);
+            let drift_now = drift.sample();
+            let i_active = active(t, applied) + amp_active.sample();
             let i_meas = match cds_residual {
                 Some(residual) => {
-                    let i_blank = blank(t, applied) + amp_blank.sample(dt);
+                    let i_blank = blank(t, applied) + amp_blank.sample();
                     // Shared drift attenuates by the matching rejection.
                     i_active - i_blank + drift_now * residual
                 }
@@ -369,7 +369,7 @@ impl ReadoutChain {
             } else {
                 i_meas
             };
-            let v = tia.process(i_meas, dt);
+            let v = tia.process(i_meas);
             let v = if inject {
                 fault_rt.apply_voltage(t, v, self.config.tia.rail())
             } else {
@@ -382,7 +382,7 @@ impl ReadoutChain {
                 code
             };
             let volts = self.config.adc.to_volts(code);
-            let current = Amps::new(volts.value() / self.config.tia.gain());
+            let current = Amps::new(volts.value() / gain);
             out.push(Sample {
                 t,
                 setpoint,
@@ -543,15 +543,19 @@ mod tests {
                 |_, _| { Amps::ZERO }
             )
             .is_err());
-        assert!(c
-            .acquire(
-                &hold(0.0, 1.0),
-                Seconds::ZERO,
-                1,
-                |_, _| Amps::ZERO,
-                |_, _| Amps::ZERO
-            )
-            .is_err());
+        // Non-positive and non-finite intervals are typed errors, not
+        // per-sample panics.
+        for dt in [0.0, -0.1, f64::NAN, f64::INFINITY] {
+            assert!(c
+                .acquire(
+                    &hold(0.0, 1.0),
+                    Seconds::new(dt),
+                    1,
+                    |_, _| Amps::ZERO,
+                    |_, _| Amps::ZERO
+                )
+                .is_err());
+        }
     }
 
     #[test]

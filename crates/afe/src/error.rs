@@ -38,6 +38,17 @@ impl AfeError {
         }
     }
 
+    /// Checks a sample interval once, where a stream or noise source binds
+    /// it, so the per-sample paths need no check. Returns it in seconds.
+    pub(crate) fn check_dt(dt: bios_units::Seconds) -> Result<f64, Self> {
+        let dt = dt.value();
+        if dt > 0.0 && dt.is_finite() {
+            Ok(dt)
+        } else {
+            Err(Self::invalid("dt", "must be positive and finite"))
+        }
+    }
+
     /// How badly this error compromises the acquisition.
     ///
     /// Configuration defects are [`ErrorSeverity::Fatal`] (retrying the

@@ -7,6 +7,7 @@
 //! so the model keeps the three components separate and lets the chopper
 //! and CDS blocks act on them individually.
 
+use crate::error::AfeError;
 use bios_units::{Amps, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,11 +61,18 @@ impl Default for NoiseConfig {
     }
 }
 
-/// A streaming noise sample generator (seeded, reproducible).
+/// A streaming noise sample generator (seeded, reproducible) for one fixed
+/// sample interval.
 ///
 /// Flicker noise uses the Voss–McCartney octave-bank algorithm: `N` random
 /// sources, source `k` refreshed every `2^k` samples, summed — the classic
 /// O(1)-per-sample pink-noise generator.
+///
+/// The sample interval is bound at construction, so every factor that
+/// depends only on it (the white-noise SD, the flicker normalization, the
+/// drift step) is computed once. A component whose weight is exactly zero
+/// still takes its random draws, keeping every later draw in place, but
+/// skips the math: its contribution could only have been a signed zero.
 ///
 /// # Example
 ///
@@ -72,9 +80,12 @@ impl Default for NoiseConfig {
 /// use bios_afe::{NoiseConfig, NoiseSource};
 /// use bios_units::Seconds;
 ///
-/// let mut n = NoiseSource::new(NoiseConfig::typical_cmos(), 42);
-/// let sample = n.sample(Seconds::from_millis(10.0));
+/// # fn main() -> Result<(), bios_afe::AfeError> {
+/// let mut n = NoiseSource::new(NoiseConfig::typical_cmos(), Seconds::from_millis(10.0), 42)?;
+/// let sample = n.sample();
 /// assert!(sample.value().abs() < 1e-6); // noise, not signal
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct NoiseSource {
@@ -84,23 +95,50 @@ pub struct NoiseSource {
     rows: [f64; 16],
     counter: u64,
     drift: f64,
+    // Per-sample factors of the bound interval.
+    white_sd: f64,
+    pink_scale: f64,
+    sqrt_dt: f64,
+    // Components that can only contribute a signed zero.
+    white_dead: bool,
+    pink_dead: bool,
+    drift_dead: bool,
 }
 
 impl NoiseSource {
-    /// Creates a generator with the given configuration and seed.
-    pub fn new(config: NoiseConfig, seed: u64) -> Self {
+    /// Creates a generator with the given configuration, sample interval
+    /// and seed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AfeError::InvalidParameter`] unless `dt` is positive and
+    /// finite.
+    pub fn new(config: NoiseConfig, dt: Seconds, seed: u64) -> Result<Self, AfeError> {
+        let dt = AfeError::check_dt(dt)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut rows = [0.0; 16];
         for r in &mut rows {
             *r = rng.gen_range(-1.0..1.0);
         }
-        Self {
+        let bandwidth = 0.5 / dt; // Nyquist bandwidth of the sample
+        let white_sd = config.white_density * bandwidth.sqrt();
+        // Scale so the density near 1 Hz matches the configured value for
+        // this sample rate (empirical Voss–McCartney normalization).
+        let pink_scale = (bandwidth.ln().max(1.0)).sqrt();
+        let sqrt_dt = dt.sqrt();
+        Ok(Self {
             config,
             rng,
             rows,
             counter: 0,
             drift: 0.0,
-        }
+            white_sd,
+            pink_scale,
+            sqrt_dt,
+            white_dead: is_dead(config.white_density, bandwidth.sqrt()),
+            pink_dead: is_dead(config.flicker_density_1hz, pink_scale),
+            drift_dead: is_dead(config.drift_per_sqrt_s, sqrt_dt),
+        })
     }
 
     /// The configuration in force.
@@ -108,30 +146,39 @@ impl NoiseSource {
         self.config
     }
 
-    /// Draws the next input-referred noise current for a sample of duration
-    /// `dt`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not strictly positive.
-    pub fn sample(&mut self, dt: Seconds) -> Amps {
-        assert!(dt.value() > 0.0, "sample interval must be positive");
-        let bandwidth = 0.5 / dt.value(); // Nyquist bandwidth of the sample
-        let white_sd = self.config.white_density * bandwidth.sqrt();
-        let white = self.gaussian() * white_sd;
+    /// Draws the next input-referred noise current.
+    pub fn sample(&mut self) -> Amps {
+        let white = if self.white_dead {
+            self.uniform_pair();
+            0.0
+        } else {
+            self.gaussian() * self.white_sd
+        };
 
         // Pink noise: refresh row k every 2^k samples.
         self.counter = self.counter.wrapping_add(1);
         let flips = self.counter.trailing_zeros().min(15);
         let idx = flips as usize;
         self.rows[idx] = self.rng.gen_range(-1.0..1.0);
-        let pink_raw: f64 = self.rows.iter().sum::<f64>() / (16f64).sqrt();
-        // Scale so the density near 1 Hz matches the configured value for
-        // this sample rate (empirical Voss–McCartney normalization).
-        let pink = pink_raw * self.config.flicker_density_1hz * (bandwidth.ln().max(1.0)).sqrt();
+        let pink = if self.pink_dead {
+            0.0
+        } else {
+            // Left to right from the first row: the association
+            // `Iterator::sum` used, which every recorded trace pins.
+            let mut total = self.rows[0];
+            for r in &self.rows[1..] {
+                total += r;
+            }
+            let pink_raw = total / (16f64).sqrt();
+            pink_raw * self.config.flicker_density_1hz * self.pink_scale
+        };
 
         // Random-walk drift.
-        self.drift += self.gaussian() * self.config.drift_per_sqrt_s * dt.value().sqrt();
+        if self.drift_dead {
+            self.uniform_pair();
+        } else {
+            self.drift += self.gaussian() * self.config.drift_per_sqrt_s * self.sqrt_dt;
+        }
 
         Amps::new(white + pink + self.drift)
     }
@@ -147,12 +194,28 @@ impl NoiseSource {
         self.drift = 0.0;
     }
 
+    /// The two uniform draws one Box–Muller normal consumes.
+    fn uniform_pair(&mut self) -> (f64, f64) {
+        (
+            self.rng.gen_range(f64::MIN_POSITIVE..1.0),
+            self.rng.gen_range(0.0..1.0),
+        )
+    }
+
     fn gaussian(&mut self) -> f64 {
         // Box–Muller.
-        let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = self.rng.gen_range(0.0..1.0);
+        let (u1, u2) = self.uniform_pair();
         (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
     }
+}
+
+/// Whether a noise term `draw × weight × factor` is ±0 for every draw:
+/// Box–Muller and the pink rows only produce finite draws, so an exactly
+/// zero weight with a finite factor makes the term vanish, while an
+/// infinite factor would make it NaN and keeps it live.
+fn is_dead(weight: f64, factor: f64) -> bool {
+    // advdiag::allow(F1, exact sentinel: only an exactly-zero weight removes a term bit for bit)
+    weight == 0.0 && factor.is_finite()
 }
 
 #[cfg(test)]
@@ -166,32 +229,28 @@ mod tests {
 
     #[test]
     fn zero_config_is_silent() {
-        let mut n = NoiseSource::new(NoiseConfig::NONE, 1);
+        let mut n = NoiseSource::new(NoiseConfig::NONE, Seconds::from_millis(1.0), 1).expect("dt");
         for _ in 0..100 {
-            assert_eq!(n.sample(Seconds::from_millis(1.0)).value(), 0.0);
+            assert_eq!(n.sample().value(), 0.0);
         }
     }
 
     #[test]
     fn same_seed_reproduces() {
-        let mut a = NoiseSource::new(NoiseConfig::typical_cmos(), 7);
-        let mut b = NoiseSource::new(NoiseConfig::typical_cmos(), 7);
+        let dt = Seconds::from_millis(5.0);
+        let mut a = NoiseSource::new(NoiseConfig::typical_cmos(), dt, 7).expect("dt");
+        let mut b = NoiseSource::new(NoiseConfig::typical_cmos(), dt, 7).expect("dt");
         for _ in 0..50 {
-            assert_eq!(
-                a.sample(Seconds::from_millis(5.0)).value(),
-                b.sample(Seconds::from_millis(5.0)).value()
-            );
+            assert_eq!(a.sample().value(), b.sample().value());
         }
     }
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = NoiseSource::new(NoiseConfig::typical_cmos(), 1);
-        let mut b = NoiseSource::new(NoiseConfig::typical_cmos(), 2);
-        let same = (0..20).all(|_| {
-            a.sample(Seconds::from_millis(5.0)).value()
-                == b.sample(Seconds::from_millis(5.0)).value()
-        });
+        let dt = Seconds::from_millis(5.0);
+        let mut a = NoiseSource::new(NoiseConfig::typical_cmos(), dt, 1).expect("dt");
+        let mut b = NoiseSource::new(NoiseConfig::typical_cmos(), dt, 2).expect("dt");
+        let same = (0..20).all(|_| a.sample().value() == b.sample().value());
         assert!(!same);
     }
 
@@ -203,10 +262,8 @@ mod tests {
             drift_per_sqrt_s: 0.0,
         };
         let collect = |dt_s: f64, seed: u64| {
-            let mut n = NoiseSource::new(cfg, seed);
-            (0..4000)
-                .map(|_| n.sample(Seconds::new(dt_s)).value())
-                .collect::<Vec<_>>()
+            let mut n = NoiseSource::new(cfg, Seconds::new(dt_s), seed).expect("dt");
+            (0..4000).map(|_| n.sample().value()).collect::<Vec<_>>()
         };
         let fast = sd(&collect(1e-4, 3)); // 5 kHz bandwidth
         let slow = sd(&collect(1e-2, 4)); // 50 Hz bandwidth
@@ -233,11 +290,11 @@ mod tests {
                 drift_per_sqrt_s: 0.0,
                 ..cfg
             },
+            Seconds::from_millis(100.0),
             11,
-        );
-        let samples: Vec<f64> = (0..2000)
-            .map(|_| n.sample(Seconds::from_millis(100.0)).value())
-            .collect();
+        )
+        .expect("dt");
+        let samples: Vec<f64> = (0..2000).map(|_| n.sample().value()).collect();
         let total_sd = sd(&samples);
         let white_only_sd = cfg.white_density * (0.5f64 / 0.1).sqrt();
         assert!(
@@ -253,12 +310,38 @@ mod tests {
             flicker_density_1hz: 0.0,
             drift_per_sqrt_s: 1e-12,
         };
-        let mut n = NoiseSource::new(cfg, 5);
+        let mut n = NoiseSource::new(cfg, Seconds::new(1.0), 5).expect("dt");
         for _ in 0..1000 {
-            let _ = n.sample(Seconds::new(1.0));
+            let _ = n.sample();
         }
         assert!(n.drift().value().abs() > 0.0);
         n.reset_drift();
         assert_eq!(n.drift().value(), 0.0);
+    }
+
+    #[test]
+    fn rejects_bad_intervals() {
+        for dt in [0.0, -1e-3, f64::NAN, f64::INFINITY] {
+            assert!(NoiseSource::new(NoiseConfig::typical_cmos(), Seconds::new(dt), 1).is_err());
+        }
+    }
+
+    #[test]
+    fn dead_components_keep_later_draws_in_place() {
+        // A drift-only source skips its white and flicker math but must
+        // still consume their draws: its walk matches the full source's.
+        let dt = Seconds::from_millis(250.0);
+        let full = NoiseConfig::typical_cmos();
+        let drift_only = NoiseConfig {
+            white_density: 0.0,
+            flicker_density_1hz: 0.0,
+            ..full
+        };
+        let mut a = NoiseSource::new(full, dt, 9).expect("dt");
+        let mut b = NoiseSource::new(drift_only, dt, 9).expect("dt");
+        for _ in 0..500 {
+            let _ = a.sample();
+            assert_eq!(b.sample().value(), a.drift().value());
+        }
     }
 }

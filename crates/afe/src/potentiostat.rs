@@ -143,12 +143,21 @@ impl Potentiostat {
     }
 
     /// Creates a streaming state that tracks the setpoint with the loop's
-    /// dynamics.
-    pub fn streamer(&self, initial: Volts) -> PotentiostatStream {
-        PotentiostatStream {
-            pstat: *self,
+    /// dynamics, stepping every `dt`. The loop gain ratio and the per-step
+    /// pole factor are fixed here, once per stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AfeError::InvalidParameter`] unless `dt` is positive and
+    /// finite.
+    pub fn streamer(&self, initial: Volts, dt: Seconds) -> Result<PotentiostatStream, AfeError> {
+        let dt = AfeError::check_dt(dt)?;
+        let tau = self.settling_tau().value();
+        Ok(PotentiostatStream {
+            loop_ratio: self.open_loop_gain / (1.0 + self.open_loop_gain),
+            alpha: 1.0 - (-dt / tau).exp(),
             state: initial.value(),
-        }
+        })
     }
 }
 
@@ -156,23 +165,19 @@ impl Potentiostat {
 /// through the closed-loop pole.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PotentiostatStream {
-    pstat: Potentiostat,
+    /// `A/(1+A)`, as in [`Potentiostat::applied`].
+    loop_ratio: f64,
+    /// `1 − exp(−dt/τ)` for the bound step.
+    alpha: f64,
     state: f64,
 }
 
 impl PotentiostatStream {
-    /// Advances one step of length `dt` toward `setpoint`, returning the
-    /// applied RE–WE potential.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not strictly positive.
-    pub fn step(&mut self, setpoint: Volts, dt: Seconds) -> Volts {
-        assert!(dt.value() > 0.0, "time step must be positive");
-        let target = self.pstat.applied(setpoint).value();
-        let tau = self.pstat.settling_tau().value();
-        let alpha = 1.0 - (-dt.value() / tau).exp();
-        self.state += alpha * (target - self.state);
+    /// Advances one step toward `setpoint`, returning the applied RE–WE
+    /// potential.
+    pub fn step(&mut self, setpoint: Volts) -> Volts {
+        let target = (setpoint * self.loop_ratio).value();
+        self.state += self.alpha * (target - self.state);
         Volts::new(self.state)
     }
 
@@ -231,14 +236,15 @@ mod tests {
     #[test]
     fn stream_settles_within_five_tau() {
         let p = Potentiostat::typical_cmos().expect("valid");
-        let mut s = p.streamer(Volts::ZERO);
         let tau = p.settling_tau().value();
-        let dt = Seconds::new(tau / 20.0);
+        let mut s = p
+            .streamer(Volts::ZERO, Seconds::new(tau / 20.0))
+            .expect("dt");
         let set = Volts::from_millivolts(650.0);
         let steps = 100; // 5 tau
         let mut v = Volts::ZERO;
         for _ in 0..steps {
-            v = s.step(set, dt);
+            v = s.step(set);
         }
         assert!((v.value() - p.applied(set).value()).abs() < 0.01 * set.value());
     }
@@ -249,5 +255,13 @@ mod tests {
         // τ = 1/(2π·1 MHz) ≈ 0.16 µs — negligible next to 30 s biology,
         // confirming the paper's note that readout does not limit response.
         assert!(p.settling_tau().as_micros() < 1.0);
+    }
+
+    #[test]
+    fn stream_rejects_bad_intervals() {
+        let p = Potentiostat::typical_cmos().expect("valid");
+        for dt in [0.0, -1e-3, f64::NAN, f64::INFINITY] {
+            assert!(p.streamer(Volts::ZERO, Seconds::new(dt)).is_err());
+        }
     }
 }

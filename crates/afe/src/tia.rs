@@ -114,39 +114,46 @@ impl Tia {
         Amps::new(self.rail.value() / self.feedback.value())
     }
 
-    /// Creates a streaming state for dynamic (one-pole) conversion.
-    pub fn streamer(&self) -> TiaStream {
-        TiaStream {
-            tia: *self,
+    /// Creates a streaming state for dynamic (one-pole) conversion of
+    /// samples of duration `dt`. The signed gain and the per-sample pole
+    /// factor are fixed here, once per stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AfeError::InvalidParameter`] unless `dt` is positive and
+    /// finite.
+    pub fn streamer(&self, dt: Seconds) -> Result<TiaStream, AfeError> {
+        let dt = AfeError::check_dt(dt)?;
+        let tau = 1.0 / (2.0 * core::f64::consts::PI * self.bandwidth.value());
+        Ok(TiaStream {
+            input_offset: self.input_offset,
+            gain: self.gain(),
+            rail: self.rail.value(),
+            alpha: 1.0 - (-dt / tau).exp(),
             state: 0.0,
-        }
+        })
     }
 }
 
 /// Streaming one-pole TIA state for sample-by-sample processing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TiaStream {
-    tia: Tia,
+    input_offset: Amps,
+    /// [`Tia::gain`], sign included.
+    gain: f64,
+    rail: f64,
+    /// `1 − exp(−dt/τ)` for the bound sample duration.
+    alpha: f64,
     state: f64,
 }
 
 impl TiaStream {
-    /// Processes one input sample of duration `dt`, returning the filtered,
-    /// clipped output voltage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not strictly positive.
-    pub fn process(&mut self, i: Amps, dt: Seconds) -> Volts {
-        assert!(dt.value() > 0.0, "time step must be positive");
-        let target = (i + self.tia.input_offset).value() * self.tia.gain();
-        let tau = 1.0 / (2.0 * core::f64::consts::PI * self.tia.bandwidth.value());
-        let alpha = 1.0 - (-dt.value() / tau).exp();
-        self.state += alpha * (target - self.state);
-        Volts::new(
-            self.state
-                .clamp(-self.tia.rail.value(), self.tia.rail.value()),
-        )
+    /// Processes one input sample, returning the filtered, clipped output
+    /// voltage.
+    pub fn process(&mut self, i: Amps) -> Volts {
+        let target = (i + self.input_offset).value() * self.gain;
+        self.state += self.alpha * (target - self.state);
+        Volts::new(self.state.clamp(-self.rail, self.rail))
     }
 
     /// The present (unclipped) internal state.
@@ -204,12 +211,11 @@ mod tests {
     #[test]
     fn stream_settles_to_static_value() {
         let t = tia();
-        let mut s = t.streamer();
+        let mut s = t.streamer(Seconds::from_micros(10.0)).expect("dt");
         let i = Amps::from_nanoamps(100.0);
-        let dt = Seconds::from_micros(10.0);
         let mut v = Volts::ZERO;
         for _ in 0..200 {
-            v = s.process(i, dt);
+            v = s.process(i);
         }
         let expected = t.convert_static(i);
         assert!((v.value() - expected.value()).abs() < 1e-6);
@@ -219,15 +225,14 @@ mod tests {
     fn stream_bandwidth_sets_rise_time() {
         // One-pole: after one time constant the response reaches 63%.
         let t = tia();
-        let mut s = t.streamer();
         let i = Amps::from_nanoamps(100.0);
         let tau = 1.0 / (2.0 * core::f64::consts::PI * t.bandwidth().value());
         // Step in small increments up to exactly tau.
         let n = 1000;
-        let dt = Seconds::new(tau / n as f64);
+        let mut s = t.streamer(Seconds::new(tau / n as f64)).expect("dt");
         let mut v = Volts::ZERO;
         for _ in 0..n {
-            v = s.process(i, dt);
+            v = s.process(i);
         }
         let frac = v.value() / t.convert_static(i).value();
         assert!((frac - 0.632).abs() < 0.01, "frac {frac}");
@@ -247,5 +252,12 @@ mod tests {
         // 10 nA resolves to 1.5 mV — comfortably above a 12-bit LSB.
         let v_res = t.convert_static(Amps::from_nanoamps(10.0)).abs();
         assert!(v_res.as_millivolts() > 1.0);
+    }
+
+    #[test]
+    fn stream_rejects_bad_intervals() {
+        for dt in [0.0, -1e-3, f64::NAN, f64::INFINITY] {
+            assert!(tia().streamer(Seconds::new(dt)).is_err());
+        }
     }
 }

@@ -132,10 +132,7 @@ impl VoltageGenerator {
     pub fn realize(&self, program: &PotentialProgram, t: Seconds) -> Result<Volts, AfeError> {
         let ideal = program.potential_at(t);
         if !self.range.contains(ideal) {
-            return Err(AfeError::RangeExceeded {
-                block: "voltage generator",
-                detail: format!("requested {ideal} outside the DAC range"),
-            });
+            return Err(out_of_range(ideal));
         }
         Ok(self.quantize(ideal))
     }
@@ -146,6 +143,16 @@ impl VoltageGenerator {
         let lsb = self.lsb().value();
         let steps = ((clamped.value() - self.range.lo().value()) / lsb).round();
         Volts::new(self.range.lo().value() + steps * lsb)
+    }
+}
+
+#[cold]
+// advdiag::cold(error path of the per-sample `realize`: formats its message once,
+// as the acquisition aborts)
+fn out_of_range(ideal: Volts) -> AfeError {
+    AfeError::RangeExceeded {
+        block: "voltage generator",
+        detail: format!("requested {ideal} outside the DAC range"),
     }
 }
 

@@ -120,11 +120,11 @@ proptest! {
     #[test]
     fn noise_seed_determinism(seed in 0u64..1000, n in 1usize..100) {
         let cfg = NoiseConfig::typical_cmos();
-        let mut a = NoiseSource::new(cfg, seed);
-        let mut b = NoiseSource::new(cfg, seed);
         let dt = Seconds::from_millis(10.0);
+        let mut a = NoiseSource::new(cfg, dt, seed).expect("valid dt");
+        let mut b = NoiseSource::new(cfg, dt, seed).expect("valid dt");
         for _ in 0..n {
-            prop_assert_eq!(a.sample(dt).value(), b.sample(dt).value());
+            prop_assert_eq!(a.sample().value(), b.sample().value());
         }
     }
 

@@ -77,9 +77,11 @@ pub fn frontend_settling_time() -> Seconds {
     )
     .expect("constants are valid");
     let tia = paper_tia();
-    let mut tia_stream = tia.streamer();
-    let mut pstat_stream = pstat.streamer(Volts::ZERO);
     let dt = Seconds::from_micros(0.5);
+    let mut tia_stream = tia.streamer(dt).expect("constant dt is valid");
+    let mut pstat_stream = pstat
+        .streamer(Volts::ZERO, dt)
+        .expect("constant dt is valid");
     let setpoint = Volts::from_millivolts(100.0);
     // Final value: DC current through the cell × gain.
     let v_final = tia
@@ -89,9 +91,9 @@ pub fn frontend_settling_time() -> Seconds {
         .value();
     let mut settled_at = Seconds::ZERO;
     for k in 0..2_000_000u64 {
-        let e = pstat_stream.step(setpoint, dt);
+        let e = pstat_stream.step(setpoint);
         let i = cell.step(e, dt);
-        let v = tia_stream.process(i, dt);
+        let v = tia_stream.process(i);
         let t = Seconds::new(k as f64 * dt.value());
         if (v.value() - v_final).abs() > 0.01 * v_final.abs() {
             settled_at = t;

@@ -244,6 +244,10 @@ impl CypSensor {
     /// sweep direction) and, on cathodic sweeps, one catalytic peak per
     /// substrate at its Table II potential with amplitude
     /// `S·Km·C/(Km + C)` and the ideal surface-wave line shape.
+    ///
+    /// A sweep evaluating many potentials should call [`CypSensor::sweep`]
+    /// once and evaluate [`CypSweep::current_density`] per point; both give
+    /// the same bits.
     pub fn current_density(
         &self,
         e: Volts,
@@ -252,6 +256,32 @@ impl CypSensor {
         concentrations: &[(Analyte, Molar)],
         temperature: Kelvin,
     ) -> AmpsPerCm2 {
+        self.baseline(scan_rate, temperature).current_density(
+            e,
+            direction_up,
+            self.catalytic_waves(scan_rate, concentrations, temperature),
+        )
+    }
+
+    /// Prepares [`CypSensor::current_density`] for one sweep: everything
+    /// that does not depend on the potential or the sweep direction (heme
+    /// centre, baseline scale, Laviron shift, each present substrate's
+    /// amplitude and peak) is evaluated here, once.
+    pub fn sweep(
+        &self,
+        scan_rate: VoltsPerSecond,
+        concentrations: &[(Analyte, Molar)],
+        temperature: Kelvin,
+    ) -> CypSweep {
+        CypSweep {
+            baseline: self.baseline(scan_rate, temperature),
+            waves: self
+                .catalytic_waves(scan_rate, concentrations, temperature)
+                .collect(),
+        }
+    }
+
+    fn baseline(&self, scan_rate: VoltsPerSecond, temperature: Kelvin) -> HemeBaseline {
         let rt = GAS_CONSTANT * temperature.value();
         // Baseline heme wave centred at the mean substrate potential.
         let e_heme = self
@@ -260,35 +290,38 @@ impl CypSensor {
             .map(|s| s.peak_potential.value())
             .sum::<f64>()
             / self.substrates.len() as f64;
-        let xi = (FARADAY * (e.value() - e_heme) / rt).clamp(-200.0, 200.0);
-        let shape = xi.exp() / (1.0 + xi.exp()).powi(2);
-        let base_mag = FARADAY * FARADAY / rt * self.coverage.value() * scan_rate.value() * shape;
-        let mut j = if direction_up { base_mag } else { -base_mag };
-        if !direction_up {
-            let shift = self.laviron_shift(scan_rate, temperature);
-            for sub in &self.substrates {
-                let c = concentrations
-                    .iter()
-                    .find(|(a, _)| *a == sub.analyte)
-                    .map(|(_, c)| *c)
-                    .unwrap_or(Molar::ZERO);
-                if c.value() <= 0.0 {
-                    continue;
-                }
-                let amplitude =
-                    sub.sensitivity_si * sub.kinetics.km().value() * sub.kinetics.saturation(c);
-                let e_peak = sub.peak_potential.value() - shift;
-                // Two-electron catalytic wave (paper eq. 4: substrate + O₂ +
-                // 2H⁺ + 2e⁻ → product + H₂O), so the line shape uses n = 2 —
-                // FWHM ≈ 45 mV, which is what lets CYP2B4 resolve
-                // benzphetamine (−250 mV) from aminopyrine (−400 mV).
-                let xi_c = (2.0 * FARADAY * (e.value() - e_peak) / rt).clamp(-200.0, 200.0);
-                // Normalized to 1 at the peak (4× the logistic product).
-                let shape_c = 4.0 * xi_c.exp() / (1.0 + xi_c.exp()).powi(2);
-                j -= amplitude * shape_c;
-            }
+        HemeBaseline {
+            rt,
+            e_heme,
+            scale: FARADAY * FARADAY / rt * self.coverage.value() * scan_rate.value(),
         }
-        AmpsPerCm2::new(j)
+    }
+
+    /// The catalytic peaks of the substrates present at a positive
+    /// concentration, in sensor order.
+    fn catalytic_waves<'a>(
+        &'a self,
+        scan_rate: VoltsPerSecond,
+        concentrations: &'a [(Analyte, Molar)],
+        temperature: Kelvin,
+    ) -> impl Iterator<Item = CatalyticWave> + 'a {
+        let shift = self.laviron_shift(scan_rate, temperature);
+        self.substrates.iter().filter_map(move |sub| {
+            let c = concentrations
+                .iter()
+                .find(|(a, _)| *a == sub.analyte)
+                .map(|(_, c)| *c)
+                .unwrap_or(Molar::ZERO);
+            if c.value() <= 0.0 {
+                return None;
+            }
+            Some(CatalyticWave {
+                amplitude: sub.sensitivity_si
+                    * sub.kinetics.km().value()
+                    * sub.kinetics.saturation(c),
+                e_peak: sub.peak_potential.value() - shift,
+            })
+        })
     }
 
     fn find(&self, analyte: Analyte) -> Option<&CypSubstrate> {
@@ -304,6 +337,71 @@ impl CypSensor {
             // RT/(αF)·ln(v/v_c) with α = 0.5.
             2.0 * GAS_CONSTANT * temperature.value() / FARADAY * ratio.ln()
         }
+    }
+}
+
+/// The sweep-invariant part of the heme baseline wave.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct HemeBaseline {
+    rt: f64,
+    e_heme: f64,
+    /// `F²/RT·Γ·v`: the wave's magnitude before its line shape.
+    scale: f64,
+}
+
+impl HemeBaseline {
+    /// Total current density at `e`; `waves` are consumed on the cathodic
+    /// (`direction_up == false`) sweep only.
+    fn current_density(
+        &self,
+        e: Volts,
+        direction_up: bool,
+        waves: impl IntoIterator<Item = CatalyticWave>,
+    ) -> AmpsPerCm2 {
+        let rt = self.rt;
+        let xi = (FARADAY * (e.value() - self.e_heme) / rt).clamp(-200.0, 200.0);
+        let shape = xi.exp() / (1.0 + xi.exp()).powi(2);
+        let base_mag = self.scale * shape;
+        let mut j = if direction_up { base_mag } else { -base_mag };
+        if !direction_up {
+            for wave in waves {
+                // Two-electron catalytic wave (paper eq. 4: substrate + O₂ +
+                // 2H⁺ + 2e⁻ → product + H₂O), so the line shape uses n = 2 —
+                // FWHM ≈ 45 mV, which is what lets CYP2B4 resolve
+                // benzphetamine (−250 mV) from aminopyrine (−400 mV).
+                let xi_c = (2.0 * FARADAY * (e.value() - wave.e_peak) / rt).clamp(-200.0, 200.0);
+                // Normalized to 1 at the peak (4× the logistic product).
+                let shape_c = 4.0 * xi_c.exp() / (1.0 + xi_c.exp()).powi(2);
+                j -= wave.amplitude * shape_c;
+            }
+        }
+        AmpsPerCm2::new(j)
+    }
+}
+
+/// One catalytic peak of a sweep.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CatalyticWave {
+    /// `S·Km·C/(Km + C)`, A/cm².
+    amplitude: f64,
+    /// Peak potential after the Laviron shift, V.
+    e_peak: f64,
+}
+
+/// [`CypSensor::current_density`] prepared for one sweep (fixed scan rate,
+/// drug panel and temperature) by [`CypSensor::sweep`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CypSweep {
+    baseline: HemeBaseline,
+    waves: Vec<CatalyticWave>,
+}
+
+impl CypSweep {
+    /// Total current density at potential `e`; catalytic peaks appear on
+    /// the cathodic (`direction_up == false`) sweep only.
+    pub fn current_density(&self, e: Volts, direction_up: bool) -> AmpsPerCm2 {
+        self.baseline
+            .current_density(e, direction_up, self.waves.iter().copied())
     }
 }
 
@@ -478,5 +576,75 @@ mod tests {
                 .abs()
                 < 1e-12
         );
+    }
+
+    /// The per-point formula as written before sweeps were prepared, kept
+    /// as the reference the prepared evaluator must match bit for bit.
+    fn reference_density(
+        s: &CypSensor,
+        e: Volts,
+        scan_rate: VoltsPerSecond,
+        direction_up: bool,
+        concentrations: &[(Analyte, Molar)],
+        temperature: Kelvin,
+    ) -> f64 {
+        let rt = GAS_CONSTANT * temperature.value();
+        let e_heme = s
+            .substrates
+            .iter()
+            .map(|s| s.peak_potential.value())
+            .sum::<f64>()
+            / s.substrates.len() as f64;
+        let xi = (FARADAY * (e.value() - e_heme) / rt).clamp(-200.0, 200.0);
+        let shape = xi.exp() / (1.0 + xi.exp()).powi(2);
+        let base_mag = FARADAY * FARADAY / rt * s.coverage.value() * scan_rate.value() * shape;
+        let mut j = if direction_up { base_mag } else { -base_mag };
+        if !direction_up {
+            let shift = s.laviron_shift(scan_rate, temperature);
+            for sub in &s.substrates {
+                let c = concentrations
+                    .iter()
+                    .find(|(a, _)| *a == sub.analyte)
+                    .map(|(_, c)| *c)
+                    .unwrap_or(Molar::ZERO);
+                if c.value() <= 0.0 {
+                    continue;
+                }
+                let amplitude =
+                    sub.sensitivity_si * sub.kinetics.km().value() * sub.kinetics.saturation(c);
+                let e_peak = sub.peak_potential.value() - shift;
+                let xi_c = (2.0 * FARADAY * (e.value() - e_peak) / rt).clamp(-200.0, 200.0);
+                let shape_c = 4.0 * xi_c.exp() / (1.0 + xi_c.exp()).powi(2);
+                j -= amplitude * shape_c;
+            }
+        }
+        j
+    }
+
+    #[test]
+    fn prepared_sweep_matches_reference_bit_for_bit() {
+        let rates = [slow(), VoltsPerSecond::from_millivolts_per_second(200.0)];
+        for iso in CypIsoform::ALL {
+            let s = CypSensor::from_registry(iso).expect("registry");
+            // Present, absent and zero-concentration substrates.
+            let concs: Vec<(Analyte, Molar)> = s
+                .substrates()
+                .enumerate()
+                .map(|(k, a)| (a, Molar::from_millimolar(0.7 * k as f64)))
+                .collect();
+            for rate in rates {
+                let sweep = s.sweep(rate, &concs, T_ROOM);
+                for k in 0..=300 {
+                    let e = Volts::new(0.2 - 3e-3 * k as f64);
+                    for up in [false, true] {
+                        let want = reference_density(&s, e, rate, up, &concs, T_ROOM);
+                        let prepared = sweep.current_density(e, up).value();
+                        let direct = s.current_density(e, rate, up, &concs, T_ROOM).value();
+                        assert_eq!(prepared.to_bits(), want.to_bits(), "{iso} {e:?} {up}");
+                        assert_eq!(direct.to_bits(), want.to_bits(), "{iso} {e:?} {up}");
+                    }
+                }
+            }
+        }
     }
 }

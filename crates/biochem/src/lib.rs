@@ -53,7 +53,9 @@ mod probe;
 pub mod tables;
 
 pub use analyte::{Analyte, AnalyteKind};
-pub use cytochrome::{CypIsoform, CypSensor, DEFAULT_CYP_SENSITIVITY_UA, PEAK_SHIFT_CRITICAL_RATE};
+pub use cytochrome::{
+    CypIsoform, CypSensor, CypSweep, DEFAULT_CYP_SENSITIVITY_UA, PEAK_SHIFT_CRITICAL_RATE,
+};
 pub use enzyme::{EnzymeFilm, ProstheticGroup};
 pub use error::BiochemError;
 pub use functionalization::Functionalization;

@@ -174,19 +174,25 @@ pub fn run_chrono_with_interferents(
             .sum()
     };
     let interference_blank = interference;
+    // `transient_current_density(0, c, since)` split into its
+    // per-acquisition part (the two steady states) and its per-sample part
+    // (the membrane step response, shared with the offset below).
+    let j0 = sensor.steady_current_density(Molar::ZERO).value();
+    let j1 = sensor.steady_current_density(concentration).value();
     let samples = chain.acquire(
         &program,
         protocol.dt,
         seed,
         move |t, e| {
             let since = Seconds::new(t.value() - injection.value());
-            let j = sensor.transient_current_density(Molar::ZERO, concentration, since);
+            let f = sensor.membrane().step_response(since);
+            let j = j0 + (j1 - j0) * f;
             // The response perturbation develops with the membrane-shaped
             // response itself (a step here would fake an instantaneous
             // dI/dt spike at the injection).
-            let offset = response_offset * sensor.membrane().step_response(since);
+            let offset = response_offset * f;
             Amps::new(
-                j.value() * area.value()
+                j * area.value()
                     + offset
                     + interference(&interferents_active, e, since)
                     + gaussian(&mut rng) * within_sd,

@@ -132,21 +132,21 @@ pub fn run_cv(
             .ok_or_else(|| InstrumentError::invalid("substrate", format!("{a} not registered")))?;
         perturbations.push((a, e, gaussian(&mut rng) * sd));
     }
-    let rate = protocol.scan_rate;
+    let sweep = sensor.sweep(protocol.scan_rate, concentrations, T_ROOM);
+    let rt = bios_units::GAS_CONSTANT * T_ROOM.value();
     let samples = chain.acquire(
         &program,
         Seconds::new(program.suggested_dt().value().max(0.02)),
         seed,
         move |t, e| {
             let direction_up = t.value() >= half;
-            let j = sensor.current_density(e, rate, direction_up, concentrations, T_ROOM);
+            let j = sweep.current_density(e, direction_up);
             let mut i = j.value() * area.value();
             if !direction_up {
                 // Peak-amplitude noise: same line shape as the catalytic wave.
                 for (_, e_peak, n) in &perturbations {
-                    let xi = (2.0 * bios_units::FARADAY * (e.value() - e_peak.value())
-                        / (bios_units::GAS_CONSTANT * T_ROOM.value()))
-                    .clamp(-200.0, 200.0);
+                    let xi = (2.0 * bios_units::FARADAY * (e.value() - e_peak.value()) / rt)
+                        .clamp(-200.0, 200.0);
                     let shape = 4.0 * xi.exp() / (1.0 + xi.exp()).powi(2);
                     i -= n * shape;
                 }

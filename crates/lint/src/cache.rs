@@ -29,6 +29,7 @@ use std::collections::BTreeMap;
 use crate::baseline::{escape, Json};
 use crate::depgraph::{FactEdge, FileFacts, PubItem};
 use crate::fixer::{Fix, FixSafety};
+use crate::hotpath::{HOT_ROOTS, PURE_CTORS};
 use crate::rules::{AllowSite, Finding, Severity, RULE_IDS};
 
 /// Bumped whenever the serialized shape changes incompatibly.
@@ -46,14 +47,21 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Hash of the rule catalogue + format version. Adding, removing or
-/// reordering rules changes what findings a file can produce, so any
-/// such change must invalidate every cached entry.
+/// Hash of the rule catalogue, the hot-path catalogues + format version.
+/// Adding, removing or reordering rules, hot roots or pure constructors
+/// changes what findings a file can produce, so any such change must
+/// invalidate every cached entry.
 pub fn engine_fingerprint() -> u64 {
     let mut s = format!("v{CACHE_VERSION}");
     for id in RULE_IDS {
         s.push(';');
         s.push_str(id);
+    }
+    for (root, level) in HOT_ROOTS {
+        s.push_str(&format!(";{root}:{level:?}"));
+    }
+    for (ty, ctor) in PURE_CTORS {
+        s.push_str(&format!(";{ty}::{ctor}"));
     }
     fnv1a(s.as_bytes())
 }

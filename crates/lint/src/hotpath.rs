@@ -74,6 +74,7 @@ pub const HOT_ROOTS: &[(&str, Level)] = &[
     ("step_active", Level::PerIter),
     ("sweep_and_mark", Level::PerIter),
     ("score_shard_margins", Level::PerIter),
+    ("acquire", Level::Warm),
 ];
 
 /// The server's shard stepping loop: the reachability root for H3.
@@ -93,7 +94,16 @@ pub const PURE_CTORS: &[(&str, &str)] = &[
     ("Grid", "for_experiment_with"),
     ("Grid", "uniform"),
     ("Grid", "expanding"),
+    ("NoiseSource", "new"),
+    ("Potentiostat", "streamer"),
+    ("Tia", "streamer"),
 ];
+
+/// The [`PURE_CTORS`] that take `self` and so are usually called in
+/// method form (`pstat.streamer(dt)`). The receiver's type is unknown to
+/// the scanner, so method calls match on these names alone, which belong
+/// to no other method in the workspace.
+const PURE_RECEIVER_CTORS: &[&str] = &["streamer"];
 
 /// Allocating macros (H1).
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
@@ -508,6 +518,14 @@ impl<'a> Scanner<'a, '_> {
                         }
                     }
                 }
+                m if self.per_iteration() && PURE_RECEIVER_CTORS.contains(&m) => self.emit(
+                    "H4",
+                    span,
+                    format!(
+                        "invariant recomputed per iteration: `.{m}()` is pure in its \
+                         arguments — construct it once before the hot loop"
+                    ),
+                ),
                 "sum" | "product" | "fold" if self.per_iteration() => self.emit(
                     "H2",
                     span,

@@ -15,3 +15,15 @@ pub fn simulate_chrono_fleet(n: usize) -> f64 {
 pub fn build_grid(n: usize) -> f64 {
     Grid::uniform(n as f64)
 }
+
+/// Acquisition driver: the noise source and stream are bound once in
+/// setup and only used per sample.
+pub fn acquire(n: usize, dt: f64) -> f64 {
+    let mut noise = NoiseSource::new(dt);
+    let mut tia = config.tia.streamer(dt);
+    let mut acc = 0.0;
+    for _ in 0..n {
+        acc += tia.process(noise.sample());
+    }
+    acc
+}

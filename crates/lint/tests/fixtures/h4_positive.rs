@@ -19,3 +19,15 @@ fn helper_ctor(x: f64) -> f64 {
     let u = Grid::uniform(x); // site 3
     u
 }
+
+/// Acquisition driver (a `Warm` root): a noise source or stream built in
+/// the sample loop recomputes its per-interval factors every sample.
+pub fn acquire(n: usize, dt: f64) -> f64 {
+    let mut acc = 0.0;
+    for _ in 0..n {
+        let noise = NoiseSource::new(dt); // site 4
+        let tia = config.tia.streamer(dt); // site 5: method-form constructor
+        acc += noise + tia;
+    }
+    acc
+}
