@@ -5,22 +5,15 @@
 //! `// advdiag::allow(ID, reason)` suppresses it. Also exercises the
 //! crate-applicability exemptions (the bench harness and
 //! `bios-platform::exec`), the auto-fix engine (rewrites land, fixpoint
-//! is idempotent), and finishes by linting the live workspace against
-//! the checked-in baseline, which must leave zero new findings — then
-//! times a cold vs warm (cached) full-workspace lint and writes the
-//! speedup with cold/warm finding digests to `BENCH_8.json`
-//! (`--json <path>` overrides). The timing gate covers the hot-path
-//! call-graph analysis (H1-H4): the workspace-grained pass must replay
-//! from cache digest-equal to cold, at >= 5x.
+//! is idempotent), and the live workspace, which must lint against the
+//! checked-in baseline with zero new error findings.
 
 use std::path::Path;
-use std::time::Instant;
 
-use bios_lint::cache::findings_digest;
 use bios_lint::fixer::{fix_source, unified_diff};
 use bios_lint::{
-    gather, lint_files, lint_files_cached, lint_source, lint_workspace, Baseline, FileContext,
-    FixSafety, LintCache, MemFile, Severity, RULE_IDS,
+    lint_files, lint_source, lint_workspace, Baseline, FileContext, FixSafety, MemFile, Severity,
+    RULE_IDS,
 };
 
 /// A seeded violation: where it lives, the offending code, and the rule it
@@ -77,41 +70,6 @@ const SEEDS: &[Seed] = &[
         rel_path: "crates/electrochem/src/seeded.rs",
         code: "pub fn f(x: f64) -> bool {\n    x == 0.25\n}\n",
         hot_line: 1,
-    },
-    Seed {
-        rule: "U2",
-        crate_name: "bios-electrochem",
-        rel_path: "crates/electrochem/src/seeded.rs",
-        code: "pub fn f(v: Volts) -> Amps {\n    let raw = v.as_millivolts();\n    Amps::from_nanoamps(raw)\n}\n",
-        hot_line: 2,
-    },
-    Seed {
-        rule: "D3",
-        crate_name: "bios-platform",
-        rel_path: "crates/core/src/seeded.rs",
-        code: "pub fn f(xs: &[f64]) -> f64 {\n    let mut sum = 0.0;\n    par_map(policy, xs, |_, x| { sum += x; 0.0 });\n    sum\n}\n",
-        hot_line: 2,
-    },
-    Seed {
-        rule: "N1",
-        crate_name: "bios-electrochem",
-        rel_path: "crates/electrochem/src/seeded.rs",
-        code: "fn f(x: f64) -> f64 {\n    let d = 0.0;\n    x / d\n}\n",
-        hot_line: 2,
-    },
-    Seed {
-        rule: "N2",
-        crate_name: "bios-electrochem",
-        rel_path: "crates/electrochem/src/seeded.rs",
-        code: "fn f() -> f64 {\n    let eta = 1200.0;\n    eta.exp()\n}\n",
-        hot_line: 2,
-    },
-    Seed {
-        rule: "N3",
-        crate_name: "bios-electrochem",
-        rel_path: "crates/electrochem/src/seeded.rs",
-        code: "fn f() -> f64 {\n    let a = 1.0000001;\n    let b = 1.0;\n    a - b\n}\n",
-        hot_line: 3,
     },
     Seed {
         rule: "H1",
@@ -250,35 +208,7 @@ fn main() {
         .is_empty(),
     );
 
-    // 4b. Semantic-rule exemptions: the bench harness is unit-code-free
-    //     test infrastructure (no U2), and cfg(test) regions may use
-    //     captured accumulators (no D3).
-    check(
-        "bench harness is exempt from U2",
-        !lint_source(
-            &FileContext {
-                crate_name: "bios-bench",
-                rel_path: "crates/bench/src/seeded.rs",
-            },
-            SEEDS.iter().find(|s| s.rule == "U2").expect("U2 seed").code,
-        )
-        .iter()
-        .any(|f| f.rule == "U2"),
-    );
-    check(
-        "cfg(test) regions are skipped by D3",
-        !lint_source(
-            &FileContext {
-                crate_name: "bios-platform",
-                rel_path: "crates/core/src/seeded.rs",
-            },
-            "#[cfg(test)]\nmod t {\n    fn g(xs: &[f64]) {\n        let mut s = 0.0;\n        par_map(p, xs, |_, x| { s += x; 0.0 });\n    }\n}\n",
-        )
-        .iter()
-        .any(|f| f.rule == "D3"),
-    );
-
-    // 4c. W0: a well-formed suppression that silences nothing is itself
+    // 4b. W0: a well-formed suppression that silences nothing is itself
     //     a finding, and is in turn suppressible one level deep.
     {
         let ctx = FileContext {
@@ -298,7 +228,7 @@ fn main() {
         );
     }
 
-    // 4d. Workspace rules on an in-memory module set: an upward crate
+    // 4c. Workspace rules on an in-memory module set: an upward crate
     //     reference is an A1 error; a pub item no other crate mentions
     //     is an A2 warning.
     {
@@ -439,77 +369,6 @@ fn main() {
             "unified diff renders the rewrite",
             unified_diff(ctx.rel_path, src, &fixed).contains("-    x == 0.5"),
         );
-    }
-
-    // 8. The incremental cache: a warm full-workspace lint must replay
-    //    every file, reproduce the cold findings bit-for-bit (including
-    //    the workspace-grained hot-path pass), and be at least 5×
-    //    faster. Written to BENCH_8.json for CI.
-    {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root");
-        let files = gather(root).expect("workspace gathers");
-        let (_, _, cache, _) = lint_files_cached(&files, &LintCache::default(), &[]);
-        let runs = 3;
-        let (mut cold_s, mut warm_s) = (f64::MAX, f64::MAX);
-        let (mut cold_digest, mut warm_digest) = (0u64, 0u64);
-        for _ in 0..runs {
-            let t = Instant::now();
-            let (found, _, _, _) = lint_files_cached(&files, &LintCache::default(), &[]);
-            cold_s = cold_s.min(t.elapsed().as_secs_f64());
-            cold_digest = findings_digest(&found);
-        }
-        let mut stats = bios_lint::LintStats::default();
-        for _ in 0..runs {
-            let t = Instant::now();
-            let (found, _, _, s) = lint_files_cached(&files, &cache, &[]);
-            warm_s = warm_s.min(t.elapsed().as_secs_f64());
-            warm_digest = findings_digest(&found);
-            stats = s;
-        }
-        let speedup = cold_s / warm_s;
-        check(
-            "warm run replays every file and crate",
-            stats.files_reused == stats.files_total && stats.crates_analyzed == 0,
-        );
-        check(
-            "cold and warm finding digests match",
-            cold_digest == warm_digest,
-        );
-        check("warm cache lint is >= 5x faster than cold", speedup >= 5.0);
-        println!(
-            "    incremental: {} file(s), cold {:.1} ms, warm {:.1} ms, {:.1}x",
-            stats.files_total,
-            cold_s * 1e3,
-            warm_s * 1e3,
-            speedup
-        );
-        let json = format!(
-            "{{\n  \"files\": {},\n  \"crates\": {},\n  \"cold_s\": {:.6},\n  \"warm_s\": {:.6},\n  \"speedup\": {:.2},\n  \"digest_cold\": \"{:016x}\",\n  \"digest_warm\": \"{:016x}\",\n  \"digests_match\": {},\n  \"files_reused\": {},\n  \"files_total\": {}\n}}\n",
-            stats.files_total,
-            stats.crates_reused + stats.crates_analyzed,
-            cold_s,
-            warm_s,
-            speedup,
-            cold_digest,
-            warm_digest,
-            cold_digest == warm_digest,
-            stats.files_reused,
-            stats.files_total,
-        );
-        let json_path = {
-            let args: Vec<String> = std::env::args().collect();
-            args.iter()
-                .position(|a| a == "--json")
-                .and_then(|i| args.get(i + 1).cloned())
-                .unwrap_or_else(|| "BENCH_8.json".to_string())
-        };
-        match std::fs::write(&json_path, &json) {
-            Ok(()) => println!("    wrote {json_path}"),
-            Err(e) => check(&format!("write {json_path}: {e}"), false),
-        }
     }
 
     println!(

@@ -26,8 +26,7 @@
 
 use bios_biochem::Analyte;
 use bios_explore::{
-    brute_force_band, clear_explore_cache, explore, explore_cache_stats, ExploreSpace,
-    ExploreSpec,
+    brute_force_band, clear_explore_cache, explore, explore_cache_stats, ExploreSpace, ExploreSpec,
 };
 use bios_platform::{ExecPolicy, PanelSpec, TargetSpec};
 

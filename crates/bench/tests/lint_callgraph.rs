@@ -1,15 +1,10 @@
 //! Properties of the hot-path call-graph analysis (DESIGN.md §6e).
 //!
-//! Two contracts keep the analysis trustworthy: reachability is
-//! *monotone* in the edge set (adding a call can only grow the hot
-//! region and raise cadence levels — so a refactor that introduces a
-//! call path can never silently un-guard a kernel), and the
-//! workspace-grained incremental cache is *transparent* (invalidating
-//! one hot-region file and relinting warm reproduces a cold lint of the
-//! same tree bit-for-bit, even when the edit rewires the call graph).
+//! Reachability is *monotone* in the edge set: adding a call can only
+//! grow the hot region and raise cadence levels, so a refactor that
+//! introduces a call path can never silently un-guard a kernel.
 
-use bios_lint::cache::findings_digest;
-use bios_lint::{lint_files_cached, CallGraph, Level, LintCache, MemFile};
+use bios_lint::{CallGraph, Level};
 use proptest::prelude::*;
 
 /// Deterministically builds a call graph from packed u64 seeds over a
@@ -85,83 +80,5 @@ proptest! {
         let reversed: Vec<u64> = edges.iter().rev().copied().collect();
         let backward = graph_from(def_bits, &reversed, roots, 0).hot_levels();
         prop_assert_eq!(forward, backward);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Incremental-cache transparency for the workspace-grained hot pass.
-// ---------------------------------------------------------------------
-
-fn mem(crate_name: &str, rel_path: &str, source: &str) -> MemFile {
-    MemFile {
-        crate_name: crate_name.to_string(),
-        rel_path: rel_path.to_string(),
-        source: source.to_string(),
-        lintable: true,
-    }
-}
-
-/// A three-file synthetic workspace whose hot-path findings span file
-/// boundaries: the kernel root lives in one file, the allocating helper
-/// it reaches in another, so invalidating either must rerun the
-/// workspace-grained analysis.
-fn base_files() -> Vec<MemFile> {
-    vec![
-        mem(
-            "bios-electrochem",
-            "crates/electrochem/src/kernel.rs",
-            "pub fn step_with_rate_constants(xs: &[f64]) -> f64 {\n    helper_accumulate(xs)\n}\n",
-        ),
-        mem(
-            "bios-electrochem",
-            "crates/electrochem/src/helper.rs",
-            "pub fn helper_accumulate(xs: &[f64]) -> f64 {\n    let buf = xs.to_vec();\n    buf.len() as f64\n}\n",
-        ),
-        mem(
-            "bios-server",
-            "crates/server/src/shard.rs",
-            "pub fn step_active(n: usize) -> usize {\n    n + 1\n}\n",
-        ),
-    ]
-}
-
-/// Edits appended to the invalidated file. Each changes the content
-/// hash; several also rewire the call graph or hot region, so a warm
-/// replay that kept stale workspace facts would diverge from cold.
-const EDITS: &[&str] = &[
-    "\n// cache-buster comment, findings unchanged\n",
-    "\npub fn step_wave(xs: &[f64]) -> f64 {\n    let v = xs.to_vec();\n    v.len() as f64\n}\n",
-    "\npub fn cold_report(n: usize) -> f64 {\n    n as f64\n}\n",
-    "\npub fn step_active(xs: &[f64]) -> f64 {\n    let m = std::sync::Mutex::new(0.0);\n    *m.lock()\n}\n",
-];
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Invalidating a single hot-region file and relinting warm yields
-    /// the same findings digest as a cold lint of the edited tree, and
-    /// the untouched files still replay from cache.
-    fn warm_relint_after_single_file_edit_matches_cold(
-        file_idx in 0usize..3,
-        edit_idx in 0usize..EDITS.len(),
-    ) {
-        let base = base_files();
-        let (_, _, cache, _) = lint_files_cached(&base, &LintCache::default(), &[]);
-
-        let mut edited = base;
-        edited[file_idx].source.push_str(EDITS[edit_idx]);
-
-        let (warm_findings, _, _, stats) = lint_files_cached(&edited, &cache, &[]);
-        let (cold_findings, _, _, _) = lint_files_cached(&edited, &LintCache::default(), &[]);
-
-        prop_assert_eq!(
-            findings_digest(&warm_findings),
-            findings_digest(&cold_findings),
-            "warm {:?} != cold {:?}",
-            warm_findings,
-            cold_findings
-        );
-        prop_assert_eq!(stats.files_total, 3);
-        prop_assert_eq!(stats.files_reused, 2, "only the edited file should re-analyze");
     }
 }

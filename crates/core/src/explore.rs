@@ -196,8 +196,7 @@ pub fn effective_sensitivity(
     nanostructure: Nanostructure,
 ) -> Result<f64, PlatformError> {
     let row = performance_of(target).ok_or(PlatformError::NoProbeFor(target))?;
-    let gain =
-        nanostructure.roughness_factor() / Nanostructure::CarbonNanotubes.roughness_factor();
+    let gain = nanostructure.roughness_factor() / Nanostructure::CarbonNanotubes.roughness_factor();
     Ok(row.sensitivity_si() * gain)
 }
 
@@ -513,8 +512,8 @@ mod tests {
     #[test]
     fn explore_paper_panel_produces_pareto_front() {
         let panel = PanelSpec::paper_fig4();
-        let designs = explore_with(&panel, &DesignSpace::paper_default(), ExecPolicy::Auto)
-            .expect("explore");
+        let designs =
+            explore_with(&panel, &DesignSpace::paper_default(), ExecPolicy::Auto).expect("explore");
         assert_eq!(designs.len(), 96);
         let feasible = designs.iter().filter(|d| d.feasible).count();
         assert!(feasible > 0, "some designs must be feasible");
@@ -540,8 +539,8 @@ mod tests {
         // The paper's central trade-off should appear on the Pareto front
         // through the cost scalar: shared designs are cheaper.
         let panel = PanelSpec::paper_fig4();
-        let designs = explore_with(&panel, &DesignSpace::paper_default(), ExecPolicy::Auto)
-            .expect("explore");
+        let designs =
+            explore_with(&panel, &DesignSpace::paper_default(), ExecPolicy::Auto).expect("explore");
         let cheapest_shared = designs
             .iter()
             .filter(|d| d.feasible && d.point.sharing == ReadoutSharing::Shared)

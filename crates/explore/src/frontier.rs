@@ -134,9 +134,10 @@ pub fn brute_force_band(spec: &ExploreSpec) -> Result<Vec<(u64, f64, f64)>, Expl
     }
     let mut band = Vec::new();
     for (k, &(rank, cost, margin)) in feasible.iter().enumerate() {
-        let dominated = feasible.iter().enumerate().any(|(j, &(_, c, m))| {
-            j != k && c <= cost && m >= margin && (c < cost || m > margin)
-        });
+        let dominated = feasible
+            .iter()
+            .enumerate()
+            .any(|(j, &(_, c, m))| j != k && c <= cost && m >= margin && (c < cost || m > margin));
         if !dominated {
             band.push((rank, cost, margin));
         }

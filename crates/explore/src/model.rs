@@ -67,8 +67,8 @@ pub fn surrogate_lod(target: Analyte, point: &ExplorePoint) -> Result<f64, Explo
     let stochastic = nb.stochastic / (sqrt_a * sqrt_m);
     let amp_flicker = nb.amp_flicker;
     let quantization = nb.quantization / (a * sqrt_m);
-    let total = (drift.powi(2) + stochastic.powi(2) + amp_flicker.powi(2) + quantization.powi(2))
-        .sqrt();
+    let total =
+        (drift.powi(2) + stochastic.powi(2) + amp_flicker.powi(2) + quantization.powi(2)).sqrt();
     Ok(3.0 * total / s_eff)
 }
 
@@ -160,7 +160,9 @@ pub fn cost_scalar(skeleton: &Skeleton, point: &ExplorePoint) -> f64 {
 }
 
 /// Why a point is statically excluded from simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
+)]
 pub enum RejectReason {
     /// Some target's surrogate LOD misses its panel requirement
     /// (worst margin < 1).
@@ -271,7 +273,9 @@ mod tests {
     fn surrogate_matches_core_bit_for_bit_at_reference_coords() {
         let p = reference_point();
         for spec in PanelSpec::paper_fig4().targets() {
-            let core = predict_lod(spec.analyte, &p.base).expect("core lod").value();
+            let core = predict_lod(spec.analyte, &p.base)
+                .expect("core lod")
+                .value();
             let here = surrogate_lod(spec.analyte, &p).expect("surrogate lod");
             assert_eq!(core.to_bits(), here.to_bits(), "{:?}", spec.analyte);
         }
@@ -289,8 +293,8 @@ mod tests {
             },
         )
         .expect("lod");
-        let more_area = surrogate_lod(Analyte::Glucose, &ExplorePoint { area_pct: 400, ..p })
-            .expect("lod");
+        let more_area =
+            surrogate_lod(Analyte::Glucose, &ExplorePoint { area_pct: 400, ..p }).expect("lod");
         assert!(more_avg < base && more_area < base);
     }
 
@@ -298,10 +302,9 @@ mod tests {
     fn afe_rule_relaxes_with_lower_roughness_and_more_bits() {
         use bios_electrochem::Nanostructure;
         let panel = PanelSpec::paper_fig4();
-        let dr_cnt = derived_dynamic_range(Analyte::Glucose, Nanostructure::CarbonNanotubes)
-            .expect("dr");
-        let dr_bare =
-            derived_dynamic_range(Analyte::Glucose, Nanostructure::None).expect("dr");
+        let dr_cnt =
+            derived_dynamic_range(Analyte::Glucose, Nanostructure::CarbonNanotubes).expect("dr");
+        let dr_bare = derived_dynamic_range(Analyte::Glucose, Nanostructure::None).expect("dr");
         assert!(dr_bare < dr_cnt);
         assert!(dr_cnt <= DERIVED_DR_CAP);
         // 16 bits always clears the 15-bit realizability cap.

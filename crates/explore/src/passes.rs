@@ -249,11 +249,9 @@ impl<'a> RunCtx<'a> {
         for s in 0..sz.s {
             for cd in 0..sz.cd {
                 for pf in 0..sz.pf {
-                    let sk = self.cx.skeleton(
-                        space.preferences[pf],
-                        space.sharing[s],
-                        space.cds[cd],
-                    )?;
+                    let sk =
+                        self.cx
+                            .skeleton(space.preferences[pf], space.sharing[s], space.cds[cd])?;
                     for os in 0..sz.os {
                         times[sz.time_class(s, cd, pf, os)] =
                             session_time_s(&sk, space.oversampling[os]);
@@ -376,8 +374,7 @@ fn count_feasible(
                         for pf in 0..sz.pf {
                             for os in 0..sz.os {
                                 for ar in 0..sz.ar {
-                                    let ok = margins[sz.margin_class(n, ch, cd, ab, os, ar)]
-                                        >= 1.0
+                                    let ok = margins[sz.margin_class(n, ch, cd, ab, os, ar)] >= 1.0
                                         && afe[sz.afe_class(n, ab)].is_none()
                                         && times[sz.time_class(s, cd, pf, os)] <= budget_s;
                                     if ok {
@@ -417,8 +414,7 @@ fn fill_feasible(
                         for pf in 0..sz.pf {
                             for os in 0..sz.os {
                                 for ar in 0..sz.ar {
-                                    let ok = margins[sz.margin_class(n, ch, cd, ab, os, ar)]
-                                        >= 1.0
+                                    let ok = margins[sz.margin_class(n, ch, cd, ab, os, ar)] >= 1.0
                                         && afe[sz.afe_class(n, ab)].is_none()
                                         && times[sz.time_class(s, cd, pf, os)] <= budget_s;
                                     if ok && cursor < out.len() {
@@ -713,11 +709,9 @@ mod tests {
     #[test]
     fn with_order_rejects_duplicates_and_empty() {
         assert!(PassManager::with_order(&[]).is_err());
-        assert!(
-            PassManager::with_order(&[PassId::Dominance, PassId::Dominance]).is_err()
-        );
-        let m = PassManager::with_order(&[PassId::Dominance, PassId::LodFeasibility])
-            .expect("order");
+        assert!(PassManager::with_order(&[PassId::Dominance, PassId::Dominance]).is_err());
+        let m =
+            PassManager::with_order(&[PassId::Dominance, PassId::LodFeasibility]).expect("order");
         assert_eq!(m.order().len(), 2);
     }
 }

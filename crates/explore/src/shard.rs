@@ -66,10 +66,12 @@ pub struct Shard {
     pub points: Vec<(u64, ExplorePoint)>,
 }
 
+/// A shard's key: `(nanostructure, chopper, cds, adc_bits)`.
+type ShardKey = (Nanostructure, bool, bool, u8);
+
 /// Groups the alive set into shards, keyed and ordered deterministically.
 pub(crate) fn partition(spec: &ExploreSpec, alive: &BitSet) -> Result<Vec<Shard>, ExploreError> {
-    let mut groups: BTreeMap<(Nanostructure, bool, bool, u8), Vec<(u64, ExplorePoint)>> =
-        BTreeMap::new();
+    let mut groups: BTreeMap<ShardKey, Vec<(u64, ExplorePoint)>> = BTreeMap::new();
     for rank in alive.iter_set() {
         let p = spec.space.point_at(rank).ok_or(ExploreError::Internal {
             what: "alive rank outside the space",
@@ -221,7 +223,9 @@ pub(crate) fn score_band(
     shards: &[Shard],
     policy: ExecPolicy,
 ) -> Result<(Vec<ScoredDesign>, u64), ExploreError> {
-    let scored = try_par_map(policy, shards, |_, shard| score_shard_cached(spec, cx, shard))?;
+    let scored = try_par_map(policy, shards, |_, shard| {
+        score_shard_cached(spec, cx, shard)
+    })?;
     let mut replayed = 0u64;
     let mut band = Vec::new();
     for (points, was_hit) in scored {

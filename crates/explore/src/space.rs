@@ -205,9 +205,7 @@ impl ExploreSpace {
     /// Checks every axis is non-empty, duplicate-free and in-domain.
     pub fn validate(&self) -> Result<(), ExploreError> {
         fn unique<T: PartialEq>(axis: &[T]) -> bool {
-            axis.iter()
-                .enumerate()
-                .all(|(i, v)| !axis[..i].contains(v))
+            axis.iter().enumerate().all(|(i, v)| !axis[..i].contains(v))
         }
         if self.nanostructures.is_empty()
             || self.sharing.is_empty()
@@ -237,10 +235,10 @@ impl ExploreSpace {
         if self.adc_bits.iter().any(|&b| b == 0 || b > 32) {
             return Err(ExploreError::invalid("adc_bits", "must be in 1..=32"));
         }
-        if self.oversampling.iter().any(|&m| m == 0) {
+        if self.oversampling.contains(&0) {
             return Err(ExploreError::invalid("oversampling", "must be ≥ 1"));
         }
-        if self.area_pct.iter().any(|&a| a == 0) {
+        if self.area_pct.contains(&0) {
             return Err(ExploreError::invalid("area_pct", "must be ≥ 1"));
         }
         Ok(())
@@ -387,7 +385,11 @@ mod tests {
                 .iter()
                 .position(|&v| v == p.base.chopper)
                 .expect("axis");
-            let cd = space.cds.iter().position(|&v| v == p.base.cds).expect("axis");
+            let cd = space
+                .cds
+                .iter()
+                .position(|&v| v == p.base.cds)
+                .expect("axis");
             let ab = space
                 .adc_bits
                 .iter()
@@ -409,9 +411,7 @@ mod tests {
                 .position(|&v| v == p.area_pct)
                 .expect("axis");
             assert_eq!(sz.rank(n, s, ch, cd, ab, pf, os, ar), r);
-            seen.insert((
-                p.base, p.oversampling, p.area_pct,
-            ));
+            seen.insert((p.base, p.oversampling, p.area_pct));
         }
         assert_eq!(seen.len() as u64, space.len());
         assert!(space.point_at(space.len()).is_none());
@@ -427,7 +427,10 @@ mod tests {
     #[test]
     fn area_scale_is_percent() {
         let p = ExplorePoint {
-            base: ExploreSpace::standard_box().point_at(0).expect("point").base,
+            base: ExploreSpace::standard_box()
+                .point_at(0)
+                .expect("point")
+                .base,
             oversampling: 1,
             area_pct: 250,
         };

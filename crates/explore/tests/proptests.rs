@@ -83,7 +83,10 @@ fn arbitrary_space() -> impl Strategy<Value = ExploreSpace> {
                 adc_bits: bits,
                 preferences: match prefs {
                     0 => vec![ProbePreference::MinimizeElectrodes],
-                    1 => vec![ProbePreference::PreferOxidase, ProbePreference::PreferCytochrome],
+                    1 => vec![
+                        ProbePreference::PreferOxidase,
+                        ProbePreference::PreferCytochrome,
+                    ],
                     _ => vec![
                         ProbePreference::MinimizeElectrodes,
                         ProbePreference::PreferOxidase,

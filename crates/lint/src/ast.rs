@@ -1,9 +1,9 @@
-//! The expression/item AST the semantic analyses walk.
+//! The expression/item AST the hot-path and layering analyses walk.
 //!
 //! This is a *lossy* abstract syntax tree: it keeps exactly the structure
-//! the analyses in [`crate::dimension`] and [`crate::dataflow`] reason
-//! about — functions, let-bindings, calls, method chains, closures,
-//! arithmetic — and collapses everything else into [`Expr::Opaque`].
+//! [`crate::hotpath`] and [`crate::depgraph`] reason about — items,
+//! functions, let-bindings, calls, method chains, closures, loops — and
+//! collapses everything else into [`Expr::Opaque`].
 //! Losing structure is always safe for the rules built on top: they are
 //! written to report only on shapes they fully recognize, so an opaque
 //! node can produce a false *negative*, never a false positive.
@@ -54,27 +54,12 @@ pub enum ItemKind {
     Other,
 }
 
-/// A function item.
+/// A function item (the signature is skipped).
 #[derive(Debug)]
 pub struct FnItem {
     pub name: String,
-    pub params: Vec<Param>,
-    /// True when the signature declares a `-> Ret` return type. The
-    /// range analysis only trusts a trailing block expression as the
-    /// function's value when this is set.
-    pub has_ret: bool,
     /// `None` for bodyless signatures (trait methods, extern fns).
     pub body: Option<Block>,
-}
-
-/// One function parameter (pattern idents flattened; `self` included).
-#[derive(Debug)]
-pub struct Param {
-    /// Identifiers bound by the parameter pattern.
-    pub names: Vec<String>,
-    /// Flattened source text of the declared type (`"f64"`, `"& mut T"`).
-    pub ty: String,
-    pub span: Span,
 }
 
 /// A `{ … }` block.
@@ -106,18 +91,10 @@ pub enum Stmt {
 pub enum Expr {
     /// `a::b::c` (turbofish dropped). One segment for a plain variable.
     Path { segments: Vec<String>, span: Span },
-    /// Numeric/string/char literal. `value` is the parsed numeric value
-    /// when the literal is numeric and representable (`None` for
-    /// strings/chars or unparseable spellings) — the range analysis
-    /// seeds its interval facts from it.
-    Lit {
-        is_float: bool,
-        value: Option<f64>,
-        span: Span,
-    },
+    /// Numeric/string/char literal.
+    Lit { span: Span },
     /// Prefix `-`/`!`/`*`/`&`/`&mut`/`return`/`break` — `op` keeps the
-    /// operator spelling so value-preserving (`&`, `*`) and negating
-    /// (`-`) prefixes can be told apart; dimension-transparent.
+    /// operator spelling.
     Unary {
         op: String,
         expr: Box<Expr>,
@@ -196,7 +173,7 @@ pub enum Expr {
         body: Block,
         span: Span,
     },
-    /// `expr as Type` — erases dimension knowledge.
+    /// `expr as Type` (the type is skipped).
     Cast { expr: Box<Expr>, span: Span },
     /// Array/tuple literal `[a, b]` / `(a, b)`.
     Seq { items: Vec<Expr>, span: Span },

@@ -150,6 +150,7 @@ pub enum Json {
 impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -196,6 +197,7 @@ impl ObjExt for [(String, Json)] {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -296,13 +298,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-UTF-8 string".to_string())?;
-                    if let Some(c) = rest.chars().next() {
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
+                    // Copy the whole run of plain characters up to the
+                    // next quote or backslash in one slice. Both
+                    // delimiters are ASCII, so the run ends on a char
+                    // boundary and each byte is visited once.
+                    let rest = self.text.get(self.pos..).ok_or("non-UTF-8 string")?;
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -413,8 +416,10 @@ mod tests {
 
     #[test]
     fn parser_handles_escapes_and_nesting() {
-        let v = Json::parse(r#"{"a": [1, -2.5e3, "q\"\n"], "b": {"c": null, "d": true}}"#)
-            .expect("parses");
+        let v = Json::parse(
+            r#"{"a": [1, -2.5e3, "q\"\n", "µA ± 5 % — ok\t✓"], "b": {"c": null, "d": true}}"#,
+        )
+        .expect("parses");
         let obj = v.as_object().expect("object");
         assert!(obj.iter().any(|(k, _)| k == "a"));
         let arr = obj
@@ -424,6 +429,7 @@ mod tests {
             .and_then(Json::as_array)
             .expect("array");
         assert_eq!(arr[2].as_str(), Some("q\"\n"));
+        assert_eq!(arr[3].as_str(), Some("µA ± 5 % — ok\t✓"));
     }
 
     #[test]

@@ -180,10 +180,8 @@ impl DepGraph {
 }
 
 /// The workspace-relevant facts of ONE file, extracted independently of
-/// every other file. This is the unit the incremental cache stores: the
-/// workspace analyses ([`analyze_facts`]) are a cheap pure function over
-/// these, so a warm run only re-extracts facts for files whose content
-/// hash changed.
+/// every other file. The workspace analyses ([`analyze_facts`]) are a
+/// cheap pure function over these.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileFacts {
     /// Sorted, deduplicated identifier-ish words over the FULL text
@@ -319,8 +317,7 @@ pub fn analyze(files: &[MemFile]) -> (Vec<Finding>, DepGraph) {
 }
 
 /// The pure workspace-analysis phase over pre-extracted facts: builds
-/// the dependency graph and runs A1/A2. Cold and warm (cached) runs
-/// both funnel through here, so their findings agree by construction.
+/// the dependency graph and runs A1/A2.
 pub fn analyze_facts(files: &[FactsRef<'_>]) -> (Vec<Finding>, DepGraph) {
     let mut findings = Vec::new();
     let mut edges = Vec::new();

@@ -138,7 +138,7 @@ fn widen_deletion(source: &str, start: usize, end: usize) -> (usize, usize) {
 }
 
 /// Single-file fixpoint: lints `source` in `ctx` (per-file rules + the
-/// single-file range analysis + W0), applies every machine-applicable
+/// single-file hot-path analysis + W0), applies every machine-applicable
 /// fix, and repeats until a lint pass yields none. Returns the fixed
 /// text and the number of fixes applied. Apply-twice equals apply-once
 /// by construction — the last round proves the output is fix-free.

@@ -88,8 +88,10 @@ const PAR_CLOSURE: &str = "{par-closure}";
 
 /// Known-pure constructors whose result is loop-invariant (H4): calling
 /// one inside a hot loop body recomputes an invariant per iteration.
+/// Each entry is the last two path segments of the call — a type and
+/// its associated fn, or a module and its free fn.
 pub const PURE_CTORS: &[(&str, &str)] = &[
-    ("Prefactorized", "new"),
+    ("solver_cache", "prefactorized"),
     ("Grid", "for_experiment"),
     ("Grid", "for_experiment_with"),
     ("Grid", "uniform"),
@@ -134,12 +136,11 @@ struct FnDef<'a> {
 
 /// Runs the hot-region analysis over the whole workspace. Returns raw
 /// findings (excerpts unfilled, suppressions unapplied — the caller owns
-/// both, exactly like `range::analyze_crate`) plus the overlay for
+/// both, exactly like `depgraph::analyze_facts`) plus the overlay for
 /// `--emit-dot`.
 pub fn analyze_workspace(files: &[HotFile<'_>]) -> (Vec<Finding>, HotOverlay) {
     // Collect definitions. Bench and the linter itself are exempt (the
-    // bench crate measures hot loops, it is not one; same policy as the
-    // range analysis).
+    // bench crate measures hot loops, it is not one).
     let mut defs: Vec<FnDef<'_>> = Vec::new();
     for (fi, hf) in files.iter().enumerate() {
         if hf.ctx.crate_name == BENCH_CRATE || hf.ctx.crate_name == LINT_CRATE {

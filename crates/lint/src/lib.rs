@@ -9,11 +9,15 @@
 //! are verified at design time, not discovered in the field.
 //!
 //! Pipeline: [`lexer`] turns a source file into a token stream with
-//! comments kept aside and `#[cfg(test)]` regions marked; [`rules`] runs
-//! the catalogue (D1, D2, P1, U1, S1, F1) over the tokens and applies
-//! inline `// advdiag::allow(rule, reason)` suppressions; [`baseline`]
-//! subtracts grandfathered findings; [`report`] renders what is left for
-//! humans or machines. [`workspace`] knows which files the rules bind.
+//! comments kept aside and `#[cfg(test)]` regions marked; [`parser`]
+//! builds the lossy AST the hot-path and layering analyses walk;
+//! [`rules`] runs the per-file token rules (D1, D2, P1, U1, S1, F1, M1)
+//! and applies inline `// advdiag::allow(rule, reason)` suppressions;
+//! [`workspace`] adds the workspace rules — layering and dead API (A1,
+//! A2, [`depgraph`]), the hot-path guards (H1–H4, [`hotpath`]) — and
+//! stale-suppression detection (W0); [`baseline`] subtracts
+//! grandfathered findings; [`report`] renders what is left for humans
+//! or machines; [`fixer`] applies the machine-applicable rewrites.
 //!
 //! The crate is dependency-free by design — the linter must not depend on
 //! code it lints, and must stay trivially auditable.
@@ -24,22 +28,17 @@
 
 pub mod ast;
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
-pub mod dataflow;
 pub mod depgraph;
-pub mod dimension;
 pub mod fixer;
 pub mod hotpath;
 pub mod lexer;
 pub mod parser;
-pub mod range;
 pub mod report;
 pub mod rules;
 pub mod workspace;
 
 pub use baseline::{Baseline, BaselineEntry};
-pub use cache::LintCache;
 pub use callgraph::{CallGraph, Level};
 pub use depgraph::{DepGraph, HotOverlay};
 pub use fixer::{Fix, FixOutcome, FixSafety};
@@ -48,6 +47,5 @@ pub use rules::{
     lint_file, lint_source, AllowSite, FileContext, FileLint, Finding, Severity, RULE_IDS,
 };
 pub use workspace::{
-    discover, gather, lint_files, lint_files_cached, lint_files_graph, lint_workspace,
-    lint_workspace_graph, LintStats, MemFile,
+    discover, gather, lint_files, lint_files_graph, lint_workspace, lint_workspace_graph, MemFile,
 };

@@ -10,8 +10,6 @@
 //! cargo run -p bios-lint -- --emit-dot target/deps.dot
 //! cargo run -p bios-lint -- --fix                # apply machine-applicable fixes
 //! cargo run -p bios-lint -- --fix-check --diff target/fixes.patch
-//! cargo run -p bios-lint -- --cache target/lint-cache.json
-//! cargo run -p bios-lint -- --cache target/lint-cache.json --changed-since files.txt
 //! ```
 //!
 //! `--fix` applies every machine-applicable fix to disk (iterating to a
@@ -19,9 +17,6 @@
 //! the same fixes without touching disk and fails the run if any would
 //! apply — CI uses it to keep auto-fixable debt at zero. `--diff`
 //! writes the would-be (or applied) rewrites as a unified diff.
-//! `--cache` loads/stores the incremental findings DB so warm runs skip
-//! re-analyzing unchanged files; `--changed-since` additionally forces
-//! the listed rel-paths dirty (one per line).
 //!
 //! Exit codes: 0 = clean (no unbaselined error findings; warnings such
 //! as A2 report without failing), 1 = new errors (or, under
@@ -31,7 +26,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bios_lint::fixer;
-use bios_lint::{Baseline, LintCache, Report};
+use bios_lint::{Baseline, Report};
 
 enum Format {
     Text,
@@ -49,8 +44,6 @@ struct Options {
     fix: bool,
     fix_check: bool,
     diff: Option<PathBuf>,
-    cache: Option<PathBuf>,
-    changed_since: Option<PathBuf>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -64,8 +57,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         fix: false,
         fix_check: false,
         diff: None,
-        cache: None,
-        changed_since: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -94,13 +85,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--fix" => opts.fix = true,
             "--fix-check" => opts.fix_check = true,
             "--diff" => opts.diff = Some(path_value("--diff")?),
-            "--cache" => opts.cache = Some(path_value("--cache")?),
-            "--changed-since" => opts.changed_since = Some(path_value("--changed-since")?),
             "--help" | "-h" => {
                 return Err("usage: bios-lint [--root DIR] [--format text|json|github] \
                      [--baseline FILE] [--write-baseline FILE] [--out FILE] \
-                     [--emit-dot FILE] [--fix | --fix-check] [--diff FILE] \
-                     [--cache FILE] [--changed-since FILE]"
+                     [--emit-dot FILE] [--fix | --fix-check] [--diff FILE]"
                     .to_string())
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -177,36 +165,7 @@ fn run(opts: &Options) -> Result<bool, String> {
         }
     }
 
-    // Lint, replaying unchanged files from the cache when one is given.
-    let cache = match &opts.cache {
-        Some(path) => std::fs::read_to_string(path)
-            .map(|t| LintCache::parse(&t))
-            .unwrap_or_default(),
-        None => LintCache::default(),
-    };
-    let force_dirty: Vec<String> = match &opts.changed_since {
-        Some(path) => std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .map(str::to_string)
-            .collect(),
-        None => Vec::new(),
-    };
-    let (findings, graph, new_cache, stats) =
-        bios_lint::lint_files_cached(&files, &cache, &force_dirty);
-    if let Some(path) = &opts.cache {
-        std::fs::write(path, new_cache.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!(
-            "bios-lint: cache replayed {}/{} file(s), {}/{} crate(s)",
-            stats.files_reused,
-            stats.files_total,
-            stats.crates_reused,
-            stats.crates_reused + stats.crates_analyzed
-        );
-    }
+    let (findings, graph) = bios_lint::lint_files_graph(&files);
 
     if let Some(path) = &opts.emit_dot {
         std::fs::write(path, graph.to_dot())

@@ -4,8 +4,8 @@
 //! Design rule: **never fail, never over-claim**. Any construct the
 //! parser does not model (macros, patterns, generics, guards) collapses
 //! into [`Expr::Opaque`] or is skipped with balanced-delimiter scans, and
-//! every loop provably advances the cursor. The semantic analyses built
-//! on the AST only report on shapes they fully recognize, so parser
+//! every loop provably advances the cursor. The analyses built on the
+//! AST only report on shapes they fully recognize, so parser
 //! lossiness yields false negatives, never false positives — the right
 //! failure mode for a CI gate.
 //!
@@ -13,7 +13,7 @@
 //! DESIGN.md §6c): macro invocation bodies, match-arm guards, `let … else`
 //! divergence typing, const-generic expressions, and struct-field types.
 
-use crate::ast::{Block, Expr, FnItem, Item, ItemKind, Param, Span, Stmt};
+use crate::ast::{Block, Expr, FnItem, Item, ItemKind, Span, Stmt};
 use crate::lexer::{Lexed, Token, TokenKind};
 
 /// Parses a lexed file into a list of items. Never fails: unmodeled
@@ -52,50 +52,6 @@ fn infix_bp(op: &str) -> Option<(u8, u8)> {
 
 /// Binding power of prefix operators' operands (tighter than any infix).
 const PREFIX_BP: u8 = 24;
-
-/// Type suffixes a numeric literal may carry.
-const NUM_SUFFIXES: &[&str] = &[
-    "f32", "f64", "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128",
-    "isize",
-];
-
-/// Parses the numeric value of an int/float literal token, tolerating
-/// `_` separators, type suffixes and radix prefixes. Returns `None` for
-/// spellings outside f64's exact reach rather than guessing.
-fn numeric_value(text: &str) -> Option<f64> {
-    let digits: String = text.chars().filter(|c| *c != '_').collect();
-    let mut body = digits.as_str();
-    if let Some(rest) = body
-        .strip_prefix("0x")
-        .or_else(|| body.strip_prefix("0X"))
-        .or_else(|| body.strip_prefix("0o"))
-        .or_else(|| body.strip_prefix("0O"))
-        .or_else(|| body.strip_prefix("0b"))
-        .or_else(|| body.strip_prefix("0B"))
-    {
-        let radix = match digits.as_bytes().get(1) {
-            Some(b'x') | Some(b'X') => 16,
-            Some(b'o') | Some(b'O') => 8,
-            _ => 2,
-        };
-        let mut rest = rest;
-        for s in NUM_SUFFIXES.iter().filter(|s| !s.starts_with('f')) {
-            if let Some(r) = rest.strip_suffix(s) {
-                rest = r;
-                break;
-            }
-        }
-        let v = u128::from_str_radix(rest, radix).ok()?;
-        return Some(v as f64);
-    }
-    for s in NUM_SUFFIXES {
-        if let Some(r) = body.strip_suffix(s) {
-            body = r;
-            break;
-        }
-    }
-    body.parse::<f64>().ok().filter(|v| v.is_finite())
-}
 
 /// Pattern tokens that are not bindings (`let mut x`, `ref y`, `_`).
 fn is_pattern_keyword(text: &str) -> bool {
@@ -489,19 +445,17 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses `fn name<..>(params) -> ret where .. { body }`; cursor at
-    /// the `fn` keyword.
+    /// the `fn` keyword. Only the name and the body are kept.
     fn fn_item(&mut self) -> FnItem {
         self.eat("fn");
         let name = self.ident_or_empty();
         if self.text() == "<" {
             self.skip_angles();
         }
-        let mut params = Vec::new();
         if self.text() == "(" {
-            params = self.fn_params();
+            self.skip_balanced();
         }
-        let has_ret = self.eat("->");
-        if has_ret {
+        if self.eat("->") {
             self.skip_until(&["{", "where"]);
         }
         if self.text() == "where" {
@@ -513,45 +467,7 @@ impl<'a> Parser<'a> {
             self.eat(";");
             None
         };
-        FnItem {
-            name,
-            params,
-            has_ret,
-            body,
-        }
-    }
-
-    /// Parses a parenthesized parameter list; cursor at `(`.
-    fn fn_params(&mut self) -> Vec<Param> {
-        let mut params = Vec::new();
-        self.eat("(");
-        while !self.at_end() && self.text() != ")" {
-            let span = self.span();
-            // Pattern part: up to `:` (or `,`/`)` for `self` receivers).
-            let pat_start = self.pos;
-            self.skip_until(&[":", ","]);
-            let names: Vec<String> = self.toks[pat_start..self.pos]
-                .iter()
-                .filter(|t| t.kind == TokenKind::Ident && !is_pattern_keyword(&t.text))
-                .map(|t| t.text.clone())
-                .collect();
-            let mut ty = String::new();
-            if self.eat(":") {
-                let ty_start = self.pos;
-                self.skip_until(&[","]);
-                ty = self.toks[ty_start..self.pos]
-                    .iter()
-                    .map(|t| t.text.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ");
-            }
-            params.push(Param { names, ty, span });
-            if !self.eat(",") {
-                break;
-            }
-        }
-        self.eat(")");
-        params
+        FnItem { name, body }
     }
 
     // ---- blocks and statements --------------------------------------------
@@ -825,31 +741,9 @@ impl<'a> Parser<'a> {
             return Expr::Opaque { span };
         };
         match tok.kind {
-            TokenKind::FloatLit => {
-                let value = numeric_value(&tok.text);
+            TokenKind::FloatLit | TokenKind::IntLit | TokenKind::StrLit | TokenKind::CharLit => {
                 self.pos += 1;
-                return Expr::Lit {
-                    is_float: true,
-                    value,
-                    span,
-                };
-            }
-            TokenKind::IntLit => {
-                let value = numeric_value(&tok.text);
-                self.pos += 1;
-                return Expr::Lit {
-                    is_float: false,
-                    value,
-                    span,
-                };
-            }
-            TokenKind::StrLit | TokenKind::CharLit => {
-                self.pos += 1;
-                return Expr::Lit {
-                    is_float: false,
-                    value: None,
-                    span,
-                };
+                return Expr::Lit { span };
             }
             TokenKind::Lifetime => {
                 // Labeled block/loop: `'outer: loop { … }`.
@@ -1216,9 +1110,6 @@ mod tests {
         assert!(items[0].is_pub);
         let f = only_fn(&items);
         assert_eq!(f.name, "f");
-        assert_eq!(f.params.len(), 2);
-        assert_eq!(f.params[0].names, ["a"]);
-        assert_eq!(f.params[1].ty, "Volts");
         let body = f.body.as_ref().expect("body");
         assert_eq!(body.stmts.len(), 2);
         match &body.stmts[0] {
@@ -1321,7 +1212,7 @@ mod tests {
              }",
         );
         let f = only_fn(&items);
-        assert_eq!(f.params[0].names, ["xs"]);
+        assert_eq!(f.name, "f");
         let body = f.body.as_ref().expect("body");
         assert!(matches!(
             body.stmts.last(),
@@ -1348,23 +1239,22 @@ mod tests {
     }
 
     #[test]
-    fn literal_values_and_unary_ops_are_captured() {
+    fn literals_and_unary_ops_are_captured() {
         let items = parse(
             "fn f() -> f64 { let a = 1_000.5f64; let b = 0x10; let c = -2.0; let d = &a; a }",
         );
         let f = only_fn(&items);
-        assert!(f.has_ret);
         let body = f.body.as_ref().expect("body");
         let init = |i: usize| match &body.stmts[i] {
             Stmt::Let { init: Some(e), .. } => e,
             other => panic!("expected let, got {other:?}"),
         };
-        assert!(matches!(init(0), Expr::Lit { value: Some(v), .. } if *v == 1000.5));
-        assert!(matches!(init(1), Expr::Lit { value: Some(v), .. } if *v == 16.0));
+        assert!(matches!(init(0), Expr::Lit { .. }));
+        assert!(matches!(init(1), Expr::Lit { .. }));
         match init(2) {
             Expr::Unary { op, expr, .. } => {
                 assert_eq!(op, "-");
-                assert!(matches!(&**expr, Expr::Lit { value: Some(v), .. } if *v == 2.0));
+                assert!(matches!(&**expr, Expr::Lit { .. }));
             }
             other => panic!("expected unary, got {other:?}"),
         }

@@ -12,11 +12,6 @@
 //! | U1 | token | no raw `f64` params with dimensioned names in `pub fn` | physics-facing crates |
 //! | S1 | token | every `unsafe` needs a `// SAFETY:` comment | everywhere |
 //! | F1 | token | no `==`/`!=` against float literals | physics crates |
-//! | U2 | semantic | dimensional consistency of raw `f64` unit flows | unit-consuming crates |
-//! | N1 | semantic | no division by a provably-zero-containing denominator | unit-consuming crates |
-//! | N2 | semantic | no `exp()` of a provably-overflowing argument | unit-consuming crates |
-//! | N3 | semantic | no subtraction of provably near-equal constants | unit-consuming crates |
-//! | D3 | semantic | no order-sensitive reductions in `par_map` closures | deterministic crates |
 //! | A1 | workspace | crate layering (units → physics → afe → instrument → core → server → model → bench) | whole workspace |
 //! | A2 | workspace (warn) | no dead `pub` items unreferenced outside their crate | library crates |
 //! | H1 | hot-path | no allocation (`Vec::new`/`vec!`/`format!`/`Box::new`/`to_vec`/`clone`/unreserved `push`) in hot code | all but bench/lint |
@@ -30,7 +25,7 @@
 //! [`crate::fixer`] for the applicability taxonomy and the splicing
 //! engine behind `--fix`.
 //!
-//! Token and semantic rules skip `#[cfg(test)]` / `#[test]` regions
+//! Token and hot-path rules skip `#[cfg(test)]` / `#[test]` regions
 //! except S1 (an undocumented `unsafe` block is a hazard wherever it
 //! lives). A finding on line *n* is suppressed by
 //! `// advdiag::allow(ID, reason)` on line *n* or *n − 1*; the reason is
@@ -121,8 +116,8 @@ pub struct FileLint {
     pub allows: Vec<AllowSite>,
 }
 
-/// Crates whose outputs must be bit-reproducible (D1, D3).
-pub(crate) const DETERMINISTIC_CRATES: &[&str] = &[
+/// Crates whose outputs must be bit-reproducible (D1).
+const DETERMINISTIC_CRATES: &[&str] = &[
     "bios-platform",
     "bios-electrochem",
     "bios-afe",
@@ -142,12 +137,12 @@ const UNIT_API_CRATES: &[&str] = &[
     "bios-platform",
 ];
 
-/// The bench/repro harness: P1/D2/U1/U2/D3 do not apply (it is test
-/// infrastructure in a package suit), S1/F1 still do.
+/// The bench/repro harness: P1/D2 and the hot-path rules do not apply
+/// (it is test infrastructure in a package suit), S1/F1 still do.
 pub(crate) const BENCH_CRATE: &str = "bios-bench";
 
-/// The linter itself: exempt from the semantic rules (it has no unit or
-/// parallel-engine surface and must stay self-hostable).
+/// The linter itself: exempt from the hot-path rules (it has no kernel
+/// or parallel-engine surface and must stay self-hostable).
 pub(crate) const LINT_CRATE: &str = "bios-lint";
 
 /// The one module allowed to touch `std::thread` (the deterministic
@@ -171,34 +166,26 @@ const DIMENSIONED_SUFFIXES: &[(&str, &str)] = &[
 
 /// All shipped rule IDs, in catalogue order.
 pub const RULE_IDS: &[&str] = &[
-    "D1", "D2", "P1", "U1", "S1", "F1", "M1", "U2", "N1", "N2", "N3", "A1", "A2", "D3", "H1", "H2",
-    "H3", "H4", "W0",
+    "D1", "D2", "P1", "U1", "S1", "F1", "M1", "A1", "A2", "H1", "H2", "H3", "H4", "W0",
 ];
 
 /// Rules resolved at workspace scope, not per file: their allows cannot
 /// be judged stale by a single-file lint.
 const WORKSPACE_RULES: &[&str] = &["A1", "A2"];
 
-/// Lints one source file through every per-file rule (token + semantic),
-/// applies inline suppressions, and returns the surviving findings plus
+/// Lints one source file through every per-file token rule, applies
+/// inline suppressions, and returns the surviving findings plus
 /// all suppression sites. W0 is *not* computed here — workspace-level
 /// rules (A1/A2) may still consume an allow; call
 /// [`unused_allow_findings`] once every consumer has run.
 pub fn lint_file(ctx: &FileContext<'_>, source: &str) -> FileLint {
-    let lexed = lex(source);
-    let items = crate::parser::parse_items(&lexed);
-    lint_file_prepared(ctx, source, &lexed, &items)
+    lint_file_prepared(ctx, source, &lex(source))
 }
 
-/// As [`lint_file`], but over an already-lexed and parsed file — the
-/// workspace pipeline lexes/parses each file exactly once and shares the
-/// AST with the crate-scope range analysis.
-pub fn lint_file_prepared(
-    ctx: &FileContext<'_>,
-    source: &str,
-    lexed: &Lexed,
-    items: &[crate::ast::Item],
-) -> FileLint {
+/// As [`lint_file`], but over an already-lexed file — the workspace
+/// pipeline lexes each file exactly once and shares the tokens with the
+/// parser and the fact extraction.
+pub fn lint_file_prepared(ctx: &FileContext<'_>, source: &str, lexed: &Lexed) -> FileLint {
     let lines: Vec<&str> = source.lines().collect();
     let mut findings = Vec::new();
     rule_d1(ctx, lexed, &mut findings);
@@ -208,8 +195,6 @@ pub fn lint_file_prepared(
     rule_s1(ctx, lexed, &mut findings);
     rule_f1(ctx, lexed, &mut findings);
     rule_m1(ctx, lexed, &mut findings);
-    crate::dimension::rule_u2(ctx, items, &mut findings);
-    crate::dataflow::rule_d3(ctx, items, &mut findings);
     for f in &mut findings {
         finish(&lines, f);
     }
@@ -219,28 +204,25 @@ pub fn lint_file_prepared(
     FileLint { findings, allows }
 }
 
-/// Single-file convenience: [`lint_file`] plus the range analysis (the
-/// file stands alone as its crate) plus the hot-path analysis (the file
-/// stands alone as its workspace) plus W0 for stale allows.
+/// Single-file convenience: [`lint_file`] plus the hot-path analysis (the
+/// file stands alone as its workspace) plus W0 for stale allows.
 /// Workspace-scoped rules (A1/A2) never run in this mode, so their
 /// allows are exempt from W0 here.
 pub fn lint_source(ctx: &FileContext<'_>, source: &str) -> Vec<Finding> {
     let lexed = lex(source);
     let items = crate::parser::parse_items(&lexed);
-    let mut fl = lint_file_prepared(ctx, source, &lexed, &items);
+    let mut fl = lint_file_prepared(ctx, source, &lexed);
     let lines: Vec<&str> = source.lines().collect();
-    let mut ranged = crate::range::analyze_crate(&[(*ctx, &items)]);
-    let (hot, _overlay) = crate::hotpath::analyze_workspace(&[crate::hotpath::HotFile {
+    let (mut hot, _overlay) = crate::hotpath::analyze_workspace(&[crate::hotpath::HotFile {
         ctx: *ctx,
         items: &items,
         source,
     }]);
-    ranged.extend(hot);
-    ranged.retain(|f| !suppress(f, &mut fl.allows));
-    for f in &mut ranged {
+    hot.retain(|f| !suppress(f, &mut fl.allows));
+    for f in &mut hot {
         finish(&lines, f);
     }
-    fl.findings.extend(ranged);
+    fl.findings.extend(hot);
     let mut w0 = unused_allow_findings(ctx, &mut fl.allows, WORKSPACE_RULES);
     for f in &mut w0 {
         finish(&lines, f);

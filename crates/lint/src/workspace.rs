@@ -16,23 +16,18 @@
 //! included) and are not governed by the platform's invariants. In-file
 //! `#[cfg(test)]` modules are already skipped by the lexer.
 //!
-//! Pipeline of [`lint_files`]: a per-file phase (lex, parse, token and
-//! semantic rules, per-file suppression, fact extraction) that is
-//! skipped for files whose content hash matches a [`LintCache`] entry,
-//! then the crate-scope range analysis (N1–N3, cached per crate), then
-//! the workspace analyses (A1/A2 over the merged facts) with
-//! suppression resolved against each finding's file, then W0 over every
-//! allow that no rule — per-file, crate or workspace — ever consumed.
-//! Cold and warm runs share every phase past the per-file one, so their
-//! findings are identical by construction.
+//! Pipeline of [`lint_files`]: a per-file phase (lex, parse, token
+//! rules, per-file suppression, fact extraction), then the
+//! workspace-grained hot-path analysis (H1–H4) and the workspace
+//! analyses (A1/A2 over the merged facts) with suppression resolved
+//! against each finding's file, then W0 over every allow that no rule —
+//! per-file or workspace — ever consumed.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::ast::Item;
-use crate::cache::{self, CacheEntry, HotEntry, LintCache, RangeEntry};
 use crate::depgraph::{self, DepGraph, FactsRef, FileFacts};
 use crate::hotpath;
 use crate::lexer::lex;
@@ -105,7 +100,7 @@ pub fn gather(root: &Path) -> Result<Vec<MemFile>, String> {
 }
 
 /// The full workspace lint pipeline over in-memory files: per-file rules,
-/// crate-scope range analysis (N1–N3), workspace rules (A1/A2), then
+/// the hot-path analysis (H1–H4), workspace rules (A1/A2), then
 /// stale-suppression detection (W0). Findings come back sorted by
 /// `(file, line, col, rule)`.
 pub fn lint_files(files: &[MemFile]) -> Vec<Finding> {
@@ -113,271 +108,73 @@ pub fn lint_files(files: &[MemFile]) -> Vec<Finding> {
     findings
 }
 
-/// [`lint_files`] plus the dependency graph (for the DOT artifact).
-/// Implemented as a cold (empty-cache) run of [`lint_files_cached`], so
-/// cached and uncached lints cannot diverge.
-pub fn lint_files_graph(files: &[MemFile]) -> (Vec<Finding>, DepGraph) {
-    let (findings, graph, _, _) = lint_files_cached(files, &LintCache::default(), &[]);
-    (findings, graph)
-}
-
-/// Per-run statistics from the incremental pipeline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LintStats {
-    /// Files presented to the pipeline.
-    pub files_total: usize,
-    /// Files whose per-file phase was replayed from the cache.
-    pub files_reused: usize,
-    /// Files lexed, parsed and rule-checked this run.
-    pub files_analyzed: usize,
-    /// Crates whose range findings were replayed from the cache.
-    pub crates_reused: usize,
-    /// Crates whose range analysis ran this run.
-    pub crates_analyzed: usize,
-}
-
-/// One file's per-file-phase output, cached or freshly computed.
+/// One file's per-file-phase output.
 struct PerFile<'a> {
     file: &'a MemFile,
-    hash: u64,
     /// Findings surviving per-file suppression, finished.
     findings: Vec<Finding>,
-    /// Allow sites with per-file-phase `used` flags; the workspace
-    /// phase marks further usage on a working copy, never on the
-    /// snapshot stored in the outgoing cache.
+    /// Allow sites; later phases mark further usage before W0 runs.
     allows: Vec<AllowSite>,
-    /// Borrowed from the incoming cache for replayed files (the word
-    /// lists are the bulkiest per-file state; cloning them would cost a
-    /// measurable slice of the warm-run win).
-    facts: Cow<'a, FileFacts>,
-    /// Parsed AST, kept for freshly-analyzed lintable files and filled
-    /// on demand when a cache-missed crate needs a clean file re-parsed
-    /// for range analysis.
-    items: Option<Vec<Item>>,
+    /// Dependency and vocabulary facts for the workspace rules.
+    facts: FileFacts,
+    /// Parsed AST (lintable files only).
+    items: Vec<Item>,
 }
 
-/// The incremental workspace pipeline. Files whose content hash matches
-/// a cache entry skip the per-file phase (the dominant cost); crates
-/// whose `(rel_path, hash)` fingerprint matches skip range analysis.
-/// `force_dirty` rel-paths are re-analyzed even on a hash match
-/// (`--changed-since`). Returns the findings, the dependency graph, the
-/// cache to persist for the next run, and reuse statistics.
-pub fn lint_files_cached(
-    files: &[MemFile],
-    cache: &LintCache,
-    force_dirty: &[String],
-) -> (Vec<Finding>, DepGraph, LintCache, LintStats) {
-    let mut stats = LintStats {
-        files_total: files.len(),
-        ..LintStats::default()
-    };
-
-    // Per-file phase: replay or recompute findings, allows and facts.
-    let mut per_file: Vec<PerFile<'_>> = Vec::with_capacity(files.len());
-    for f in files {
-        let hash = cache::fnv1a(f.source.as_bytes());
-        let cached = if force_dirty.iter().any(|p| p == &f.rel_path) {
-            None
-        } else {
-            cache.files.get(&f.rel_path).filter(|e| {
-                e.hash == hash && e.crate_name == f.crate_name && e.lintable == f.lintable
-            })
-        };
-        if let Some(e) = cached {
-            stats.files_reused += 1;
-            per_file.push(PerFile {
-                file: f,
-                hash,
-                findings: e.findings.clone(),
-                allows: e.allows.clone(),
-                facts: Cow::Borrowed(&e.facts),
-                items: None,
-            });
-        } else if f.lintable {
-            stats.files_analyzed += 1;
+/// [`lint_files`] plus the dependency graph (for the DOT artifact).
+pub fn lint_files_graph(files: &[MemFile]) -> (Vec<Finding>, DepGraph) {
+    // Per-file phase: each lintable file is lexed and parsed once; the
+    // tokens feed the token rules and fact extraction, the AST feeds
+    // fact extraction and the hot-path analysis. Corpus-only files
+    // contribute word facts alone.
+    let mut per_file: Vec<PerFile<'_>> = files
+        .iter()
+        .map(|f| {
+            if !f.lintable {
+                return PerFile {
+                    file: f,
+                    findings: Vec::new(),
+                    allows: Vec::new(),
+                    facts: depgraph::extract_facts(&f.crate_name, &f.source, None, None),
+                    items: Vec::new(),
+                };
+            }
             let ctx = FileContext {
                 crate_name: &f.crate_name,
                 rel_path: &f.rel_path,
             };
             let lexed = lex(&f.source);
             let items = parse_items(&lexed);
-            let fl = lint_file_prepared(&ctx, &f.source, &lexed, &items);
+            let fl = lint_file_prepared(&ctx, &f.source, &lexed);
             let facts =
                 depgraph::extract_facts(&f.crate_name, &f.source, Some(&lexed), Some(&items));
-            per_file.push(PerFile {
+            PerFile {
                 file: f,
-                hash,
                 findings: fl.findings,
                 allows: fl.allows,
-                facts: Cow::Owned(facts),
-                items: Some(items),
-            });
-        } else {
-            stats.files_analyzed += 1;
-            per_file.push(PerFile {
-                file: f,
-                hash,
-                findings: Vec::new(),
-                allows: Vec::new(),
-                facts: Cow::Owned(depgraph::extract_facts(
-                    &f.crate_name,
-                    &f.source,
-                    None,
-                    None,
-                )),
-                items: None,
-            });
-        }
-    }
-
-    // Snapshot the outgoing cache now: per-file-phase state only, so a
-    // later edit elsewhere in the workspace cannot freeze this file's
-    // workspace-scope suppression marks.
-    let mut new_cache = LintCache::default();
-    for pf in &per_file {
-        new_cache.files.insert(
-            pf.file.rel_path.clone(),
-            CacheEntry {
-                crate_name: pf.file.crate_name.clone(),
-                lintable: pf.file.lintable,
-                hash: pf.hash,
-                findings: pf.findings.clone(),
-                allows: pf.allows.clone(),
-                facts: pf.facts.clone().into_owned(),
-            },
-        );
-    }
-
-    // Crate-scope range analysis. Function summaries cross file
-    // boundaries, so the cache key covers every lintable file of the
-    // crate; a miss re-parses the crate's clean files on demand.
-    let mut crate_members: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (i, pf) in per_file.iter().enumerate() {
-        if pf.file.lintable {
-            crate_members
-                .entry(pf.file.crate_name.as_str())
-                .or_default()
-                .push(i);
-        }
-    }
-    let mut range_findings: Vec<Finding> = Vec::new();
-    for (krate, idxs) in &crate_members {
-        let pairs: Vec<(&str, u64)> = idxs
-            .iter()
-            .map(|&i| (per_file[i].file.rel_path.as_str(), per_file[i].hash))
-            .collect();
-        let key = cache::crate_key(&pairs);
-        if let Some(e) = cache.ranges.get(*krate).filter(|e| e.key == key) {
-            stats.crates_reused += 1;
-            range_findings.extend(e.findings.iter().cloned());
-            new_cache.ranges.insert((*krate).to_string(), e.clone());
-            continue;
-        }
-        stats.crates_analyzed += 1;
-        for &i in idxs {
-            if per_file[i].items.is_none() {
-                let src = per_file[i].file.source.as_str();
-                let lexed = lex(src);
-                per_file[i].items = Some(parse_items(&lexed));
+                facts,
+                items,
             }
-        }
-        let crate_files: Vec<(FileContext<'_>, &[Item])> = idxs
-            .iter()
-            .map(|&i| {
-                (
-                    FileContext {
-                        crate_name: per_file[i].file.crate_name.as_str(),
-                        rel_path: per_file[i].file.rel_path.as_str(),
-                    },
-                    per_file[i].items.as_deref().unwrap_or(&[]),
-                )
-            })
-            .collect();
-        let mut found = crate::range::analyze_crate(&crate_files);
-        for f in &mut found {
-            if let Some(&i) = idxs.iter().find(|&&i| per_file[i].file.rel_path == f.file) {
-                let lines: Vec<&str> = per_file[i].file.source.lines().collect();
-                rules::finish(&lines, f);
-            }
-        }
-        new_cache.ranges.insert(
-            (*krate).to_string(),
-            RangeEntry {
-                key,
-                findings: found.clone(),
-            },
-        );
-        range_findings.extend(found);
-    }
-
-    // Workspace-grained hot-path analysis (H1–H4). The call graph spans
-    // crates, so the cache key covers every lintable file: any edit
-    // re-runs the analysis, a clean warm run replays it. Findings are
-    // cached pre-suppression (like range entries) so warm digests equal
-    // cold by construction.
-    let all_lintable: Vec<usize> = per_file
-        .iter()
-        .enumerate()
-        .filter(|(_, pf)| pf.file.lintable)
-        .map(|(i, _)| i)
+        })
         .collect();
-    let hot_pairs: Vec<(&str, u64)> = all_lintable
-        .iter()
-        .map(|&i| (per_file[i].file.rel_path.as_str(), per_file[i].hash))
-        .collect();
-    let hot_key = cache::crate_key(&hot_pairs);
-    let (hot_findings, hot_overlay) = match cache.hot.as_ref().filter(|e| e.key == hot_key) {
-        Some(e) => {
-            new_cache.hot = Some(e.clone());
-            (
-                e.findings.clone(),
-                depgraph::HotOverlay {
-                    roots: e.roots.clone(),
-                    hot: e.hot.clone(),
-                },
-            )
-        }
-        None => {
-            for &i in &all_lintable {
-                if per_file[i].items.is_none() {
-                    let src = per_file[i].file.source.as_str();
-                    let lexed = lex(src);
-                    per_file[i].items = Some(parse_items(&lexed));
-                }
-            }
-            let hot_files: Vec<hotpath::HotFile<'_>> = all_lintable
-                .iter()
-                .map(|&i| hotpath::HotFile {
-                    ctx: FileContext {
-                        crate_name: per_file[i].file.crate_name.as_str(),
-                        rel_path: per_file[i].file.rel_path.as_str(),
-                    },
-                    items: per_file[i].items.as_deref().unwrap_or(&[]),
-                    source: per_file[i].file.source.as_str(),
-                })
-                .collect();
-            let (mut found, overlay) = hotpath::analyze_workspace(&hot_files);
-            for f in &mut found {
-                if let Some(&i) = all_lintable
-                    .iter()
-                    .find(|&&i| per_file[i].file.rel_path == f.file)
-                {
-                    let lines: Vec<&str> = per_file[i].file.source.lines().collect();
-                    rules::finish(&lines, f);
-                }
-            }
-            new_cache.hot = Some(HotEntry {
-                key: hot_key,
-                findings: found.clone(),
-                roots: overlay.roots.clone(),
-                hot: overlay.hot.clone(),
-            });
-            (found, overlay)
-        }
-    };
 
-    // Workspace-scope rules over the merged facts (pure in the facts, so
-    // cached and fresh files are indistinguishable here).
+    // Workspace-grained hot-path analysis (H1–H4): the call graph spans
+    // crates, so it runs once over every lintable file.
+    let hot_files: Vec<hotpath::HotFile<'_>> = per_file
+        .iter()
+        .filter(|pf| pf.file.lintable)
+        .map(|pf| hotpath::HotFile {
+            ctx: FileContext {
+                crate_name: pf.file.crate_name.as_str(),
+                rel_path: pf.file.rel_path.as_str(),
+            },
+            items: &pf.items,
+            source: pf.file.source.as_str(),
+        })
+        .collect();
+    let (hot_findings, hot_overlay) = hotpath::analyze_workspace(&hot_files);
+
+    // Workspace-scope rules over the merged facts.
     let (ws_findings, mut graph) = {
         let facts_refs: Vec<FactsRef<'_>> = per_file
             .iter()
@@ -385,22 +182,21 @@ pub fn lint_files_cached(
                 crate_name: pf.file.crate_name.as_str(),
                 rel_path: pf.file.rel_path.as_str(),
                 lintable: pf.file.lintable,
-                facts: pf.facts.as_ref(),
+                facts: &pf.facts,
             })
             .collect();
         depgraph::analyze_facts(&facts_refs)
     };
     graph.hot = Some(hot_overlay);
 
-    // Suppress crate- and workspace-scope findings against their file's
-    // allows (marking usage), then fill excerpts.
+    // Suppress workspace-scope findings against their file's allows
+    // (marking usage), then fill excerpts.
     let index: BTreeMap<&str, usize> = per_file
         .iter()
         .enumerate()
         .map(|(i, pf)| (pf.file.rel_path.as_str(), i))
         .collect();
     let mut late = ws_findings;
-    late.extend(range_findings);
     late.extend(hot_findings);
     late.retain(|f| {
         let covered = index
@@ -436,7 +232,7 @@ pub fn lint_files_cached(
     }
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    (findings, graph, new_cache, stats)
+    (findings, graph)
 }
 
 /// Lints the workspace on disk: [`gather`] + [`lint_files`].

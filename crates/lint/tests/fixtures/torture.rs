@@ -46,8 +46,8 @@ fn schedule_refresh() -> impl FnOnce() {
     }
 }
 
-/// Macro invocation bodies are opaque: the zero divisions and the huge
-/// exponent below would be N1/N2 findings if the parser over-claimed.
+/// Macro invocation bodies are opaque: the parser must not model the
+/// zero divisions and the huge exponent below as expressions.
 fn macro_bodies() {
     let zero = 0.0;
     log_ratio!(1.0 / zero);

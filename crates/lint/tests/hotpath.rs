@@ -5,7 +5,12 @@
 //! under `tests/fixtures/` are linted in memory — they are never
 //! compiled, so they can model violations without breaking the build.
 
-use bios_lint::{lint_source, FileContext};
+use std::collections::BTreeSet;
+use std::path::Path;
+
+use bios_lint::hotpath::{HOT_ROOTS, PURE_CTORS};
+use bios_lint::lexer::{self, TokenKind};
+use bios_lint::{gather, lint_source, FileContext};
 
 fn ctx() -> FileContext<'static> {
     FileContext {
@@ -91,8 +96,8 @@ fn h3_stays_silent_outside_the_server_loop() {
 fn h4_fires_on_every_recomputed_invariant() {
     let src = include_str!("fixtures/h4_positive.rs");
     let hits = rule_hits(src, "H4");
-    // Grid::for_experiment in a for loop, Prefactorized::new in a while
-    // loop, Grid::uniform in a PerIter helper, and NoiseSource::new plus a
+    // Grid::for_experiment in a for loop, solver_cache::prefactorized in
+    // a while loop, Grid::uniform in a PerIter helper, and NoiseSource::new plus a
     // method-form `.streamer(..)` in the acquisition loop.
     assert_eq!(hits.len(), 5, "{hits:#?}");
 }
@@ -123,4 +128,99 @@ fn torture_fixture_parses_without_hot_false_positives() {
         let hits = rule_hits(src, rule);
         assert!(hits.is_empty(), "{rule}: {hits:#?}");
     }
+}
+
+/// Names the hot-path catalogues key on must exist in the live tree: a
+/// rename that leaves a `HOT_ROOTS` or `PURE_CTORS` entry naming nothing
+/// would switch its guard off without a single finding changing.
+#[test]
+fn hot_catalogues_name_live_definitions() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root");
+    let mut defs: BTreeSet<(String, String)> = BTreeSet::new();
+    for f in gather(root).expect("workspace gathers") {
+        // Same exemptions as the hot-path analysis itself.
+        if f.lintable && f.crate_name != "bios-bench" && f.crate_name != "bios-lint" {
+            let file = f.rel_path.rsplit('/').next().unwrap_or_default();
+            defs.extend(fn_defs(file.trim_end_matches(".rs"), &f.source));
+        }
+    }
+    for (name, _) in HOT_ROOTS {
+        assert!(
+            defs.iter().any(|(_, n)| n == name),
+            "hot root `{name}` is not defined by any non-test fn"
+        );
+    }
+    for (owner, method) in PURE_CTORS {
+        assert!(
+            defs.contains(&(owner.to_string(), method.to_string())),
+            "pure constructor `{owner}::{method}` is not defined by any non-test fn"
+        );
+    }
+}
+
+/// Every non-test fn defined in one file, as `(owner, name)`: the owner
+/// is the self type of the enclosing `impl` block, or the module (the
+/// file stem) for a free fn. Fns nested deeper are skipped.
+fn fn_defs(module: &str, source: &str) -> Vec<(String, String)> {
+    let toks = lexer::lex(source).tokens;
+    let mut out = Vec::new();
+    let mut depth = 0usize;
+    // `(brace depth of an impl body, its self type)`, innermost last.
+    let mut impls: Vec<(usize, String)> = Vec::new();
+    let mut i = 0;
+    while let Some(t) = toks.get(i) {
+        match t.text.as_str() {
+            "{" => depth += 1,
+            "}" => {
+                if impls.last().is_some_and(|(d, _)| *d == depth) {
+                    impls.pop();
+                }
+                depth = depth.saturating_sub(1);
+            }
+            // The self type is the last path segment outside generics,
+            // after `for` in a trait impl, before any `where` clause.
+            "impl" if t.kind == TokenKind::Ident => {
+                let mut angle = 0i32;
+                let mut self_ty = String::new();
+                let mut j = i + 1;
+                while let Some(h) = toks.get(j) {
+                    match h.text.as_str() {
+                        "<" => angle += 1,
+                        ">" => angle -= 1,
+                        ">>" => angle -= 2,
+                        "{" | ";" | "where" if angle <= 0 => break,
+                        _ if angle == 0 && h.kind == TokenKind::Ident && h.text != "for" => {
+                            self_ty = h.text.clone();
+                        }
+                        _ => {}
+                    }
+                    j += 1;
+                }
+                while toks.get(j).is_some_and(|h| h.text != "{" && h.text != ";") {
+                    j += 1;
+                }
+                if toks.get(j).is_some_and(|h| h.text == "{") {
+                    impls.push((depth + 1, self_ty));
+                }
+                i = j;
+                continue;
+            }
+            "fn" if t.kind == TokenKind::Ident && !t.in_test => {
+                let owner = match impls.last() {
+                    Some((d, ty)) if *d == depth => Some(ty.as_str()),
+                    _ if depth == 0 => Some(module),
+                    _ => None,
+                };
+                if let (Some(owner), Some(name)) = (owner, toks.get(i + 1)) {
+                    out.push((owner.to_string(), name.text.clone()));
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    out
 }

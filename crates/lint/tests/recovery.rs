@@ -1,6 +1,6 @@
 //! Parser-recovery torture test: the fixture packs every construct the
 //! lossy parser intentionally does not model — nested generics, async
-//! blocks, macro invocation bodies (carrying would-be N1/N2 violations),
+//! blocks, macro invocation bodies (arithmetic the parser must not model),
 //! macro definitions, pattern-heavy matches — and the whole file must
 //! lint to **zero findings**. Any finding here means the parser
 //! over-claimed on a construct it cannot actually analyze, violating

@@ -118,21 +118,6 @@ impl<Q: Quantity> QRange<Q> {
         (lo.value() <= hi.value()).then_some(Self { lo, hi })
     }
 
-    /// The smallest interval containing both `self` and `other`.
-    pub fn hull(&self, other: &Self) -> Self {
-        let lo = if self.lo.value() < other.lo.value() {
-            self.lo
-        } else {
-            other.lo
-        };
-        let hi = if self.hi.value() > other.hi.value() {
-            self.hi
-        } else {
-            other.hi
-        };
-        Self { lo, hi }
-    }
-
     /// `n` evenly spaced points from `lo` to `hi` inclusive.
     ///
     /// # Panics
@@ -219,15 +204,12 @@ mod tests {
     }
 
     #[test]
-    fn intersection_and_hull() {
+    fn intersection() {
         let a = vr(0.0, 1.0);
         let b = vr(0.5, 2.0);
         let i = a.intersect(&b).expect("overlap");
         assert_eq!(i.lo(), Volts::new(0.5));
         assert_eq!(i.hi(), Volts::new(1.0));
-        let h = a.hull(&b);
-        assert_eq!(h.lo(), Volts::new(0.0));
-        assert_eq!(h.hi(), Volts::new(2.0));
         let c = vr(3.0, 4.0);
         assert!(a.intersect(&c).is_none());
     }

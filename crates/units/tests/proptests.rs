@@ -94,9 +94,6 @@ proptest! {
             prop_assert!(a.contains_range(&i));
             prop_assert!(b.contains_range(&i));
         }
-        let h = a.hull(&b);
-        prop_assert!(h.contains_range(&a));
-        prop_assert!(h.contains_range(&b));
     }
 
     #[test]

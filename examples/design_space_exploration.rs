@@ -65,12 +65,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     if let (Some(cheapest), Some(best)) = (
-        outcome.band.iter().min_by(|a, b| {
-            a.surrogate_cost.total_cmp(&b.surrogate_cost)
-        }),
-        outcome.band.iter().max_by(|a, b| {
-            a.surrogate_margin.total_cmp(&b.surrogate_margin)
-        }),
+        outcome
+            .band
+            .iter()
+            .min_by(|a, b| a.surrogate_cost.total_cmp(&b.surrogate_cost)),
+        outcome
+            .band
+            .iter()
+            .max_by(|a, b| a.surrogate_margin.total_cmp(&b.surrogate_margin)),
     ) {
         println!("\ncheapest band design:     {:?}", cheapest.point);
         println!("highest-margin design:    {:?}", best.point);
