@@ -168,26 +168,6 @@ impl ReadoutChain {
         &self.faults
     }
 
-    /// A stable content hash of everything that determines this chain's
-    /// response to a given `(program, dt, seed)`: the full block
-    /// configuration, the injected faults and the fault seed.
-    ///
-    /// Two chains with equal hashes produce bit-identical acquisitions for
-    /// identical inputs, which is what makes the platform layer's trace
-    /// memoization sound. Rust's `Debug` float formatting is
-    /// shortest-roundtrip (lossless), so distinct configurations cannot
-    /// collide through formatting.
-    pub fn content_hash(&self) -> u64 {
-        let repr = format!("{:?}|{:?}|{}", self.config, self.faults, self.fault_seed);
-        // FNV-1a over the canonical representation.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     /// Measures the chain's own input-referred baseline noise: a dry
     /// acquisition with grounded inputs held at 0 V over `window`,
     /// returning the standard deviation of the recorded current.

@@ -23,8 +23,8 @@
 
 use crate::perf::digest_debug;
 use bios_electrochem::{
-    clear_solver_cache, simulate_chrono_fleet, simulate_chrono_with, Cell, Electrode,
-    ElectrodeMaterial, Grid, PotentialProgram, RedoxCouple, SimOptions, Transient,
+    simulate_chrono_fleet, simulate_chrono_with, Cell, Electrode, ElectrodeMaterial, Grid,
+    PotentialProgram, RedoxCouple, SimOptions, Transient,
 };
 use bios_platform::{par_map_chunks, ExecPolicy};
 use bios_units::{DiffusionCoefficient, Molar, Seconds, SquareCentimeters, Volts};
@@ -187,8 +187,7 @@ pub fn run(policy: ExecPolicy) -> BatchKernelReport {
         })
     };
 
-    // Digest evidence first (untimed, warm or cold is irrelevant).
-    clear_solver_cache();
+    // Digest evidence first (untimed).
     let digest_scalar_standard = digest_debug(&scalar(None));
     let digest_fleet_standard = digest_debug(&fleet_once(None));
     let digest_scalar_coarse = digest_debug(&scalar(Some(COARSE_GAMMA)));
@@ -213,9 +212,8 @@ pub fn run(policy: ExecPolicy) -> BatchKernelReport {
         .len()
     };
 
-    // Timings: every variant runs against a warm prefactorization cache
-    // (the serving steady state). The digest runs above already warmed
-    // each variant's grid.
+    // Timings: every variant factorizes its own systems at construction,
+    // one per scalar sim and one per species for a whole fleet.
     let scalar_t = measure(SAMPLES, || criterion::black_box(scalar(None)));
     let fleet_std_t = measure(SAMPLES, || criterion::black_box(fleet_once(None)));
     let fleet_t = measure(SAMPLES, || {

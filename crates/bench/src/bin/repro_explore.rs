@@ -11,10 +11,10 @@
 //!
 //! Three correctness gates are always enforced, on every host:
 //!
-//! * every panel's warm rerun must replay every shard and reproduce the
-//!   cold frontier digest bit for bit;
-//! * the incremental (edited-space, warm-cache) run must match a cold
-//!   run of the same edit bit for bit;
+//! * every panel's rerun must reproduce the first run's frontier digest
+//!   bit for bit;
+//! * the incremental (edited-space) run must match a second run of the
+//!   same edit bit for bit;
 //! * the pipeline band must equal the O(n²) brute-force oracle on the
 //!   spot-check subspace.
 
@@ -72,14 +72,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.panels.len(),
     );
     println!(
-        "cold sweep {:.2} s, warm sweep {:.2} s   shard cache: {} hits / {} misses",
-        report.cold_sweep_s, report.warm_sweep_s, report.cache_hits, report.cache_misses
+        "sweep {:.2} s, rerun {:.2} s",
+        report.cold_sweep_s, report.warm_sweep_s
     );
     println!(
-        "incremental edit: {} points, {} shards, {} replayed, digests {}",
+        "incremental edit: {} points, {} shards, digests {}",
         report.incremental.points,
         report.incremental.shards,
-        report.incremental.replayed,
         if report.incremental.digests_match() {
             "match"
         } else {
@@ -101,10 +100,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("wrote {json_path}");
 
     if !report.all_reruns_identical() {
-        return Err("warm rerun diverged from cold run (digest or replay mismatch)".into());
+        return Err("rerun diverged from the first run (digest mismatch)".into());
     }
     if !report.incremental.digests_match() {
-        return Err("incremental re-exploration diverged from a cold run of the same spec".into());
+        return Err("incremental re-exploration diverged from a rerun of the same spec".into());
     }
     if !report.brute_matches {
         return Err("pipeline band diverged from the brute-force oracle".into());

@@ -106,6 +106,13 @@ const SEEDS: &[Seed] = &[
         code: "pub fn f(t: ServiceTier) -> u8 {\n    match t {\n        ServiceTier::Stat => 0,\n        _ => 9,\n    }\n}\n",
         hot_line: 3,
     },
+    Seed {
+        rule: "D2",
+        crate_name: "bios-platform",
+        rel_path: "crates/core/src/seeded.rs",
+        code: "use std::sync::Mutex;\nstatic CACHE: Mutex<Vec<u64>> = Mutex::new(Vec::new());\n",
+        hot_line: 1,
+    },
 ];
 
 fn findings_for(seed: &Seed, code: &str) -> Vec<&'static str> {
@@ -191,7 +198,8 @@ fn main() {
                 crate_name: "bios-platform",
                 rel_path: "crates/core/src/exec.rs",
             },
-            "pub fn f() { std::thread::spawn(|| ()); }\n",
+            "static ENV: OnceLock<Option<usize>> = OnceLock::new();\n\
+             pub fn f() { std::thread::spawn(|| ()); }\n",
         )
         .iter()
         .any(|f| f.rule == "D2"),

@@ -5,7 +5,7 @@
 //! 2. execution-engine throughput — the perf harness in
 //!    [`bios_bench::perf`]: session batches, design-space exploration and
 //!    the fault matrix timed sequentially vs in parallel, with
-//!    byte-identity digest checks and solver/memo cache statistics.
+//!    byte-identity digest checks and the diffusion kernel's step rate.
 //!
 //! Flags:
 //!
@@ -148,16 +148,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "diffusion kernel: {} steps/run, {:.0} steps/s cold, {:.0} steps/s warm ({} cache hits / {} misses)",
-        report.kernel.steps,
-        report.kernel.cold_steps_per_s,
-        report.kernel.warm_steps_per_s,
-        report.kernel.cache_hits,
-        report.kernel.cache_misses,
-    );
-    println!(
-        "memo caches over repeated faulted sessions: {} hits / {} misses",
-        report.memo_hits, report.memo_misses
+        "diffusion kernel: {} steps/run, {:.0} steps/s",
+        report.kernel.steps, report.kernel.steps_per_s,
     );
 
     std::fs::write(&json_path, bios_bench::perf::to_json(&report))?;

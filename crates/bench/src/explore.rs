@@ -10,13 +10,12 @@
 //!    space refuted by closed-form analysis ([`evaluate_static`] applied
 //!    class-wise, never per point). The binary gates this at
 //!    [`REJECTION_FLOOR`].
-//! 2. **Bit-identical reruns** — every panel is explored cold and then
-//!    warm; the warm run must replay every shard from the content-hash
-//!    cache and reproduce the frontier digest bit for bit.
+//! 2. **Bit-identical reruns** — every panel is explored twice; the
+//!    rerun must reproduce the frontier digest bit for bit.
 //! 3. **Incremental re-exploration** — the fig4 space is *edited* (one
-//!    nanostructure dropped) and re-explored against the warm cache;
-//!    the digest must equal a cold run of the same edited spec, with the
-//!    unaffected shards replayed rather than re-simulated.
+//!    electrode area dropped) and explored right after the sweeps; the
+//!    digest must equal a second run of the same edited spec, so the
+//!    answer cannot depend on what ran before it.
 //! 4. **Ground truth** — on a brute-force-sized subspace the pipeline's
 //!    band is checked rank-for-rank, bit-for-bit against the O(n²)
 //!    per-point oracle ([`brute_force_band`]).
@@ -25,9 +24,7 @@
 //! [`brute_force_band`]: bios_explore::brute_force_band
 
 use bios_biochem::Analyte;
-use bios_explore::{
-    brute_force_band, clear_explore_cache, explore, explore_cache_stats, ExploreSpace, ExploreSpec,
-};
+use bios_explore::{brute_force_band, explore, ExploreSpace, ExploreSpec};
 use bios_platform::{ExecPolicy, PanelSpec, TargetSpec};
 
 /// Minimum fraction of the space that must be statically rejected for
@@ -79,7 +76,7 @@ pub fn panels() -> Vec<(&'static str, PanelSpec)> {
     ]
 }
 
-/// One panel's cold-then-warm exploration evidence.
+/// One panel's run-then-rerun exploration evidence.
 #[derive(Debug, Clone)]
 pub struct PanelRun {
     /// Panel label.
@@ -88,7 +85,7 @@ pub struct PanelRun {
     pub targets: usize,
     /// Points in the explored space.
     pub points: u64,
-    /// Points refuted by the static passes (cold run).
+    /// Points refuted by the static passes (first run).
     pub statically_rejected: u64,
     /// `statically_rejected / points`.
     pub rejection_ratio: f64,
@@ -96,36 +93,30 @@ pub struct PanelRun {
     pub band: usize,
     /// Shards the band partitioned into.
     pub shards: u64,
-    /// Frontier digest of the cold run.
+    /// Frontier digest of the first run.
     pub digest: u64,
-    /// Frontier digest of the warm rerun (must equal `digest`).
+    /// Frontier digest of the rerun (must equal `digest`).
     pub warm_digest: u64,
-    /// Shards the warm rerun replayed from the cache (must equal
-    /// `shards`).
-    pub warm_replayed: u64,
 }
 
 impl PanelRun {
-    /// True when the warm rerun reproduced the cold run bit for bit and
-    /// replayed every shard.
+    /// True when the rerun reproduced the first run bit for bit.
     pub fn rerun_identical(&self) -> bool {
-        self.digest == self.warm_digest && self.warm_replayed == self.shards
+        self.digest == self.warm_digest
     }
 }
 
 /// The incremental re-exploration evidence: an *edited* space explored
-/// against the warm cache vs the same edit explored cold.
+/// right after the sweeps vs the same edit explored again.
 #[derive(Debug, Clone)]
 pub struct IncrementalRun {
     /// Points in the edited space.
     pub points: u64,
     /// Shards of the edited space's band.
     pub shards: u64,
-    /// Shards the incremental (warm-cache) run replayed.
-    pub replayed: u64,
-    /// Frontier digest of the incremental run.
+    /// Frontier digest of the run right after the sweeps.
     pub incremental_digest: u64,
-    /// Frontier digest of the cold run of the same edited spec.
+    /// Frontier digest of the second run of the same edited spec.
     pub cold_digest: u64,
 }
 
@@ -149,14 +140,10 @@ pub struct ExploreBenchReport {
     pub total_rejected: u64,
     /// `total_rejected / total_points`.
     pub overall_rejection_ratio: f64,
-    /// Wall-clock seconds for the cold sweep over every panel.
+    /// Wall-clock seconds for the first sweep over every panel.
     pub cold_sweep_s: f64,
-    /// Wall-clock seconds for the warm rerun over every panel.
+    /// Wall-clock seconds for the rerun over every panel.
     pub warm_sweep_s: f64,
-    /// Shard-cache hits and misses after the whole workload.
-    pub cache_hits: u64,
-    /// See `cache_hits`.
-    pub cache_misses: u64,
     /// Incremental re-exploration evidence.
     pub incremental: IncrementalRun,
     /// Points in the brute-force spot-check subspace.
@@ -168,17 +155,14 @@ pub struct ExploreBenchReport {
 }
 
 impl ExploreBenchReport {
-    /// True when every panel's warm rerun was bit-identical with full
-    /// shard replay.
+    /// True when every panel's rerun was bit-identical.
     pub fn all_reruns_identical(&self) -> bool {
         self.panels.iter().all(PanelRun::rerun_identical)
     }
 }
 
-/// The edited fig4 spec for the incrementality demo: the standard box
-/// with the largest electrode area dropped. The edit invalidates the
-/// shards whose surviving point sets it touches; the rest replay from
-/// the content-hash cache (3 of 6, on the seed model).
+/// The edited fig4 spec for the incrementality check: the standard box
+/// with the largest electrode area dropped.
 fn edited_fig4_spec() -> ExploreSpec {
     let mut spec = ExploreSpec::standard(PanelSpec::paper_fig4());
     spec.space.area_pct.retain(|&a| a != 400);
@@ -198,10 +182,9 @@ fn spot_check_spec() -> ExploreSpec {
     spec
 }
 
-/// Runs the whole BENCH_10 workload: cold sweep, warm sweep,
-/// incremental edit, brute-force spot check.
+/// Runs the whole BENCH_10 workload: sweep, rerun, incremental edit,
+/// brute-force spot check.
 pub fn run(policy: ExecPolicy) -> Result<ExploreBenchReport, Box<dyn std::error::Error>> {
-    clear_explore_cache();
     let panel_set = panels();
 
     let cold_start = std::time::Instant::now();
@@ -219,7 +202,6 @@ pub fn run(policy: ExecPolicy) -> Result<ExploreBenchReport, Box<dyn std::error:
             shards: outcome.shard_count,
             digest: outcome.frontier_digest,
             warm_digest: 0,
-            warm_replayed: 0,
         });
     }
     let cold_sweep_s = cold_start.elapsed().as_secs_f64();
@@ -229,22 +211,17 @@ pub fn run(policy: ExecPolicy) -> Result<ExploreBenchReport, Box<dyn std::error:
         let spec = ExploreSpec::standard(panel.clone());
         let outcome = explore(&spec, policy)?;
         run.warm_digest = outcome.frontier_digest;
-        run.warm_replayed = outcome.replayed_shards;
     }
     let warm_sweep_s = warm_start.elapsed().as_secs_f64();
 
-    // Incremental: edited space against the warm cache, then the same
-    // edit cold. Shards the edit did not touch must replay; the answer
-    // must not depend on which path produced it.
+    // Incremental: the edited space right after the sweeps, then the
+    // same edit again. The answer must not depend on what ran before it.
     let edited = edited_fig4_spec();
     let incremental_outcome = explore(&edited, policy)?;
-    let (cache_hits, cache_misses) = explore_cache_stats();
-    clear_explore_cache();
     let cold_edited = explore(&edited, policy)?;
     let incremental = IncrementalRun {
         points: incremental_outcome.total_points,
         shards: incremental_outcome.shard_count,
-        replayed: incremental_outcome.replayed_shards,
         incremental_digest: incremental_outcome.frontier_digest,
         cold_digest: cold_edited.frontier_digest,
     };
@@ -279,8 +256,6 @@ pub fn run(policy: ExecPolicy) -> Result<ExploreBenchReport, Box<dyn std::error:
         },
         cold_sweep_s,
         warm_sweep_s,
-        cache_hits,
-        cache_misses,
         incremental,
         brute_points: spot.space.len(),
         brute_band: oracle.len(),
@@ -301,14 +276,10 @@ pub fn to_json(report: &ExploreBenchReport) -> String {
         "  \"rejection_floor\": {REJECTION_FLOOR:.2},\n  \"cold_sweep_s\": {:.3},\n  \"warm_sweep_s\": {:.3},\n",
         report.cold_sweep_s, report.warm_sweep_s
     ));
-    out.push_str(&format!(
-        "  \"cache\": {{\"hits\": {}, \"misses\": {}}},\n",
-        report.cache_hits, report.cache_misses
-    ));
     out.push_str("  \"panels\": [\n");
     for (i, p) in report.panels.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"targets\": {}, \"points\": {}, \"statically_rejected\": {}, \"rejection_ratio\": {:.6}, \"band\": {}, \"shards\": {}, \"frontier_digest\": \"{:016x}\", \"warm_digest\": \"{:016x}\", \"warm_replayed\": {}, \"rerun_identical\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"targets\": {}, \"points\": {}, \"statically_rejected\": {}, \"rejection_ratio\": {:.6}, \"band\": {}, \"shards\": {}, \"frontier_digest\": \"{:016x}\", \"warm_digest\": \"{:016x}\", \"rerun_identical\": {}}}{}\n",
             p.name,
             p.targets,
             p.points,
@@ -318,17 +289,15 @@ pub fn to_json(report: &ExploreBenchReport) -> String {
             p.shards,
             p.digest,
             p.warm_digest,
-            p.warm_replayed,
             p.rerun_identical(),
             if i + 1 < report.panels.len() { "," } else { "" },
         ));
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"incremental\": {{\"points\": {}, \"shards\": {}, \"replayed\": {}, \"incremental_digest\": \"{:016x}\", \"cold_digest\": \"{:016x}\", \"digests_match\": {}}},\n",
+        "  \"incremental\": {{\"points\": {}, \"shards\": {}, \"incremental_digest\": \"{:016x}\", \"cold_digest\": \"{:016x}\", \"digests_match\": {}}},\n",
         report.incremental.points,
         report.incremental.shards,
-        report.incremental.replayed,
         report.incremental.incremental_digest,
         report.incremental.cold_digest,
         report.incremental.digests_match(),
@@ -374,19 +343,15 @@ mod tests {
                 shards: 6,
                 digest: 7,
                 warm_digest: 7,
-                warm_replayed: 6,
             }],
             total_points: 168_960,
             total_rejected: 168_729,
             overall_rejection_ratio: 0.998_632,
             cold_sweep_s: 1.5,
             warm_sweep_s: 0.5,
-            cache_hits: 6,
-            cache_misses: 8,
             incremental: IncrementalRun {
                 points: 126_720,
                 shards: 5,
-                replayed: 3,
                 incremental_digest: 9,
                 cold_digest: 9,
             },

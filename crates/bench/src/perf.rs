@@ -1,6 +1,6 @@
 //! Execution-engine perf harness: times representative platform workloads
 //! sequentially and in parallel, checks the outputs are byte-identical
-//! (the engine's contract), and summarizes solver/memo cache behavior.
+//! (the engine's contract), and measures the diffusion kernel's step rate.
 //!
 //! The `repro_throughput` binary drives this module and writes the result
 //! as `BENCH_2.json`; CI's perf-smoke job gates on `digests_match` and a
@@ -8,11 +8,7 @@
 //! workload's full result — `f64`'s `Debug` is shortest-roundtrip, so two
 //! digests agree iff every float in both results is bit-identical.
 
-use bios_electrochem::{clear_solver_cache, solver_cache_stats};
-use bios_platform::{
-    clear_memo_caches, explore_with, memo_stats, par_map, DesignSpace, ExecPolicy, PanelSpec,
-    SessionOptions,
-};
+use bios_platform::{explore_with, par_map, DesignSpace, ExecPolicy, PanelSpec, SessionOptions};
 use criterion::measure;
 
 /// Seeds for the session-batch workload: one full Fig. 4 session each.
@@ -74,20 +70,13 @@ impl WorkloadResult {
     }
 }
 
-/// Solver-kernel throughput: backward-Euler steps per second, cold
-/// (factorizing per construction) vs warm (shared prefactorization).
+/// Solver-kernel throughput: backward-Euler steps per second.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelResult {
     /// Implicit solver steps per timed run.
     pub steps: usize,
-    /// Steps/s with the solver cache cleared before every run.
-    pub cold_steps_per_s: f64,
-    /// Steps/s with the prefactorization cache warm.
-    pub warm_steps_per_s: f64,
-    /// Solver cache `(hits, misses)` after the warm runs.
-    pub cache_hits: u64,
-    /// See `cache_hits`.
-    pub cache_misses: u64,
+    /// Steps/s of the best timed run.
+    pub steps_per_s: f64,
 }
 
 /// The full harness output.
@@ -104,10 +93,6 @@ pub struct PerfReport {
     pub workloads: Vec<WorkloadResult>,
     /// Solver-kernel numbers.
     pub kernel: KernelResult,
-    /// Memo cache `(hits, misses)` accumulated over the harness.
-    pub memo_hits: u64,
-    /// See `memo_hits`.
-    pub memo_misses: u64,
 }
 
 impl PerfReport {
@@ -138,23 +123,17 @@ impl PerfReport {
 }
 
 /// Times one workload under the sequential policy and under `policy`,
-/// clearing every cache before each timed sample so both variants run the
-/// same cold path, and digesting one representative run of each.
+/// digesting one representative run of each.
 fn time_workload<T: std::fmt::Debug>(
     name: &'static str,
     units: usize,
     policy: ExecPolicy,
     run: impl Fn(ExecPolicy) -> T,
 ) -> WorkloadResult {
-    let cold = |p: ExecPolicy| {
-        clear_solver_cache();
-        clear_memo_caches();
-        run(p)
-    };
-    let digest_sequential = digest_debug(&cold(ExecPolicy::Sequential));
-    let digest_parallel = digest_debug(&cold(policy));
-    let seq = measure(SAMPLES, || cold(ExecPolicy::Sequential));
-    let par = measure(SAMPLES, || cold(policy));
+    let digest_sequential = digest_debug(&run(ExecPolicy::Sequential));
+    let digest_parallel = digest_debug(&run(policy));
+    let seq = measure(SAMPLES, || run(ExecPolicy::Sequential));
+    let par = measure(SAMPLES, || run(policy));
     WorkloadResult {
         name,
         units,
@@ -200,22 +179,8 @@ pub fn run(policy: ExecPolicy) -> PerfReport {
         format!("{report:?}")
     });
 
-    // Solver kernel: a chronoamperometric transient, cold vs warm cache.
+    // Solver kernel: many short chronoamperometric transients.
     let kernel = kernel_throughput();
-
-    // Memo behavior over a realistic repeat: two identical sessions, the
-    // second hitting the trace caches.
-    clear_memo_caches();
-    let memo_probe = SessionOptions::default()
-        .with_fault_plan(bios_afe::FaultPlan::randomized(901, 5))
-        .with_qc(bios_instrument::QcGate::default())
-        .with_exec(ExecPolicy::Sequential);
-    for _ in 0..2 {
-        platform
-            .run_session_with(&sample, 42, &memo_probe)
-            .expect("memo probe session");
-    }
-    let (memo_hits, memo_misses) = memo_stats();
 
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -226,17 +191,14 @@ pub fn run(policy: ExecPolicy) -> PerfReport {
         exec_policy: format!("{policy:?}"),
         workloads: vec![sessions, explore, matrix],
         kernel,
-        memo_hits,
-        memo_misses,
     }
 }
 
-/// Steps/s of the backward-Euler diffusion kernel with and without a warm
-/// prefactorization cache. Many *short* transients, the way protocol
-/// drivers use the solver (one fresh `DiffusionSim` per measurement): the
-/// cache's win is skipping re-assembly, re-factorization and the unit-flux
-/// solve on every construction, so construction cost must not be
-/// amortized away by one long hold.
+/// Steps/s of the backward-Euler diffusion kernel over many *short*
+/// transients, the way protocol drivers use the solver (one fresh
+/// `DiffusionSim` per measurement), so construction cost — assembly,
+/// factorization and the unit-flux solve — is not amortized away by one
+/// long hold.
 fn kernel_throughput() -> KernelResult {
     use bios_electrochem::{simulate_chrono, Cell, Electrode, PotentialProgram, RedoxCouple};
     use bios_units::{Molar, Seconds, Volts};
@@ -262,25 +224,14 @@ fn kernel_throughput() -> KernelResult {
     };
     let steps = run_single().len() * REPS;
 
-    let cold = measure(SAMPLES, || {
-        for _ in 0..REPS {
-            clear_solver_cache();
-            criterion::black_box(run_single());
-        }
-    });
-    clear_solver_cache();
-    let warm = measure(SAMPLES, || {
+    let timed = measure(SAMPLES, || {
         for _ in 0..REPS {
             criterion::black_box(run_single());
         }
     });
-    let (cache_hits, cache_misses) = solver_cache_stats();
     KernelResult {
         steps,
-        cold_steps_per_s: steps as f64 / cold.min_s(),
-        warm_steps_per_s: steps as f64 / warm.min_s(),
-        cache_hits,
-        cache_misses,
+        steps_per_s: steps as f64 / timed.min_s(),
     }
 }
 
@@ -311,16 +262,8 @@ pub fn to_json(report: &PerfReport) -> String {
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"kernel\": {{\"steps\": {}, \"cold_steps_per_s\": {:.0}, \"warm_steps_per_s\": {:.0}, \"cache_hits\": {}, \"cache_misses\": {}}},\n",
-        report.kernel.steps,
-        report.kernel.cold_steps_per_s,
-        report.kernel.warm_steps_per_s,
-        report.kernel.cache_hits,
-        report.kernel.cache_misses,
-    ));
-    out.push_str(&format!(
-        "  \"memo\": {{\"hits\": {}, \"misses\": {}}},\n",
-        report.memo_hits, report.memo_misses
+        "  \"kernel\": {{\"steps\": {}, \"steps_per_s\": {:.0}}},\n",
+        report.kernel.steps, report.kernel.steps_per_s,
     ));
     out.push_str(&format!(
         "  \"all_digests_match\": {},\n  \"min_speedup\": {:.2},\n  \"speedup_gate\": \"{}\"\n}}\n",
@@ -360,13 +303,8 @@ mod tests {
             }],
             kernel: KernelResult {
                 steps: 100,
-                cold_steps_per_s: 1000.0,
-                warm_steps_per_s: 2000.0,
-                cache_hits: 5,
-                cache_misses: 1,
+                steps_per_s: 1000.0,
             },
-            memo_hits: 3,
-            memo_misses: 2,
         };
         let json = to_json(&report);
         assert!(json.contains("\"host_cores\": 4"));

@@ -48,7 +48,6 @@ mod cost;
 mod error;
 mod exec;
 mod explore;
-mod memo;
 mod platform;
 mod report;
 mod requirements;
@@ -67,7 +66,6 @@ pub use explore::{
     effective_sensitivity, evaluate, explore_with, noise_breakdown, pareto_front, predict_lod,
     required_lod, DesignPoint, DesignSpace, EvaluatedDesign, NoiseBreakdown, PAPER_WE_AREA_CM2,
 };
-pub use memo::{clear_memo_caches, memo_stats};
 pub use platform::{Platform, SensorModel, SessionReport, TargetReading, WeAssignment};
 pub use requirements::{PanelSpec, TargetSpec};
 pub use robustness::{DegradationSummary, RetryPolicy, SessionOptions, TargetQuality};

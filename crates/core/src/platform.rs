@@ -4,7 +4,6 @@
 use crate::cost::{electronics_budget, PlatformCost, ReadoutSharing};
 use crate::error::PlatformError;
 use crate::exec::{par_map, ExecPolicy};
-use crate::memo;
 use crate::robustness::{DegradationSummary, SessionOptions, TargetQuality};
 use crate::schedule::Schedule;
 use crate::session::{SampleRequest, SampleResult, SessionCheckpoint, SessionMachine, WeOutcome};
@@ -18,6 +17,7 @@ use bios_instrument::{
     CvProtocol, PerformanceReport, QcClass, QcVerdict,
 };
 use bios_units::{Amps, Molar, Seconds};
+use std::sync::OnceLock;
 
 /// Fixed seed of the commissioning dry run the QC gate's quiet-channel
 /// check references — a stored calibration record, not per-session noise.
@@ -209,6 +209,22 @@ impl SessionReport {
     }
 }
 
+/// The commissioning record of a platform's two fault-free base chains:
+/// the fixed-seed traces the QC gate and the built-in self-test grade
+/// live chains against. Each value is a pure function of the platform's
+/// chains and chrono protocol, so it is simulated on first use and kept
+/// for the platform's lifetime. Filling lazily keeps platforms that never
+/// run a session (design-space evaluation builds one per point) free.
+#[derive(Debug, Clone, Default)]
+struct Commissioning {
+    /// Chrono chain baseline noise over the chrono settle window.
+    noise_reference: OnceLock<Option<Amps>>,
+    /// Self-test responses, indexed `[chain][window]`: chain 0 is the
+    /// chrono chain and 1 the CV chain; window 0 is the power-on
+    /// [`SELF_TEST_WINDOW`] and 1 the [`POST_SELF_TEST_WINDOW`].
+    self_test: [[OnceLock<Option<Amps>>; 2]; 2],
+}
+
 /// A fully assembled multi-target biosensing platform.
 ///
 /// Built by [`PlatformBuilder`](crate::PlatformBuilder); see there for an
@@ -225,6 +241,7 @@ pub struct Platform {
     sharing: ReadoutSharing,
     chopper: bool,
     cds: bool,
+    commissioning: Commissioning,
 }
 
 impl Platform {
@@ -252,6 +269,7 @@ impl Platform {
             sharing,
             chopper,
             cds,
+            commissioning: Commissioning::default(),
         }
     }
 
@@ -557,19 +575,35 @@ impl Platform {
         }
     }
 
+    /// The fault-free base chain's self-test response from the
+    /// commissioning record: over [`POST_SELF_TEST_WINDOW`] when
+    /// `post_assay`, else over [`SELF_TEST_WINDOW`].
+    fn commissioned_self_test(&self, assignment: &WeAssignment, post_assay: bool) -> Option<Amps> {
+        let chain = usize::from(matches!(assignment.sensor, SensorModel::Cytochrome(_)));
+        let window = if post_assay {
+            POST_SELF_TEST_WINDOW
+        } else {
+            SELF_TEST_WINDOW
+        };
+        *self.commissioning.self_test[chain][usize::from(post_assay)].get_or_init(|| {
+            self.base_chain(assignment)
+                .self_test_response(SELF_TEST_DT, window, SELF_TEST_SEED)
+                .ok()
+        })
+    }
+
     /// Built-in self-test for the `ApplyPotential` step: a known
     /// half-scale test current through the live chain, graded against the
     /// fault-free chain's commissioning response. Gain faults that hide
     /// below one ADC code at quiescent input cannot hide under a test
-    /// signal. Both traces run under fixed seeds, so they memoize.
-    // advdiag::cold(built-in self-test: memoized whole-trace simulation, runs once
-    // per electrode commissioning step)
+    /// signal.
+    // advdiag::cold(built-in self-test: whole-trace simulation, runs once per
+    // electrode commissioning step)
     pub(crate) fn bist_verdict(
         &self,
         assignment: &WeAssignment,
         options: &SessionOptions,
     ) -> QcVerdict {
-        let base = self.base_chain(assignment);
         let chain = self.assignment_chain(assignment, options);
         if chain.faults().is_empty() {
             return QcVerdict {
@@ -577,11 +611,9 @@ impl Platform {
                 reasons: Vec::new(),
             };
         }
-        let live = memo::self_test_response(&chain, SELF_TEST_DT, SELF_TEST_WINDOW, SELF_TEST_SEED);
-        let commissioned =
-            memo::self_test_response(base, SELF_TEST_DT, SELF_TEST_WINDOW, SELF_TEST_SEED);
-        let mut verdict = match (live, commissioned) {
-            (Ok(m), Ok(e)) => options.qc.check_self_test(m, e),
+        let live = chain.self_test_response(SELF_TEST_DT, SELF_TEST_WINDOW, SELF_TEST_SEED);
+        let mut verdict = match (live, self.commissioned_self_test(assignment, false)) {
+            (Ok(m), Some(e)) => options.qc.check_self_test(m, e),
             _ => QcVerdict {
                 class: QcClass::Pass,
                 reasons: Vec::new(),
@@ -605,16 +637,16 @@ impl Platform {
                 .as_ref()
                 .map(|p| p.chain_seed(assignment.index()))
                 .unwrap_or(0);
-            let settled_chain = base.clone().with_faults(settled, fault_seed);
-            let post = memo::self_test_response(
-                &settled_chain,
+            let settled_chain = self
+                .base_chain(assignment)
+                .clone()
+                .with_faults(settled, fault_seed);
+            let post = settled_chain.self_test_response(
                 SELF_TEST_DT,
                 POST_SELF_TEST_WINDOW,
                 SELF_TEST_SEED,
             );
-            let reference =
-                memo::self_test_response(base, SELF_TEST_DT, POST_SELF_TEST_WINDOW, SELF_TEST_SEED);
-            if let (Ok(m), Ok(e)) = (post, reference) {
+            if let (Ok(m), Some(e)) = (post, self.commissioned_self_test(assignment, true)) {
                 verdict.merge(options.qc.check_self_test(m, e));
             }
         }
@@ -624,17 +656,19 @@ impl Platform {
     /// The `Settle` step's stored calibration record: the QC gate
     /// compares live baselines against the chain's commissioning
     /// self-noise — always taken from the fault-free base chain.
-    // advdiag::cold(memoized commissioning-time noise reference: the trace is
-    // simulated once per electrode and served from the memo cache thereafter)
+    // advdiag::cold(commissioning-time noise reference: the trace is simulated
+    // once per platform and read from its commissioning record thereafter)
     pub(crate) fn reference_noise_for(&self, assignment: &WeAssignment) -> Option<Amps> {
         match &assignment.sensor {
-            SensorModel::Oxidase(_) => memo::baseline_noise_reference(
-                self.base_chain(assignment),
-                self.chrono_protocol.dt,
-                self.chrono_protocol.settle,
-                NOISE_REFERENCE_SEED,
-            )
-            .ok(),
+            SensorModel::Oxidase(_) => *self.commissioning.noise_reference.get_or_init(|| {
+                self.chrono_chain
+                    .baseline_noise_reference(
+                        self.chrono_protocol.dt,
+                        self.chrono_protocol.settle,
+                        NOISE_REFERENCE_SEED,
+                    )
+                    .ok()
+            }),
             SensorModel::Cytochrome(_) => None,
         }
     }
@@ -886,6 +920,69 @@ mod tests {
             (Analyte::Aminopyrine, Molar::from_millimolar(4.0)),
             (Analyte::Cholesterol, Molar::from_micromolar(50.0)),
         ]
+    }
+
+    /// The first working electrode measured by chronoamperometry
+    /// (`cv == false`) or by voltammetry (`cv == true`).
+    fn we_of(p: &Platform, cv: bool) -> &WeAssignment {
+        p.assignments()
+            .iter()
+            .find(|a| matches!(a.sensor, SensorModel::Cytochrome(_)) == cv)
+            .expect("both techniques on the panel")
+    }
+
+    #[test]
+    fn commissioning_record_equals_direct_chain_calls() {
+        let p = fig4();
+        for (cv, chain) in [(false, &p.chrono_chain), (true, &p.cv_chain)] {
+            for (post_assay, window) in [(false, SELF_TEST_WINDOW), (true, POST_SELF_TEST_WINDOW)] {
+                let direct = chain
+                    .self_test_response(SELF_TEST_DT, window, SELF_TEST_SEED)
+                    .expect("direct self-test");
+                // The first read fills the record, the second reads it back.
+                for _ in 0..2 {
+                    let recorded = p
+                        .commissioned_self_test(we_of(&p, cv), post_assay)
+                        .expect("recorded self-test");
+                    assert_eq!(recorded.value().to_bits(), direct.value().to_bits());
+                }
+            }
+        }
+        // Each platform records the noise reference of its own protocol.
+        // The paper chain's noise sits below one ADC code, so a loud chain
+        // makes the two references differ.
+        let loud = ReadoutChain::new(p.chrono_chain.config().with_noise(bios_afe::NoiseConfig {
+            white_density: 5e-9,
+            flicker_density_1hz: 5e-9,
+            drift_per_sqrt_s: 5e-9,
+        }));
+        let platform_with = |settle: f64| Platform {
+            chrono_chain: loud.clone(),
+            chrono_protocol: ChronoProtocol {
+                settle: Seconds::new(settle),
+                ..ChronoProtocol::default()
+            },
+            commissioning: Commissioning::default(),
+            ..fig4()
+        };
+        let mut references = Vec::new();
+        for platform in [platform_with(10.0), platform_with(20.0)] {
+            let direct = platform
+                .chrono_chain
+                .baseline_noise_reference(
+                    platform.chrono_protocol.dt,
+                    platform.chrono_protocol.settle,
+                    NOISE_REFERENCE_SEED,
+                )
+                .expect("direct noise reference");
+            let recorded = platform
+                .reference_noise_for(we_of(&platform, false))
+                .expect("recorded noise reference");
+            assert_eq!(recorded.value().to_bits(), direct.value().to_bits());
+            references.push(recorded.value());
+        }
+        assert!(references[0] > 0.0, "{references:?}");
+        assert_ne!(references[0], references[1]);
     }
 
     #[test]

@@ -1,16 +1,11 @@
-//! Edge cases of the deterministic parallel engine and the memo caches,
-//! exercised through the crate's public API only.
+//! Edge cases of the deterministic parallel engine, exercised through the
+//! crate's public API only.
 //!
 //! Every test that touches `ADVDIAG_THREADS` sets it to the same value
 //! (`1`): the engine reads the variable once per process through a
 //! `OnceLock`, and integration tests share one process.
 
-use bios_biochem::Analyte;
-use bios_electrochem::Nanostructure;
-use bios_platform::{
-    clear_memo_caches, memo_stats, par_map, predict_lod, try_par_map, DesignPoint, ExecPolicy,
-    ProbePreference, ReadoutSharing,
-};
+use bios_platform::{par_map, try_par_map, ExecPolicy};
 
 /// Pins the env override before the engine's `OnceLock` first resolves it.
 fn force_single_thread() {
@@ -62,49 +57,5 @@ fn try_par_map_surfaces_an_error_at_index_zero() {
         out,
         Err(0),
         "index 0 is the lowest-index error and must win"
-    );
-}
-
-fn point() -> DesignPoint {
-    DesignPoint {
-        nanostructure: Nanostructure::CarbonNanotubes,
-        sharing: ReadoutSharing::Shared,
-        chopper: true,
-        cds: true,
-        adc_bits: 12,
-        preference: ProbePreference::MinimizeElectrodes,
-    }
-}
-
-#[test]
-fn clear_memo_caches_resets_counters_and_forces_recompute() {
-    clear_memo_caches();
-    assert_eq!(memo_stats(), (0, 0), "clear must zero the counters");
-
-    let first = predict_lod(Analyte::Glucose, &point()).expect("registered target");
-    let (h0, m0) = memo_stats();
-    assert_eq!((h0, m0), (0, 1), "cold call is a miss");
-
-    let second = predict_lod(Analyte::Glucose, &point()).expect("registered target");
-    let (h1, m1) = memo_stats();
-    assert_eq!((h1, m1), (1, 1), "repeat call is a hit");
-    assert_eq!(
-        first.value().to_bits(),
-        second.value().to_bits(),
-        "a hit returns the exact cached value"
-    );
-
-    clear_memo_caches();
-    assert_eq!(memo_stats(), (0, 0));
-    let third = predict_lod(Analyte::Glucose, &point()).expect("registered target");
-    assert_eq!(
-        memo_stats(),
-        (0, 1),
-        "after a clear the same key must recompute (miss, not hit)"
-    );
-    assert_eq!(
-        first.value().to_bits(),
-        third.value().to_bits(),
-        "recompute reproduces the original value bit for bit"
     );
 }

@@ -15,18 +15,99 @@
 
 use crate::error::ElectrochemError;
 use crate::grid::Grid;
-use crate::solver_cache::{self, Prefactorized};
+use crate::tridiag::Tridiagonal;
 use bios_units::{DiffusionCoefficient, MolesPerCm3, Seconds};
-use std::sync::Arc;
 
-/// One diffusing species on a grid. The per-`(grid, dt, D)` invariants —
-/// factorized operator, unit-flux response, control widths — are shared
-/// through the [`solver_cache`]; only the concentration field and the RHS
-/// scratch buffer are owned per instance.
+/// Everything about a species field that depends only on `(grid, dt, D)`,
+/// not on concentrations: the factorized backward-Euler system, its
+/// unit-flux response, and the grid's control widths (hoisted out of the
+/// per-step RHS assembly). Each field builds its own once, at construction.
+#[derive(Debug, Clone)]
+struct Prefactorized {
+    /// The factorized backward-Euler operator.
+    sys: Tridiagonal,
+    /// Response of the field to a unit surface flux over one step.
+    unit_flux_response: Vec<f64>,
+    /// `Grid::control_width(i)` for every node.
+    widths: Vec<f64>,
+}
+
+impl Prefactorized {
+    /// Assembles the zero-flux backward-Euler RHS for a whole `[node × lane]`
+    /// concentration plane and solves it with one batched Thomas sweep,
+    /// leaving the zero-flux solutions in `scratch` (same layout). Lane `b`
+    /// performs the exact scalar operation sequence (`c·w/dt` assembly, then
+    /// the factorized sweep), so each lane is bit-identical to a scalar
+    /// `SpeciesField` stepping alone — the factorization is computed once per
+    /// batch and amortized across every lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bulks` is empty or the plane sizes don't match
+    /// `nodes × bulks.len()`.
+    fn solve_base_batch(&self, conc: &[f64], scratch: &mut [f64], bulks: &[f64], dt: f64) {
+        let n = self.widths.len();
+        let batch = bulks.len();
+        assert!(batch > 0, "batch must be nonzero");
+        assert_eq!(conc.len(), n * batch, "concentration plane size mismatch");
+        assert_eq!(scratch.len(), n * batch, "scratch plane size mismatch");
+        for (i, w) in self.widths[..n - 1].iter().enumerate() {
+            let row = i * batch;
+            for (s, c) in scratch[row..row + batch]
+                .iter_mut()
+                .zip(&conc[row..row + batch])
+            {
+                *s = c * w / dt;
+            }
+        }
+        scratch[(n - 1) * batch..].copy_from_slice(bulks);
+        self.sys.solve_batch_in_place(scratch, batch);
+    }
+
+    /// Assembles and factorizes the system for `(grid, d, dt)`.
+    fn new(grid: &Grid, d: f64, dt: f64) -> Result<Self, ElectrochemError> {
+        let n = grid.len();
+        let mut lower = vec![0.0; n - 1];
+        let mut main = vec![0.0; n];
+        let mut upper = vec![0.0; n - 1];
+        // Interior nodes: w_i/dt·c_i - D/h_{i-1}·c_{i-1} - D/h_i·c_{i+1}
+        //                 + (D/h_{i-1} + D/h_i)·c_i = w_i/dt·c_i_old
+        for i in 1..n - 1 {
+            let a = d / grid.spacing(i - 1);
+            let g = d / grid.spacing(i);
+            let w = grid.control_width(i);
+            lower[i - 1] = -a;
+            upper[i] = -g;
+            main[i] = w / dt + a + g;
+        }
+        // Surface node 0: flux boundary (flux enters the RHS).
+        let g0 = d / grid.spacing(0);
+        main[0] = grid.control_width(0) / dt + g0;
+        upper[0] = -g0;
+        // Far node: Dirichlet at bulk concentration.
+        main[n - 1] = 1.0;
+        lower[n - 2] = 0.0;
+        let sys = Tridiagonal::new(lower, main, upper)?;
+        // Unit-flux response: RHS = -1 at node 0 (consumption), 0 elsewhere,
+        // homogeneous far boundary.
+        let mut rhs = vec![0.0; n];
+        rhs[0] = -1.0;
+        let unit_flux_response = sys.solve(&rhs)?;
+        let widths = (0..n).map(|i| grid.control_width(i)).collect();
+        Ok(Self {
+            sys,
+            unit_flux_response,
+            widths,
+        })
+    }
+}
+
+/// One diffusing species on a grid: its concentration field, RHS scratch
+/// buffer and the [`Prefactorized`] invariants of its `(grid, dt, D)`.
 #[derive(Debug, Clone)]
 struct SpeciesField {
     conc: Vec<f64>, // mol/cm³
-    pre: Arc<Prefactorized>,
+    pre: Prefactorized,
     scratch: Vec<f64>,
 }
 
@@ -50,7 +131,7 @@ impl SpeciesField {
                 "must be positive and finite",
             ));
         }
-        let pre = solver_cache::prefactorized(grid, d, dt)?;
+        let pre = Prefactorized::new(grid, d, dt)?;
         let n = grid.len();
         Ok(Self {
             conc: vec![bulk; n],
@@ -61,8 +142,7 @@ impl SpeciesField {
 
     /// Assembles the zero-flux RHS into `scratch` and solves in place,
     /// leaving the zero-flux solution in `scratch`. The control widths come
-    /// from the prefactorization (one multiply per node, no grid lookups);
-    /// the arithmetic matches the pre-cache assembly bit for bit.
+    /// from the prefactorization (one multiply per node, no grid lookups).
     fn solve_base(&mut self, dt: f64, bulk: f64) {
         let n = self.scratch.len();
         for ((s, c), w) in self.scratch[..n - 1]
@@ -256,7 +336,7 @@ impl DiffusionSim {
 #[derive(Debug, Clone)]
 struct BatchSpeciesField {
     conc: Vec<f64>, // mol/cm³, [node × lane]
-    pre: Arc<Prefactorized>,
+    pre: Prefactorized,
     scratch: Vec<f64>, // [node × lane]
 }
 
@@ -280,7 +360,7 @@ impl BatchSpeciesField {
                 "must be positive and finite",
             ));
         }
-        let pre = solver_cache::prefactorized(grid, d, dt)?;
+        let pre = Prefactorized::new(grid, d, dt)?;
         let n = grid.len();
         let batch = bulks.len();
         let mut conc = vec![0.0; n * batch];

@@ -52,7 +52,6 @@ mod kinetics;
 mod nernst;
 mod randles_sevcik;
 mod simulate;
-mod solver_cache;
 mod species;
 mod surface;
 mod swv;
@@ -81,7 +80,6 @@ pub use simulate::{
     simulate_chrono, simulate_chrono_fleet, simulate_chrono_with, simulate_cv, simulate_cv_with,
     SimOptions,
 };
-pub use solver_cache::{clear_solver_cache, solver_cache_stats};
 pub use species::{RedoxCouple, RedoxCoupleBuilder};
 pub use surface::SurfaceCouple;
 pub use swv::{simulate_swv, SwvParams};

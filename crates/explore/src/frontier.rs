@@ -24,7 +24,8 @@ pub struct ExploreOutcome {
     pub rejection_ratio: f64,
     /// Shards the surviving band partitioned into.
     pub shard_count: u64,
-    /// Shards replayed from the content-hash cache during this run.
+    /// Always 0: shards are scored afresh on every run. Kept so existing
+    /// readers of the field still build.
     pub replayed_shards: u64,
     /// FNV-1a digest of the scored band — two runs that agree here agree
     /// on every rank, coordinate and metric bit.
@@ -82,7 +83,7 @@ pub fn explore_with_manager(
     }
     let surviving = state.alive.count();
     let shards = partition(spec, &state.alive)?;
-    let (band, replayed_shards) = score_band(spec, &cx, &shards, policy)?;
+    let band = score_band(spec, &cx, &shards, policy)?;
     let statically_rejected = total_points - surviving;
     Ok(ExploreOutcome {
         total_points,
@@ -94,7 +95,7 @@ pub fn explore_with_manager(
             statically_rejected as f64 / total_points as f64
         },
         shard_count: shards.len() as u64,
-        replayed_shards,
+        replayed_shards: 0,
         frontier_digest: band_digest(&band),
         band,
     })
@@ -169,7 +170,6 @@ mod tests {
     #[test]
     fn pipeline_matches_brute_force_on_a_small_space() {
         let spec = small_spec();
-        crate::shard::clear_explore_cache();
         let outcome = explore(&spec, ExecPolicy::Sequential).expect("pipeline");
         let oracle = brute_force_band(&spec).expect("oracle");
         let got: Vec<(u64, u64, u64)> = outcome
@@ -197,13 +197,10 @@ mod tests {
     #[test]
     fn rerun_is_bit_identical_and_replays_shards() {
         let spec = small_spec();
-        crate::shard::clear_explore_cache();
         let cold = explore(&spec, ExecPolicy::Sequential).expect("cold");
         let warm = explore(&spec, ExecPolicy::Sequential).expect("warm");
         assert_eq!(cold.frontier_digest, warm.frontier_digest);
         assert_eq!(cold.band, warm.band);
-        assert_eq!(warm.replayed_shards, warm.shard_count);
-        assert_eq!(cold.replayed_shards, 0);
     }
 
     #[test]

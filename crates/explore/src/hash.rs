@@ -1,10 +1,10 @@
-//! FNV-1a 64-bit folding — the crate's content-hash primitive.
+//! FNV-1a 64-bit folding — the crate's digest primitive.
 //!
-//! Shard cache keys and frontier digests must be stable across runs,
-//! processes and axis re-orderings, so everything is hashed by *value*
-//! (bit patterns of floats, ordinals of enums) through this one
-//! deterministic accumulator. No `std::hash::Hasher`: its output is not
-//! specified to be stable across releases.
+//! Frontier digests must be stable across runs, processes and axis
+//! re-orderings, so everything is hashed by *value* (bit patterns of
+//! floats, ordinals of enums) through this one deterministic accumulator.
+//! No `std::hash::Hasher`: its output is not specified to be stable across
+//! releases.
 
 /// Incremental FNV-1a over 64 bits.
 #[derive(Debug, Clone, Copy)]
@@ -34,13 +34,6 @@ impl Fnv {
 
     pub(crate) fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
-    }
-
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        self.write_u64(bytes.len() as u64);
-        for &b in bytes {
-            self.write_u8(b);
-        }
     }
 
     pub(crate) fn finish(self) -> u64 {

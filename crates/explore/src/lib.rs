@@ -12,9 +12,7 @@
 //!   closed-form calibration models, order-independently;
 //! * [`explore`] — prune → partition → score: the surviving exact Pareto
 //!   band is sharded for [`bios_platform::try_par_map`], scored by the
-//!   surrogate and fully simulated via [`bios_platform::evaluate`], with
-//!   per-shard content-hash memoization ([`explore_cache_stats`]) so
-//!   re-exploration after a space edit replays untouched shards;
+//!   surrogate and fully simulated via [`bios_platform::evaluate`];
 //! * [`brute_force_band`] — the O(n²) per-point oracle the proptests pin
 //!   the class-factored pipeline against, bit for bit.
 //!
@@ -61,8 +59,8 @@ pub use frontier::{
 };
 pub use model::{
     afe_incompatibility, cost_scalar, derived_dynamic_range, evaluate_static, session_time_s,
-    surrogate_lod, worst_margin, RejectReason, StaticEval, MODEL_VERSION,
+    surrogate_lod, worst_margin, RejectReason, StaticEval,
 };
 pub use passes::{PassId, PassManager, PassReport, RejectBucket};
-pub use shard::{clear_explore_cache, explore_cache_stats, ScoredDesign, Shard};
+pub use shard::{ScoredDesign, Shard};
 pub use space::{ExplorePoint, ExploreSpace, ExploreSpec};

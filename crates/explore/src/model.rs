@@ -42,10 +42,6 @@ use crate::context::Skeleton;
 use crate::error::ExploreError;
 use crate::space::ExplorePoint;
 
-/// Bump when any closed form changes meaning: the shard cache keys on it,
-/// so stale entries can never be replayed across a model revision.
-pub const MODEL_VERSION: u32 = 1;
-
 /// The builder's realizability floor: derived resolution is clamped so the
 /// dynamic range never exceeds 15 bits (`derive_oxidase_range` in
 /// `bios-platform`).

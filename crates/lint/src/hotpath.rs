@@ -91,7 +91,7 @@ const PAR_CLOSURE: &str = "{par-closure}";
 /// Each entry is the last two path segments of the call — a type and
 /// its associated fn, or a module and its free fn.
 pub const PURE_CTORS: &[(&str, &str)] = &[
-    ("solver_cache", "prefactorized"),
+    ("Prefactorized", "new"),
     ("Grid", "for_experiment"),
     ("Grid", "for_experiment_with"),
     ("Grid", "uniform"),

@@ -7,7 +7,7 @@
 //! | ID | kind | invariant | applies to |
 //! |----|------|-----------|------------|
 //! | D1 | token | no `HashMap`/`HashSet` (iteration order) | deterministic crates |
-//! | D2 | token | no `Instant`/`SystemTime`/`thread::spawn` | all but `bios-platform::exec` + bench harness |
+//! | D2 | token | no `Instant`/`SystemTime`/`thread::spawn`, no `static` of interior-mutable type | all but `bios-platform::exec` + bench harness |
 //! | P1 | token | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` | all library code but the bench harness |
 //! | U1 | token | no raw `f64` params with dimensioned names in `pub fn` | physics-facing crates |
 //! | S1 | token | every `unsafe` needs a `// SAFETY:` comment | everywhere |
@@ -146,8 +146,15 @@ pub(crate) const BENCH_CRATE: &str = "bios-bench";
 pub(crate) const LINT_CRATE: &str = "bios-lint";
 
 /// The one module allowed to touch `std::thread` (the deterministic
-/// parallel engine itself).
+/// parallel engine itself) and to hold a `static`: its read-once
+/// `ADVDIAG_THREADS` override.
 const D2_EXEMPT_FILE: &str = "crates/core/src/exec.rs";
+
+/// Interior-mutable types that make a `static` process-global mutable
+/// state (D2), besides every `Atomic*`.
+const GLOBAL_STATE_TYPES: &[&str] = &[
+    "Mutex", "RwLock", "OnceLock", "LazyLock", "Cell", "RefCell", "OnceCell",
+];
 
 /// Parameter-name suffixes that imply a physical dimension (U1). Each maps
 /// to the `bios-units` newtype that should be used instead.
@@ -509,7 +516,28 @@ fn rule_d1(ctx: &FileContext<'_>, lexed: &Lexed, findings: &mut Vec<Finding>) {
     }
 }
 
-/// D2: wall-clock / ad-hoc threading outside the execution engine.
+/// The interior-mutable type a `static` item at token `i` names, if any:
+/// scans the declared type, from the `:` after the name to the `=`/`;`.
+fn static_state_type(toks: &[Token], i: usize) -> Option<&str> {
+    let mut j = i + 1;
+    if toks.get(j).map(|t| t.text.as_str()) == Some("mut") {
+        j += 1;
+    }
+    if toks.get(j + 1).map(|t| t.text.as_str()) != Some(":") {
+        return None;
+    }
+    toks[j + 2..]
+        .iter()
+        .take_while(|t| t.text != "=" && t.text != ";")
+        .find(|t| {
+            t.kind == TokenKind::Ident
+                && (GLOBAL_STATE_TYPES.contains(&t.text.as_str()) || t.text.starts_with("Atomic"))
+        })
+        .map(|t| t.text.as_str())
+}
+
+/// D2: wall-clock / ad-hoc threading / process-global mutable state
+/// outside the execution engine.
 fn rule_d2(ctx: &FileContext<'_>, lexed: &Lexed, findings: &mut Vec<Finding>) {
     if ctx.crate_name == BENCH_CRATE || ctx.rel_path == D2_EXEMPT_FILE {
         return;
@@ -544,6 +572,22 @@ fn rule_d2(ctx: &FileContext<'_>, lexed: &Lexed, findings: &mut Vec<Finding>) {
                  bypass the deterministic merge-by-index engine; use `par_map`"
                     .to_string(),
             );
+        }
+        if t.text == "static" {
+            if let Some(ty) = static_state_type(toks, i) {
+                push(
+                    findings,
+                    "D2",
+                    ctx,
+                    t.line,
+                    t.col,
+                    format!(
+                        "`static` of type `{ty}` outside `bios-platform::exec`: \
+                         process-global mutable state lets one test or request \
+                         observe another; give the state an owner instead"
+                    ),
+                );
+            }
         }
     }
 }
@@ -1028,18 +1072,27 @@ mod tests {
 
     #[test]
     fn d2_exempts_exec_and_bench() {
-        let src = "fn f() { let t = std::thread::spawn(|| 1); }\n";
-        assert_eq!(lint_source(&ctx_det(), src).len(), 1);
         let exec = FileContext {
             crate_name: "bios-platform",
             rel_path: "crates/core/src/exec.rs",
         };
-        assert!(lint_source(&exec, src).is_empty());
         let bench = FileContext {
             crate_name: "bios-bench",
             rel_path: "crates/bench/src/x.rs",
         };
-        assert!(lint_source(&bench, src).is_empty());
+        for src in [
+            "fn f() { let t = std::thread::spawn(|| 1); }\n",
+            "static HITS: std::sync::OnceLock<Mutex<u64>> = OnceLock::new();\n",
+        ] {
+            let hits = lint_source(&ctx_det(), src);
+            assert_eq!(hits.len(), 1, "{hits:?}");
+            assert_eq!(hits[0].rule, "D2");
+            assert!(lint_source(&exec, src).is_empty());
+            assert!(lint_source(&bench, src).is_empty());
+        }
+        // Immutable statics and `'static` lifetimes are not global state.
+        let quiet = "static NAME: &str = \"x\";\nfn f() -> &'static str { NAME }\n";
+        assert!(lint_source(&ctx_det(), quiet).is_empty());
     }
 
     fn ctx_server() -> FileContext<'static> {

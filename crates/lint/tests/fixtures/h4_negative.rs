@@ -3,7 +3,7 @@
 /// Warm driver: constructors in straight-line setup are the fix shape.
 pub fn simulate_chrono_fleet(n: usize) -> f64 {
     let g = Grid::for_experiment(n);
-    let p = solver_cache::prefactorized(0.1);
+    let p = Prefactorized::new(0.1);
     let mut acc = 0.0;
     for _ in 0..n {
         acc += g + p; // the invariants are *used* per step, not rebuilt

@@ -7,7 +7,7 @@ pub fn step_wave(n: usize) -> f64 {
         acc += g;
     }
     while acc < 10.0 {
-        let p = solver_cache::prefactorized(acc); // site 2: per-iteration refactorization
+        let p = Prefactorized::new(acc); // site 2: per-iteration refactorization
         acc += p;
     }
     acc + helper_ctor(acc)

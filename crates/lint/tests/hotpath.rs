@@ -96,7 +96,7 @@ fn h3_stays_silent_outside_the_server_loop() {
 fn h4_fires_on_every_recomputed_invariant() {
     let src = include_str!("fixtures/h4_positive.rs");
     let hits = rule_hits(src, "H4");
-    // Grid::for_experiment in a for loop, solver_cache::prefactorized in
+    // Grid::for_experiment in a for loop, Prefactorized::new in
     // a while loop, Grid::uniform in a PerIter helper, and NoiseSource::new plus a
     // method-form `.streamer(..)` in the acquisition loop.
     assert_eq!(hits.len(), 5, "{hits:#?}");

@@ -32,13 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!(
-        "\n{} of {} points statically rejected ({:.3}%); {} survivors in {} shards ({} replayed)",
+        "\n{} of {} points statically rejected ({:.3}%); {} survivors in {} shards",
         outcome.statically_rejected,
         outcome.total_points,
         100.0 * outcome.rejection_ratio,
         outcome.band.len(),
         outcome.shard_count,
-        outcome.replayed_shards,
     );
     println!("frontier digest: {:#018x}\n", outcome.frontier_digest);
 

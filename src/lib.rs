@@ -13,7 +13,7 @@
 //! * [`platform`] — the paper's platform methodology and design-space
 //!   exploration,
 //! * [`explore`] — compiler-style exploration at scale: static pruning
-//!   passes, exact Pareto dominance and shard-memoized scoring over
+//!   passes, exact Pareto dominance and sharded parallel scoring over
 //!   million-point spaces,
 //! * [`server`] — diagnostics as a service: a sharded deterministic
 //!   scheduler with bounded admission, deadlines, degradation tiers and
