@@ -10,6 +10,12 @@
 //! chopper+CDS chains; the typical CMOS noise floor and a loud noise model
 //! whose white, flicker and drift terms each exceed one ADC code; and no
 //! fault as well as each fault kind.
+//!
+//! The electrochemistry pins cover the diffusion kernel behind the CV,
+//! SWV and chronoamperometry drivers: CV scans at three rates, couples
+//! whose two species diffuse at different rates (so each species has its
+//! own factorization), a square-wave scan, a scalar chronoamperogram and
+//! a five-lane fleet.
 
 use std::sync::OnceLock;
 
@@ -18,9 +24,13 @@ use advdiag::afe::{
     MatchingQuality, NoiseConfig, ReadoutChain, Sample,
 };
 use advdiag::biochem::Analyte;
-use advdiag::electrochem::PotentialProgram;
+use advdiag::electrochem::{
+    simulate_chrono_fleet, simulate_chrono_with, simulate_cv_with, simulate_swv, Cell, Electrode,
+    ElectrodeMaterial, PotentialProgram, RedoxCouple, SimOptions, SwvParams, Transient,
+    Voltammogram,
+};
 use advdiag::platform::{PanelSpec, Platform, PlatformBuilder, SessionOptions, SessionReport};
-use advdiag::units::{Amps, Molar, Seconds, Volts, VoltsPerSecond};
+use advdiag::units::{Amps, Molar, Seconds, SquareCentimeters, Volts, VoltsPerSecond};
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -199,6 +209,231 @@ fn session_digest(faulted: bool) -> u64 {
         h.bytes(format!("{report:?}").as_bytes());
     }
     h.0
+}
+
+fn voltammogram(h: &mut Fnv, v: &Voltammogram) {
+    h.word(v.len() as u64);
+    for (t, e, i) in v.iter() {
+        h.word(t.value().to_bits());
+        h.word(e.value().to_bits());
+        h.word(i.value().to_bits());
+    }
+}
+
+fn transient(h: &mut Fnv, tr: &Transient) {
+    h.word(tr.len() as u64);
+    for (t, i) in tr.iter() {
+        h.word(t.value().to_bits());
+        h.word(i.value().to_bits());
+    }
+}
+
+fn gold_cell(area_mm2: f64) -> Cell {
+    let we = Electrode::new(
+        ElectrodeMaterial::Gold,
+        SquareCentimeters::from_square_millimeters(area_mm2),
+    )
+    .expect("electrode");
+    Cell::builder(we).build().expect("cell")
+}
+
+/// A quasi-reversible couple whose reduced form diffuses at about half the
+/// rate of the oxidized form.
+fn asymmetric_couple() -> RedoxCouple {
+    RedoxCouple::builder("asymmetric")
+        .formal_potential(Volts::from_millivolts(180.0))
+        .diffusion(7.6e-6)
+        .diffusion_red(3.9e-6)
+        .rate_constant(0.004)
+        .transfer_coefficient(0.42)
+        .build()
+        .expect("couple")
+}
+
+/// CV scans of ferrocyanide at 10, 50 and 200 mV/s with the default
+/// options (charging current included).
+fn cv_digest() -> u64 {
+    let mut h = Fnv::new();
+    for rate in [10.0, 50.0, 200.0] {
+        let program = PotentialProgram::cyclic_single(
+            Volts::new(0.55),
+            Volts::new(-0.1),
+            VoltsPerSecond::from_millivolts_per_second(rate),
+        );
+        let cv = simulate_cv_with(
+            &gold_cell(0.23),
+            &RedoxCouple::ferrocyanide(),
+            Molar::from_millimolar(1.0),
+            Molar::ZERO,
+            &program,
+            SimOptions::default(),
+        )
+        .expect("cv");
+        voltammogram(&mut h, &cv);
+    }
+    h.0
+}
+
+/// CV scans of a couple with `D_red ≠ D_ox`: one on the default grid with
+/// both forms in the bulk, one on the coarse grid without charging.
+fn asymmetric_cv_digest() -> u64 {
+    let couple = asymmetric_couple();
+    let mut h = Fnv::new();
+    let cases = [
+        (
+            SimOptions::default(),
+            Molar::from_millimolar(0.8),
+            Molar::from_millimolar(0.3),
+        ),
+        (
+            SimOptions {
+                dt: None,
+                include_charging: false,
+                grid_gamma: Some(1.4),
+            },
+            Molar::from_millimolar(1.5),
+            Molar::ZERO,
+        ),
+    ];
+    for (options, ox, red) in cases {
+        let program = PotentialProgram::cyclic_single(
+            Volts::new(0.6),
+            Volts::new(-0.3),
+            VoltsPerSecond::from_millivolts_per_second(40.0),
+        );
+        let cv =
+            simulate_cv_with(&gold_cell(0.5), &couple, ox, red, &program, options).expect("cv");
+        voltammogram(&mut h, &cv);
+    }
+    h.0
+}
+
+/// Square-wave scans of ferrocyanide and of the asymmetric couple.
+fn swv_digest() -> u64 {
+    let mut h = Fnv::new();
+    let ferro = simulate_swv(
+        &gold_cell(0.23),
+        &RedoxCouple::ferrocyanide(),
+        Molar::from_millimolar(1.0),
+        Molar::ZERO,
+        &SwvParams::typical(Volts::new(0.53), Volts::new(-0.07)),
+    )
+    .expect("swv");
+    voltammogram(&mut h, &ferro);
+    let asym = simulate_swv(
+        &gold_cell(0.5),
+        &asymmetric_couple(),
+        Molar::from_millimolar(0.6),
+        Molar::from_millimolar(0.2),
+        &SwvParams::typical(Volts::new(0.5), Volts::new(-0.2)),
+    )
+    .expect("swv");
+    voltammogram(&mut h, &asym);
+    h.0
+}
+
+fn step_program() -> PotentialProgram {
+    PotentialProgram::Step {
+        initial: Volts::new(0.5),
+        stepped: Volts::new(-0.2),
+        at: Seconds::new(0.4),
+        duration: Seconds::new(4.0),
+    }
+}
+
+/// Scalar chronoamperograms: H2O2 held at +650 mV, and a potential step on
+/// ferrocyanide with an explicit time step.
+fn chrono_digest() -> u64 {
+    let mut h = Fnv::new();
+    let hold = PotentialProgram::Hold {
+        potential: Volts::from_millivolts(650.0),
+        duration: Seconds::new(20.0),
+    };
+    let tr = simulate_chrono_with(
+        &gold_cell(0.23),
+        &RedoxCouple::hydrogen_peroxide(),
+        Molar::ZERO,
+        Molar::from_millimolar(1.0),
+        &hold,
+        SimOptions::default(),
+    )
+    .expect("chrono");
+    transient(&mut h, &tr);
+    let options = SimOptions {
+        dt: Some(Seconds::from_millis(5.0)),
+        ..SimOptions::default()
+    };
+    let tr = simulate_chrono_with(
+        &gold_cell(1.0),
+        &RedoxCouple::ferrocyanide(),
+        Molar::from_millimolar(0.7),
+        Molar::from_millimolar(0.1),
+        &step_program(),
+        options,
+    )
+    .expect("chrono");
+    transient(&mut h, &tr);
+    h.0
+}
+
+/// A five-lane fleet with per-lane areas and concentrations, on the
+/// default and the coarse grid.
+fn fleet_digest() -> u64 {
+    let cells: Vec<Cell> = [0.23, 0.5, 1.0, 2.0, 0.1]
+        .iter()
+        .map(|mm2| gold_cell(*mm2))
+        .collect();
+    let ox: Vec<Molar> = (0..cells.len())
+        .map(|b| Molar::from_millimolar(0.2 + 0.3 * b as f64))
+        .collect();
+    let red: Vec<Molar> = (0..cells.len())
+        .map(|b| Molar::from_millimolar(0.05 * b as f64))
+        .collect();
+    let mut h = Fnv::new();
+    for gamma in [None, Some(1.4)] {
+        let options = SimOptions {
+            grid_gamma: gamma,
+            ..SimOptions::default()
+        };
+        let lanes = simulate_chrono_fleet(
+            &cells,
+            &RedoxCouple::ferrocyanide(),
+            &ox,
+            &red,
+            &step_program(),
+            options,
+        )
+        .expect("fleet");
+        for tr in &lanes {
+            transient(&mut h, tr);
+        }
+    }
+    h.0
+}
+
+#[test]
+fn cv_is_bit_pinned() {
+    assert_eq!(cv_digest(), 0xa9db_fe70_f6c1_9d1c);
+}
+
+#[test]
+fn asymmetric_cv_is_bit_pinned() {
+    assert_eq!(asymmetric_cv_digest(), 0xc7e1_f873_6a28_4a6a);
+}
+
+#[test]
+fn swv_is_bit_pinned() {
+    assert_eq!(swv_digest(), 0x7088_eb75_1c31_d982);
+}
+
+#[test]
+fn chrono_is_bit_pinned() {
+    assert_eq!(chrono_digest(), 0xc6e4_cd97_ca0f_7b68);
+}
+
+#[test]
+fn chrono_fleet_is_bit_pinned() {
+    assert_eq!(fleet_digest(), 0x4254_2566_e300_44d1);
 }
 
 #[test]
