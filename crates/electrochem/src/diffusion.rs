@@ -140,22 +140,6 @@ impl SpeciesField {
         })
     }
 
-    /// Assembles the zero-flux RHS into `scratch` and solves in place,
-    /// leaving the zero-flux solution in `scratch`. The control widths come
-    /// from the prefactorization (one multiply per node, no grid lookups).
-    fn solve_base(&mut self, dt: f64, bulk: f64) {
-        let n = self.scratch.len();
-        for ((s, c), w) in self.scratch[..n - 1]
-            .iter_mut()
-            .zip(&self.conc)
-            .zip(&self.pre.widths)
-        {
-            *s = c * w / dt;
-        }
-        self.scratch[n - 1] = bulk;
-        self.pre.sys.solve_in_place(&mut self.scratch);
-    }
-
     /// Commits `base + flux·response` as the new concentration field.
     fn commit(&mut self, flux: f64) {
         for (c, (b, r)) in self
@@ -254,14 +238,29 @@ impl DiffusionSim {
         &self.grid
     }
 
+    /// Assembles both species' zero-flux RHS and solves them in one
+    /// interleaved sweep, leaving the zero-flux solutions in the scratch
+    /// buffers. Both species share the grid, so the control widths of `O`'s
+    /// prefactorization serve for both.
+    fn solve_base(&mut self) {
+        let (ox, red) = (&mut self.ox, &mut self.red);
+        ox.pre.sys.solve_pair_scaled(
+            &red.pre.sys,
+            [&ox.conc, &red.conc],
+            &ox.pre.widths,
+            self.dt,
+            [self.bulk_ox, self.bulk_red],
+            [&mut ox.scratch, &mut red.scratch],
+        );
+    }
+
     /// Advances one step with Butler–Volmer rate constants `kf`, `kb` (cm/s):
     /// surface reaction `flux = kf·[O]₀ − kb·[R]₀`, solved implicitly.
     ///
     /// Returns the reaction flux in mol/(cm²·s); positive = `O` consumed
     /// (net reduction).
     pub fn step_with_rate_constants(&mut self, kf: f64, kb: f64) -> f64 {
-        self.ox.solve_base(self.dt, self.bulk_ox);
-        self.red.solve_base(self.dt, self.bulk_red);
+        self.solve_base();
         let base_o0 = self.ox.scratch[0];
         let base_r0 = self.red.scratch[0];
         let s_o0 = self.ox.pre.unit_flux_response[0]; // ≤ 0: consumption lowers [O]₀
@@ -279,8 +278,7 @@ impl DiffusionSim {
     /// (positive = `O` consumed, `R` produced). Used for enzyme-generated
     /// product streams where the chemistry, not the electrode, sets the rate.
     pub fn step_with_flux(&mut self, flux: f64) {
-        self.ox.solve_base(self.dt, self.bulk_ox);
-        self.red.solve_base(self.dt, self.bulk_red);
+        self.solve_base();
         self.ox.commit(flux);
         self.red.commit(-flux);
         self.consumed_ox += flux * self.dt;
@@ -748,20 +746,22 @@ mod tests {
 
     #[test]
     fn batch_matches_scalar_sims_bit_for_bit() {
-        let d = DiffusionCoefficient::new(6.7e-6);
+        // Distinct coefficients, so each species has its own factorization.
+        let d_ox = DiffusionCoefficient::new(6.7e-6);
+        let d_red = DiffusionCoefficient::new(3.1e-6);
         let dt = 0.005;
-        let grid = Grid::for_experiment(d, Seconds::new(1.0), Seconds::new(dt)).expect("grid");
+        let grid = Grid::for_experiment(d_ox, Seconds::new(1.0), Seconds::new(dt)).expect("grid");
         let bulks = [
             (MolesPerCm3::new(1e-6), MolesPerCm3::ZERO),
             (MolesPerCm3::new(2.5e-6), MolesPerCm3::new(1e-7)),
             (MolesPerCm3::ZERO, MolesPerCm3::new(5e-7)),
         ];
-        let mut batch =
-            BatchDiffusionSim::new(grid.clone(), d, d, &bulks, Seconds::new(dt)).expect("batch");
+        let mut batch = BatchDiffusionSim::new(grid.clone(), d_ox, d_red, &bulks, Seconds::new(dt))
+            .expect("batch");
         let mut scalars: Vec<DiffusionSim> = bulks
             .iter()
             .map(|(o, r)| {
-                DiffusionSim::new(grid.clone(), d, d, *o, *r, Seconds::new(dt)).expect("sim")
+                DiffusionSim::new(grid.clone(), d_ox, d_red, *o, *r, Seconds::new(dt)).expect("sim")
             })
             .collect();
         // Heterogeneous per-lane kinetics, varying per step.

@@ -6,6 +6,7 @@
 //! these models quantify that.
 
 use crate::cell::Cell;
+use crate::error::ElectrochemError;
 use bios_units::{Amps, Seconds, Volts, VoltsPerSecond};
 
 /// Charging current during a linear sweep: `i_c = C_dl·(dE/dt)`.
@@ -57,38 +58,55 @@ pub fn charging_settling_time(cell: &Cell, fraction: f64) -> Seconds {
 /// resistance `R_u`; for a piecewise-constant applied potential the update
 /// is exact: `E_cap ← E + (E_cap − E)·exp(−Δt/τ)`, and the average charging
 /// current over the step is `C_dl·ΔE_cap/Δt`. As `τ → 0` this recovers the
-/// ideal `i_c = C_dl·dE/dt`.
+/// ideal `i_c = C_dl·dE/dt`. A filter is bound to one step length `Δt`, so
+/// the decay factor is computed once, not per step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChargingFilter {
     e_cap: f64,
-    tau: f64,
     cdl: f64,
+    dt: f64,
+    /// `exp(−Δt/τ)`, or `None` when `τ ≤ 0` and the capacitor follows the
+    /// applied potential at once.
+    decay: Option<f64>,
 }
 
 impl ChargingFilter {
-    /// Creates the filter pre-equilibrated at `initial` potential.
-    pub fn new(cell: &Cell, initial: Volts) -> Self {
-        Self {
-            e_cap: initial.value(),
-            tau: cell.time_constant().value(),
-            cdl: cell.double_layer_capacitance().value(),
+    /// Creates the filter pre-equilibrated at `initial` potential, stepping
+    /// by `dt`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ElectrochemError::InvalidParameter`] unless `dt` is
+    /// positive and finite.
+    pub fn new(cell: &Cell, initial: Volts, dt: Seconds) -> Result<Self, ElectrochemError> {
+        let dt = dt.value();
+        if dt <= 0.0 || !dt.is_finite() {
+            return Err(ElectrochemError::invalid(
+                "dt",
+                "must be positive and finite",
+            ));
         }
+        let tau = cell.time_constant().value();
+        Ok(Self {
+            e_cap: initial.value(),
+            cdl: cell.double_layer_capacitance().value(),
+            dt,
+            decay: if tau <= 0.0 {
+                None
+            } else {
+                Some((-dt / tau).exp())
+            },
+        })
     }
 
-    /// Advances one step of length `dt` with applied potential `e`; returns
-    /// the average charging current over the step (anodic positive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not strictly positive.
-    pub fn step(&mut self, e: Volts, dt: Seconds) -> Amps {
-        assert!(dt.value() > 0.0, "time step must be positive");
-        let next = if self.tau <= 0.0 {
-            e.value()
-        } else {
-            e.value() + (self.e_cap - e.value()) * (-dt.value() / self.tau).exp()
+    /// Advances one step with applied potential `e`; returns the average
+    /// charging current over the step (anodic positive).
+    pub fn step(&mut self, e: Volts) -> Amps {
+        let next = match self.decay {
+            Some(k) => e.value() + (self.e_cap - e.value()) * k,
+            None => e.value(),
         };
-        let i = self.cdl * (next - self.e_cap) / dt.value();
+        let i = self.cdl * (next - self.e_cap) / self.dt;
         self.e_cap = next;
         Amps::new(i)
     }
@@ -179,13 +197,13 @@ mod tests {
     #[test]
     fn charging_filter_tracks_ramp_asymptote() {
         let cell = cell_with_area(0.23);
-        let mut filt = ChargingFilter::new(&cell, Volts::ZERO);
         let dt = Seconds::from_millis(1.0);
+        let mut filt = ChargingFilter::new(&cell, Volts::ZERO, dt).expect("dt");
         let rate = 0.02; // 20 mV/s
         let mut i = Amps::ZERO;
         for k in 0..2000 {
             let e = Volts::new(rate * (k + 1) as f64 * dt.value());
-            i = filt.step(e, dt);
+            i = filt.step(e);
         }
         let expected = sweep_charging_current(
             &cell,
@@ -196,15 +214,26 @@ mod tests {
     }
 
     #[test]
+    fn charging_filter_rejects_bad_intervals() {
+        let cell = cell_with_area(0.23);
+        for dt in [0.0, -1e-3, f64::NAN, f64::INFINITY] {
+            assert!(
+                ChargingFilter::new(&cell, Volts::ZERO, Seconds::new(dt)).is_err(),
+                "dt {dt}"
+            );
+        }
+    }
+
+    #[test]
     fn charging_filter_step_charge_conserved() {
         // Total charge through the filter after a step equals C·ΔE.
         let cell = cell_with_area(0.23);
-        let mut filt = ChargingFilter::new(&cell, Volts::ZERO);
         let dt = Seconds::from_micros(1.0);
+        let mut filt = ChargingFilter::new(&cell, Volts::ZERO, dt).expect("dt");
         let e = Volts::from_millivolts(650.0);
         let mut q = 0.0;
         for _ in 0..200 {
-            q += filt.step(e, dt).value() * dt.value();
+            q += filt.step(e).value() * dt.value();
         }
         let expected = cell.double_layer_capacitance().value() * 0.65;
         assert!(

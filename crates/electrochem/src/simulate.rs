@@ -87,7 +87,7 @@ fn run<F: FnMut(Seconds, bios_units::Volts, Amps)>(
     let area = cell.working().active_area();
     let kinetic_factor = cell.working().kinetic_factor();
     let n = couple.electrons() as f64;
-    let mut charging = ChargingFilter::new(cell, program.potential_at(Seconds::ZERO));
+    let mut charging = ChargingFilter::new(cell, program.potential_at(Seconds::ZERO), dt)?;
 
     // Record the initial rest point.
     record(
@@ -102,7 +102,7 @@ fn run<F: FnMut(Seconds, bios_units::Volts, Amps)>(
         let flux = sim.step_with_rate_constants(kf, kb);
         let i_far = Amps::new(-n * FARADAY * area.value() * flux);
         let i_c = if options.include_charging {
-            charging.step(e, dt)
+            charging.step(e)
         } else {
             Amps::ZERO
         };
@@ -276,8 +276,10 @@ pub fn simulate_chrono_fleet(
     let kinetic_factors: Vec<f64> = cells.iter().map(|c| c.working().kinetic_factor()).collect();
     let n = couple.electrons() as f64;
     let e0 = program.potential_at(Seconds::ZERO);
-    let mut chargers: Vec<ChargingFilter> =
-        cells.iter().map(|c| ChargingFilter::new(c, e0)).collect();
+    let mut chargers = cells
+        .iter()
+        .map(|c| ChargingFilter::new(c, e0, dt))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut out = vec![Transient::new(); lanes];
     for tr in &mut out {
@@ -297,7 +299,7 @@ pub fn simulate_chrono_fleet(
         for (b, tr) in out.iter_mut().enumerate() {
             let i_far = Amps::new(-n * FARADAY * areas[b] * fluxes[b]);
             let i_c = if options.include_charging {
-                chargers[b].step(e, dt)
+                chargers[b].step(e)
             } else {
                 Amps::ZERO
             };

@@ -173,6 +173,92 @@ impl Tridiagonal {
         }
     }
 
+    /// Solves two independent systems of the same size in one interleaved
+    /// sweep: `self·x = d` and `other·y = e`, with the right-hand sides
+    /// assembled on the fly as `d_i = (a_i·w_i)/s` and `e_i = (b_i·w_i)/s`
+    /// on rows `0..n−1` and `d_{n−1} = last[0]`, `e_{n−1} = last[1]` on the
+    /// last row — the backward-Euler right-hand side of two species sharing
+    /// a grid with Dirichlet far boundaries. Solutions land in `out`.
+    ///
+    /// Each Thomas pass is one serial dependency chain per system, so a
+    /// single solve is bound by the latency of that chain. Advancing row
+    /// `i` of both systems in the same iteration lets the core overlap the
+    /// two chains, and folding the assembly into the forward pass runs its
+    /// divides beside the chains instead of in a loop of their own. Per
+    /// system every operation is the one
+    /// [`Self::solve_in_place`] performs on the assembled right-hand side,
+    /// in the same order, so each solution is bit-identical to a separate
+    /// assembly and solve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the systems differ in size, if `out` slices do not have
+    /// length `n`, or if `src` or `w` are shorter than `n − 1`.
+    pub(crate) fn solve_pair_scaled(
+        &self,
+        other: &Self,
+        src: [&[f64]; 2],
+        w: &[f64],
+        s: f64,
+        last: [f64; 2],
+        out: [&mut [f64]; 2],
+    ) {
+        let n = self.len();
+        assert_eq!(other.len(), n, "paired systems differ in size");
+        let [a, b] = src;
+        let [x, y] = out;
+        assert_eq!(x.len(), n, "first solution length mismatch");
+        assert_eq!(y.len(), n, "second solution length mismatch");
+        // Row m = n−1 holds the boundary value; rows 0..m are assembled.
+        let m = n - 1;
+        let (xh, xl) = x.split_at_mut(m);
+        let (yh, yl) = y.split_at_mut(m);
+        let (mut na, mut nb) = (last[0], last[1]);
+        if m > 0 {
+            // Forward elimination with the running values kept in
+            // registers and the lockstep iterators eliding bounds checks.
+            let (mut pa, mut pb) = (a[0] * w[0] / s, b[0] * w[0] / s);
+            xh[0] = pa;
+            yh[0] = pb;
+            for ((((xi, yi), (ai, bi)), wi), (ma, mb)) in xh[1..]
+                .iter_mut()
+                .zip(&mut yh[1..])
+                .zip(a[1..m].iter().zip(&b[1..m]))
+                .zip(&w[1..m])
+                .zip(self.factor_lower.iter().zip(&other.factor_lower))
+            {
+                pa = ai * wi / s - ma * pa;
+                pb = bi * wi / s - mb * pb;
+                *xi = pa;
+                *yi = pb;
+            }
+            na -= self.factor_lower[m - 1] * pa;
+            nb -= other.factor_lower[m - 1] * pb;
+        }
+        // Back substitution, same treatment.
+        na /= self.factor_main[m];
+        nb /= other.factor_main[m];
+        xl[0] = na;
+        yl[0] = nb;
+        for (((xi, yi), (ua, ub)), (fa, fb)) in xh
+            .iter_mut()
+            .rev()
+            .zip(yh.iter_mut().rev())
+            .zip(self.upper.iter().rev().zip(other.upper.iter().rev()))
+            .zip(
+                self.factor_main[..m]
+                    .iter()
+                    .rev()
+                    .zip(other.factor_main[..m].iter().rev()),
+            )
+        {
+            na = (*xi - ua * na) / fa;
+            nb = (*yi - ub * nb) / fb;
+            *xi = na;
+            *yi = nb;
+        }
+    }
+
     /// Solves `A·X = D` for `batch` right-hand sides with one sweep.
     ///
     /// `d` is a node-major `[node × lane]` plane: `d[i * batch + b]` holds
@@ -377,6 +463,41 @@ mod tests {
         sys.solve_in_place(&mut a);
         sys.solve_batch_in_place(&mut b, 1);
         assert_eq!(a, b);
+    }
+
+    /// A diagonally dominant system of size `n`, varied by `k`.
+    fn dominant(n: usize, k: f64) -> Tridiagonal {
+        let lower = (0..n - 1).map(|i| -0.3 - k * 0.001 * i as f64).collect();
+        let upper = (0..n - 1).map(|i| -0.4 + k * 0.002 * i as f64).collect();
+        let main = (0..n).map(|i| 2.0 + k * 0.01 * i as f64).collect();
+        Tridiagonal::new(lower, main, upper).expect("valid")
+    }
+
+    #[test]
+    fn pair_sweep_matches_two_scalar_solves_bit_for_bit() {
+        for n in [1, 2, 3, 48] {
+            let (p, q) = (dominant(n, 1.0), dominant(n, 2.7));
+            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() + 1.5).collect();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).cos() * 1e-6).collect();
+            let w: Vec<f64> = (0..n).map(|i| 1e-3 * 1.1f64.powi(i as i32)).collect();
+            let (s, last) = (0.007, [1.25, 3e-7]);
+            // Reference: assemble each right-hand side, then solve alone.
+            let assemble = |c: &[f64], last: f64| -> Vec<f64> {
+                let mut d: Vec<f64> = c.iter().zip(&w).map(|(c, w)| c * w / s).collect();
+                d[n - 1] = last;
+                d
+            };
+            let mut da = assemble(&a, last[0]);
+            let mut db = assemble(&b, last[1]);
+            p.solve_in_place(&mut da);
+            q.solve_in_place(&mut db);
+            let (mut x, mut y) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            p.solve_pair_scaled(&q, [&a, &b], &w, s, last, [&mut x, &mut y]);
+            for i in 0..n {
+                assert_eq!(x[i].to_bits(), da[i].to_bits(), "n {n} first, node {i}");
+                assert_eq!(y[i].to_bits(), db[i].to_bits(), "n {n} second, node {i}");
+            }
+        }
     }
 
     #[test]
