@@ -55,16 +55,6 @@ impl Adc {
         self.bits
     }
 
-    /// Full-scale magnitude.
-    pub fn vref(&self) -> Volts {
-        self.vref
-    }
-
-    /// Sample rate.
-    pub fn sample_rate(&self) -> Hertz {
-        self.sample_rate
-    }
-
     /// One least-significant bit in volts: `2·vref/2^bits`.
     pub fn lsb(&self) -> Volts {
         Volts::new(2.0 * self.vref.value() / (1u64 << self.bits) as f64)
@@ -86,15 +76,6 @@ impl Adc {
     /// Whether a voltage would clip.
     pub fn saturates(&self, v: Volts) -> bool {
         v.value().abs() >= self.vref.value()
-    }
-
-    /// Effective number of bits when the input carries Gaussian noise of
-    /// standard deviation `noise_sd`: quantization and noise powers add.
-    pub fn enob(&self, noise_sd: Volts) -> f64 {
-        let q = self.lsb().value() / 12f64.sqrt(); // quantization noise RMS
-        let total = (q * q + noise_sd.value().powi(2)).sqrt();
-        let full_scale_rms = self.vref.value() / 2f64.sqrt();
-        ((full_scale_rms / total).log2() - 0.29).max(0.0) // SINAD formula rearranged
     }
 }
 
@@ -143,15 +124,6 @@ mod tests {
         assert_eq!(bottom, -2048);
         assert!(a.saturates(Volts::new(1.7)));
         assert!(!a.saturates(Volts::new(1.0)));
-    }
-
-    #[test]
-    fn enob_degrades_with_noise() {
-        let a = adc();
-        let clean = a.enob(Volts::ZERO);
-        assert!(clean > 11.0 && clean <= 12.1, "clean enob {clean}");
-        let noisy = a.enob(Volts::from_millivolts(5.0));
-        assert!(noisy < clean - 2.0, "noisy enob {noisy}");
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl CorrelatedDoubleSampler {
         Self { matching }
     }
 
-    /// The electrode matching quality.
-    pub fn matching(&self) -> MatchingQuality {
-        self.matching
-    }
-
     /// Models one corrected sample: the wanted `signal` survives, a shared
     /// low-frequency `disturbance` is attenuated to its residual fraction
     /// (the blank electrode sees `rejection`× of it), and per-channel
@@ -65,20 +60,9 @@ impl CorrelatedDoubleSampler {
         signal + shared_disturbance * self.residual_drift_fraction() + active_noise - blank_noise
     }
 
-    /// Plain subtraction of synchronized samples — the hardware operation.
-    pub fn subtract(&self, active: Amps, blank: Amps) -> Amps {
-        active - blank
-    }
-
-    /// White-noise penalty of the subtraction (uncorrelated noise adds in
-    /// power): √2.
-    pub fn white_noise_penalty(&self) -> f64 {
-        core::f64::consts::SQRT_2
-    }
-
     /// The drift suppression factor applied to shared low-frequency
     /// disturbance: `1 − rejection`.
-    pub fn residual_drift_fraction(&self) -> f64 {
+    pub(crate) fn residual_drift_fraction(&self) -> f64 {
         1.0 - self.matching.rejection()
     }
 }
@@ -94,28 +78,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn subtraction_removes_shared_signal() {
-        let cds = CorrelatedDoubleSampler::default();
-        let signal = Amps::from_nanoamps(100.0);
-        let drift = Amps::from_nanoamps(37.0);
-        let active = signal + drift;
-        let blank = drift;
-        let corrected = cds.subtract(active, blank);
-        assert!((corrected.value() - signal.value()).abs() < 1e-18);
-    }
-
-    #[test]
-    fn interferent_on_blank_cancels_but_sensor_specific_does_not() {
-        // Ascorbate oxidizes on both electrodes: subtracting removes it.
-        let cds = CorrelatedDoubleSampler::default();
-        let glucose_current = Amps::from_nanoamps(200.0);
-        let ascorbate = Amps::from_nanoamps(50.0);
-        let active = glucose_current + ascorbate;
-        let blank = ascorbate;
-        assert!((cds.subtract(active, blank).value() - glucose_current.value()).abs() < 1e-18);
-    }
-
-    #[test]
     fn matching_quality_ordering() {
         assert!(
             MatchingQuality::Monolithic.rejection() > MatchingQuality::SameSubstrate.rejection()
@@ -123,12 +85,6 @@ mod tests {
         assert!(MatchingQuality::SameSubstrate.rejection() > MatchingQuality::Discrete.rejection());
         let mono = CorrelatedDoubleSampler::new(MatchingQuality::Monolithic);
         assert!((mono.residual_drift_fraction() - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn white_noise_penalty_is_sqrt2() {
-        let cds = CorrelatedDoubleSampler::default();
-        assert!((cds.white_noise_penalty() - core::f64::consts::SQRT_2).abs() < 1e-12);
     }
 
     #[test]

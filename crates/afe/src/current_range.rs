@@ -66,11 +66,6 @@ impl CurrentRange {
         codes.log2().ceil() as u8
     }
 
-    /// Dynamic range in dB: `20·log10(FS/res)`.
-    pub fn dynamic_range_db(&self) -> f64 {
-        20.0 * (self.full_scale.value() / self.resolution.value()).log10()
-    }
-
     /// Scales both full scale and resolution by `factor` — the paper's
     /// range classes are specified for ≈1 cm² screen-printed electrodes;
     /// a platform using the 0.23 mm² biointerface WEs scales them by the
@@ -86,12 +81,6 @@ impl CurrentRange {
             full_scale: self.full_scale * factor,
             resolution: self.resolution * factor,
         }
-    }
-
-    /// Whether this range also covers `other` (both ends).
-    pub fn covers(&self, other: &CurrentRange) -> bool {
-        self.full_scale.value() >= other.full_scale.value()
-            && self.resolution.value() <= other.resolution.value()
     }
 }
 
@@ -117,30 +106,11 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_range_is_60_db() {
-        assert!((CurrentRange::oxidase().dynamic_range_db() - 60.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn fits_checks_both_signs() {
         let ox = CurrentRange::oxidase();
         assert!(ox.fits(Amps::from_microamps(9.9)));
         assert!(ox.fits(Amps::from_microamps(-9.9)));
         assert!(!ox.fits(Amps::from_microamps(10.1)));
-    }
-
-    #[test]
-    fn neither_paper_range_covers_the_other() {
-        // CYP has more full scale but coarser resolution: a real trade-off
-        // the platform's range-switching handles.
-        let ox = CurrentRange::oxidase();
-        let cyp = CurrentRange::cytochrome();
-        assert!(!cyp.covers(&ox));
-        assert!(!ox.covers(&cyp));
-        // A 100 µA / 10 nA range covers both (at a 14-bit cost).
-        let wide = CurrentRange::new(Amps::from_microamps(100.0), Amps::from_nanoamps(10.0));
-        assert!(wide.covers(&ox) && wide.covers(&cyp));
-        assert_eq!(wide.required_bits(), 15);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`Tia`] — transimpedance current-to-voltage conversion,
 //! * [`NoiseSource`] — white + flicker + drift input-referred noise,
 //! * [`CorrelatedDoubleSampler`] — blank-electrode CDS (§II-C),
-//! * chopper stabilization via [`NoiseConfig::chopped`],
+//! * chopper stabilization via `NoiseConfig::chopped`,
 //! * [`Adc`] / [`VoltageGenerator`] — data converters,
 //! * [`AnalogMux`] — sharing one chain across working electrodes,
 //! * [`CurrentRange`] — the paper's ±10 µA/10 nA and ±100 µA/100 nA classes,

@@ -3,7 +3,7 @@
 //! sequentially among the different working electrodes").
 
 use crate::error::AfeError;
-use bios_units::{Amps, Coulombs, Seconds};
+use bios_units::{Coulombs, Seconds};
 
 /// An analog mux with switching time, settling and charge injection.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -72,41 +72,10 @@ impl AnalogMux {
         self.switch_time
     }
 
-    /// Settling time constant after a switch event.
-    pub fn settle_tau(&self) -> Seconds {
-        self.settle_tau
-    }
-
-    /// Validates a channel index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AfeError::BadChannel`] for out-of-range indices.
-    pub fn check_channel(&self, channel: usize) -> Result<(), AfeError> {
-        if channel >= self.channels {
-            return Err(AfeError::BadChannel {
-                requested: channel,
-                available: self.channels,
-            });
-        }
-        Ok(())
-    }
-
     /// Dead time before a channel's signal is trustworthy after switching:
     /// switch time + 5 settling constants.
     pub fn acquisition_delay(&self) -> Seconds {
         Seconds::new(self.switch_time.value() + 5.0 * self.settle_tau.value())
-    }
-
-    /// The transient artifact current a time `t` after a switch event:
-    /// the injected charge discharging through the settle time constant.
-    pub fn switching_artifact(&self, t: Seconds) -> Amps {
-        // advdiag::allow(F1, exact sentinel: zero settle tau models an ideal switch with no artifact)
-        if t.value() < 0.0 || self.settle_tau.value() == 0.0 {
-            return Amps::ZERO;
-        }
-        let i0 = self.charge_injection.value() / self.settle_tau.value();
-        Amps::new(i0 * (-t.value() / self.settle_tau.value()).exp())
     }
 
     /// Round-robin schedule: which channel is selected at time `t` when
@@ -120,11 +89,6 @@ impl AnalogMux {
         let slot = dwell.value() + self.switch_time.value();
         let idx = (t.value().max(0.0) / slot) as usize;
         idx % self.channels
-    }
-
-    /// Total time for one full scan of all channels at the given dwell.
-    pub fn scan_period(&self, dwell: Seconds) -> Seconds {
-        Seconds::new((dwell.value() + self.switch_time.value()) * self.channels as f64)
     }
 }
 
@@ -143,19 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_bounds_checked() {
-        let m = mux();
-        assert!(m.check_channel(4).is_ok());
-        assert!(matches!(
-            m.check_channel(5),
-            Err(AfeError::BadChannel {
-                requested: 5,
-                available: 5
-            })
-        ));
-    }
-
-    #[test]
     fn round_robin_covers_all_channels() {
         let m = mux();
         let dwell = Seconds::new(60.0);
@@ -169,27 +120,6 @@ mod tests {
         assert_eq!(
             m.channel_at(Seconds::new(5.0 * (60.0 + 1e-6) + 1.0), dwell),
             0
-        );
-    }
-
-    #[test]
-    fn artifact_decays_below_resolution_after_delay() {
-        let m = mux();
-        // After the acquisition delay the artifact must be below the
-        // paper's 10 nA oxidase resolution.
-        let i = m.switching_artifact(m.acquisition_delay());
-        assert!(i.as_nanoamps() < 10.0, "artifact {} nA", i.as_nanoamps());
-        // At t = 0 the artifact is large (100 nA for 1 pC / 10 µs).
-        assert!(m.switching_artifact(Seconds::ZERO).as_nanoamps() > 50.0);
-    }
-
-    #[test]
-    fn scan_period_scales_with_channels() {
-        let m5 = mux();
-        let m10 = AnalogMux::typical_cmos(10).expect("valid");
-        let dwell = Seconds::new(30.0);
-        assert!(
-            (m10.scan_period(dwell).value() / m5.scan_period(dwell).value() - 2.0).abs() < 1e-9
         );
     }
 

@@ -26,7 +26,8 @@ pub struct NoiseConfig {
 
 impl NoiseConfig {
     /// A noiseless configuration (for deterministic tests).
-    pub const NONE: NoiseConfig = NoiseConfig {
+    #[cfg(test)]
+    pub(crate) const NONE: NoiseConfig = NoiseConfig {
         white_density: 0.0,
         flicker_density_1hz: 0.0,
         drift_per_sqrt_s: 0.0,
@@ -46,7 +47,7 @@ impl NoiseConfig {
     /// the 1/f corner before amplification, suppressing flicker by
     /// `suppression` (typically 50×) at the cost of √2 more white noise
     /// (ripple folding).
-    pub fn chopped(self, suppression: f64) -> Self {
+    pub(crate) fn chopped(self, suppression: f64) -> Self {
         Self {
             white_density: self.white_density * core::f64::consts::SQRT_2,
             flicker_density_1hz: self.flicker_density_1hz / suppression.max(1.0),
@@ -189,11 +190,6 @@ impl NoiseSource {
         Amps::new(self.drift)
     }
 
-    /// Resets the drift walk (e.g. after an electrode refresh).
-    pub fn reset_drift(&mut self) {
-        self.drift = 0.0;
-    }
-
     /// The two uniform draws one Box–Muller normal consumes.
     fn uniform_pair(&mut self) -> (f64, f64) {
         (
@@ -304,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn drift_accumulates_and_resets() {
+    fn drift_accumulates() {
         let cfg = NoiseConfig {
             white_density: 0.0,
             flicker_density_1hz: 0.0,
@@ -315,8 +311,6 @@ mod tests {
             let _ = n.sample();
         }
         assert!(n.drift().value().abs() > 0.0);
-        n.reset_drift();
-        assert_eq!(n.drift().value(), 0.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the programmed value while the CE supplies the cell current.
 
 use crate::error::AfeError;
-use bios_units::{Amps, Hertz, Ohms, Seconds, Volts};
+use bios_units::{Hertz, Ohms, Seconds, Volts};
 
 /// A behavioral potentiostat: finite-gain control amplifier with a
 /// gain–bandwidth product and counter-electrode compliance limits.
@@ -81,21 +81,6 @@ impl Potentiostat {
         )
     }
 
-    /// Open-loop DC gain.
-    pub fn open_loop_gain(&self) -> f64 {
-        self.open_loop_gain
-    }
-
-    /// Gain–bandwidth product.
-    pub fn gain_bandwidth(&self) -> Hertz {
-        self.gain_bandwidth
-    }
-
-    /// Counter-electrode voltage compliance (± this value).
-    pub fn compliance(&self) -> Volts {
-        self.compliance
-    }
-
     /// The actually-applied RE–WE potential for a setpoint, from the finite
     /// loop gain: `E = E_set·A/(1+A)`.
     pub fn applied(&self, setpoint: Volts) -> Volts {
@@ -109,37 +94,8 @@ impl Potentiostat {
 
     /// Closed-loop small-signal settling time constant (unity feedback):
     /// `τ = 1/(2π·GBW)`.
-    pub fn settling_tau(&self) -> Seconds {
+    pub(crate) fn settling_tau(&self) -> Seconds {
         Seconds::new(1.0 / (2.0 * core::f64::consts::PI * self.gain_bandwidth.value()))
-    }
-
-    /// Checks that the counter electrode can drive `cell_current` through a
-    /// cell of total impedance `cell_resistance` while holding `setpoint`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AfeError::RangeExceeded`] when the required CE voltage
-    /// exceeds the compliance.
-    pub fn check_compliance(
-        &self,
-        setpoint: Volts,
-        cell_current: Amps,
-        cell_resistance: Ohms,
-    ) -> Result<(), AfeError> {
-        let ce_voltage = setpoint.value().abs()
-            + cell_current.value().abs()
-                * (cell_resistance.value() + self.output_resistance.value());
-        if ce_voltage > self.compliance.value() {
-            return Err(AfeError::RangeExceeded {
-                block: "potentiostat",
-                detail: format!(
-                    "counter electrode needs {:.3} V but compliance is {:.3} V",
-                    ce_voltage,
-                    self.compliance.value()
-                ),
-            });
-        }
-        Ok(())
     }
 
     /// Creates a streaming state that tracks the setpoint with the loop's
@@ -210,27 +166,6 @@ mod tests {
         let set = Volts::from_millivolts(650.0);
         let r = lo.static_error(set).value() / hi.static_error(set).value();
         assert!((r - 1000.0).abs() / 1000.0 < 0.01, "r = {r}");
-    }
-
-    #[test]
-    fn compliance_check() {
-        let p = Potentiostat::typical_cmos().expect("valid");
-        // 1 µA through 10 kΩ at 650 mV: fine.
-        assert!(p
-            .check_compliance(
-                Volts::from_millivolts(650.0),
-                Amps::from_microamps(1.0),
-                Ohms::from_kiloohms(10.0)
-            )
-            .is_ok());
-        // 100 µA through 100 kΩ: needs 10+ V.
-        assert!(p
-            .check_compliance(
-                Volts::from_millivolts(650.0),
-                Amps::from_microamps(100.0),
-                Ohms::from_kiloohms(100.0)
-            )
-            .is_err());
     }
 
     #[test]

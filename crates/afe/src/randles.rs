@@ -5,7 +5,7 @@
 //! double-layer capacitance `C_dl` and charge-transfer resistance `R_ct`.
 
 use crate::error::AfeError;
-use bios_units::{Amps, Farads, Hertz, Ohms, Seconds, Volts};
+use bios_units::{Amps, Farads, Ohms, Seconds, Volts};
 
 /// A Randles dummy cell with exact discrete-time stepping.
 ///
@@ -105,57 +105,9 @@ impl RandlesCell {
     }
 
     /// The present branch voltage (observable for tests).
-    pub fn branch_voltage(&self) -> Volts {
+    #[cfg(test)]
+    pub(crate) fn branch_voltage(&self) -> Volts {
         Volts::new(self.vc)
-    }
-
-    /// Small-signal impedance at frequency `f`: `Z = R_s + R_ct/(1 + jωR_ctC)`.
-    ///
-    /// Returns `(magnitude, phase)` with the phase in radians (negative =
-    /// capacitive). This is the electrochemical impedance spectroscopy
-    /// (EIS) view of the cell — the standard diagnostic for electrode
-    /// fouling and membrane degradation in deployed biosensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is not strictly positive.
-    pub fn impedance(&self, f: Hertz) -> (Ohms, f64) {
-        assert!(f.value() > 0.0, "frequency must be positive");
-        let omega = 2.0 * core::f64::consts::PI * f.value();
-        let (rs, rct, c) = (self.rs.value(), self.rct.value(), self.cdl.value());
-        // Z_parallel = Rct/(1 + jωRctC)
-        let denom = 1.0 + (omega * rct * c).powi(2);
-        let re = rs + rct / denom;
-        let im = -omega * rct * rct * c / denom;
-        (Ohms::new((re * re + im * im).sqrt()), im.atan2(re))
-    }
-
-    /// The characteristic frequency of the charge-transfer semicircle,
-    /// `f_c = 1/(2π·R_ct·C_dl)` — the apex of the Nyquist arc.
-    pub fn characteristic_frequency(&self) -> Hertz {
-        Hertz::new(1.0 / (2.0 * core::f64::consts::PI * self.rct.value() * self.cdl.value()))
-    }
-
-    /// Samples a full impedance spectrum over `[f_lo, f_hi]`,
-    /// logarithmically spaced — a Bode/Nyquist dataset.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < f_lo < f_hi` and `points >= 2`.
-    pub fn spectrum(&self, f_lo: Hertz, f_hi: Hertz, points: usize) -> Vec<(Hertz, Ohms, f64)> {
-        assert!(
-            f_lo.value() > 0.0 && f_hi.value() > f_lo.value(),
-            "need 0 < f_lo < f_hi"
-        );
-        assert!(points >= 2, "need at least two points");
-        let (llo, lhi) = (f_lo.value().ln(), f_hi.value().ln());
-        (0..points)
-            .map(|k| {
-                let f = Hertz::new((llo + (lhi - llo) * k as f64 / (points - 1) as f64).exp());
-                let (mag, phase) = self.impedance(f);
-                (f, mag, phase)
-            })
-            .collect()
     }
 }
 
@@ -237,87 +189,5 @@ mod tests {
             let _ = c.step(Volts::ZERO, Seconds::from_micros(10.0));
         }
         assert!(c.branch_voltage().value().abs() < 1e-9);
-    }
-}
-
-#[cfg(test)]
-mod eis_tests {
-    use super::*;
-
-    fn cell() -> RandlesCell {
-        RandlesCell::new(
-            Ohms::new(100.0),
-            Ohms::from_kiloohms(100.0),
-            Farads::from_nanofarads(46.0),
-        )
-        .expect("valid")
-    }
-
-    #[test]
-    fn impedance_limits_are_rs_and_rs_plus_rct() {
-        let c = cell();
-        let (lo_mag, lo_phase) = c.impedance(Hertz::new(1e-3));
-        assert!(
-            (lo_mag.value() - c.dc_resistance().value()).abs() / c.dc_resistance().value() < 0.01
-        );
-        assert!(lo_phase.abs() < 0.1, "DC limit is resistive");
-        let (hi_mag, hi_phase) = c.impedance(Hertz::from_megahertz(10.0));
-        assert!(
-            (hi_mag.value() - 100.0).abs() < 1.0,
-            "high-frequency limit is Rs"
-        );
-        assert!(hi_phase.abs() < 0.1);
-    }
-
-    #[test]
-    fn phase_minimum_near_characteristic_frequency() {
-        let c = cell();
-        let fc = c.characteristic_frequency();
-        // Scan around fc: the most negative phase sits within a factor ~3.
-        let mut best = (0.0f64, 0.0f64);
-        for k in -20..=20 {
-            let f = Hertz::new(fc.value() * 10f64.powf(k as f64 / 10.0));
-            let (_, phase) = c.impedance(f);
-            if phase < best.1 {
-                best = (f.value(), phase);
-            }
-        }
-        assert!(best.1 < -0.7, "a capacitive dip must exist, got {}", best.1);
-        // The phase extremum of Rs + (Rct ∥ C) sits at fc·√(1 + Rct/Rs),
-        // ≈32×fc for this cell.
-        let expected = fc.value() * (1.0 + 1e5 / 100.0f64).sqrt();
-        let ratio = best.0 / expected;
-        assert!(
-            (0.2..5.0).contains(&ratio),
-            "dip at {ratio}× the expected extremum"
-        );
-    }
-
-    #[test]
-    fn spectrum_is_log_spaced_and_monotone_in_magnitude() {
-        let c = cell();
-        let spec = c.spectrum(Hertz::new(0.01), Hertz::from_kilohertz(100.0), 40);
-        assert_eq!(spec.len(), 40);
-        for pair in spec.windows(2) {
-            assert!(pair[1].0.value() > pair[0].0.value());
-            // |Z| decreases monotonically for a single-arc Randles cell.
-            assert!(pair[1].1.value() <= pair[0].1.value() + 1e-9);
-        }
-    }
-
-    #[test]
-    fn fouling_raises_the_low_frequency_arc() {
-        // Fouling ≈ larger Rct: the DC magnitude grows, Rs limit unchanged.
-        let clean = cell();
-        let fouled = RandlesCell::new(
-            Ohms::new(100.0),
-            Ohms::from_kiloohms(500.0),
-            Farads::from_nanofarads(46.0),
-        )
-        .expect("valid");
-        let f = Hertz::new(0.01);
-        assert!(fouled.impedance(f).0.value() > 4.0 * clean.impedance(f).0.value());
-        let hi = Hertz::from_megahertz(10.0);
-        assert!((fouled.impedance(hi).0.value() - clean.impedance(hi).0.value()).abs() < 1.0);
     }
 }

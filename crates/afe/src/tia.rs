@@ -64,12 +64,6 @@ impl Tia {
         })
     }
 
-    /// Adds an input offset (bias) current.
-    pub fn with_input_offset(mut self, offset: Amps) -> Self {
-        self.input_offset = offset;
-        self
-    }
-
     /// Folds in the follow-up inverting stage so anodic currents map to
     /// positive voltages (convenient for readability of recorded data).
     pub fn inverted(mut self) -> Self {
@@ -77,18 +71,8 @@ impl Tia {
         self
     }
 
-    /// Feedback resistance.
-    pub fn feedback(&self) -> Ohms {
-        self.feedback
-    }
-
-    /// −3 dB bandwidth.
-    pub fn bandwidth(&self) -> Hertz {
-        self.bandwidth
-    }
-
     /// Output rail magnitude.
-    pub fn rail(&self) -> Volts {
+    pub(crate) fn rail(&self) -> Volts {
         self.rail
     }
 
@@ -110,7 +94,7 @@ impl Tia {
     }
 
     /// Largest input current magnitude that stays inside the rails.
-    pub fn full_scale_input(&self) -> Amps {
+    pub(crate) fn full_scale_input(&self) -> Amps {
         Amps::new(self.rail.value() / self.feedback.value())
     }
 
@@ -202,13 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn offset_current_shifts_output() {
-        let t = tia().with_input_offset(Amps::from_nanoamps(10.0));
-        let v = t.convert_static(Amps::ZERO);
-        assert!((v.as_millivolts() + 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn stream_settles_to_static_value() {
         let t = tia();
         let mut s = t.streamer(Seconds::from_micros(10.0)).expect("dt");
@@ -226,7 +203,7 @@ mod tests {
         // One-pole: after one time constant the response reaches 63%.
         let t = tia();
         let i = Amps::from_nanoamps(100.0);
-        let tau = 1.0 / (2.0 * core::f64::consts::PI * t.bandwidth().value());
+        let tau = 1.0 / (2.0 * core::f64::consts::PI * t.bandwidth.value());
         // Step in small increments up to exactly tau.
         let n = 1000;
         let mut s = t.streamer(Seconds::new(tau / n as f64)).expect("dt");

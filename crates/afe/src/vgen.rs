@@ -24,7 +24,8 @@ use bios_units::{QRange, Seconds, Volts, VoltsPerSecond};
 ///     potential: Volts::from_millivolts(650.0),
 ///     duration: Seconds::new(10.0),
 /// };
-/// let e = vgen.realize(&program, Seconds::new(5.0))?;
+/// vgen.check(&program)?;
+/// let e = vgen.quantize(Volts::from_millivolts(650.0));
 /// // Quantized to within one DAC LSB (≈0.49 mV here).
 /// assert!((e.as_millivolts() - 650.0).abs() < 0.5);
 /// # Ok(())
@@ -129,7 +130,11 @@ impl VoltageGenerator {
     ///
     /// Returns [`AfeError::RangeExceeded`] if the ideal potential leaves
     /// the range.
-    pub fn realize(&self, program: &PotentialProgram, t: Seconds) -> Result<Volts, AfeError> {
+    pub(crate) fn realize(
+        &self,
+        program: &PotentialProgram,
+        t: Seconds,
+    ) -> Result<Volts, AfeError> {
         let ideal = program.potential_at(t);
         if !self.range.contains(ideal) {
             return Err(out_of_range(ideal));

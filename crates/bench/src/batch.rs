@@ -12,7 +12,7 @@
 //!    grid — how the fleet is partitioned across workers must not change
 //!    one bit of any lane.
 //!
-//! Digests use [`digest_debug`](crate::perf::digest_debug): FNV-1a over
+//! Digests use [`digest_debug`]: FNV-1a over
 //! shortest-roundtrip float rendering, so equality ⇔ bit identity.
 //!
 //! The headline `batch_gain` compares the coarse-grid batched kernel

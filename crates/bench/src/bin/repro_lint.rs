@@ -238,7 +238,7 @@ fn main() {
 
     // 4c. Workspace rules on an in-memory module set: an upward crate
     //     reference is an A1 error; a pub item no other crate mentions
-    //     is an A2 warning.
+    //     is an A2 error.
     {
         let files = vec![
             MemFile {
@@ -263,11 +263,9 @@ fn main() {
                 .any(|f| f.rule == "A1" && f.severity == Severity::Error),
         );
         check(
-            "A2 warns on dead public API",
+            "A2 errors on dead public API",
             findings.iter().any(|f| {
-                f.rule == "A2"
-                    && f.severity == Severity::Warning
-                    && f.message.contains("orphan_gain")
+                f.rule == "A2" && f.severity == Severity::Error && f.message.contains("orphan_gain")
             }),
         );
         let mut suppressed = files;
@@ -316,9 +314,7 @@ fn main() {
             Err(_) => Baseline::default(),
         };
         let (_, fresh) = baseline.partition(&findings);
-        // Warn-level findings (A2 dead-API reports) surface without
-        // failing; only error-severity findings gate, mirroring the CLI
-        // exit code.
+        // Only error-severity findings gate, mirroring the CLI exit code.
         let errors: Vec<_> = fresh
             .iter()
             .filter(|f| f.severity == Severity::Error)

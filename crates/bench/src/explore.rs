@@ -7,8 +7,8 @@
 //! simulated. Four kinds of evidence are collected:
 //!
 //! 1. **Static leverage** — per panel and overall, the fraction of the
-//!    space refuted by closed-form analysis ([`evaluate_static`] applied
-//!    class-wise, never per point). The binary gates this at
+//!    space refuted by closed-form analysis (the static evaluation
+//!    applied class-wise, never per point). The binary gates this at
 //!    [`REJECTION_FLOOR`].
 //! 2. **Bit-identical reruns** — every panel is explored twice; the
 //!    rerun must reproduce the frontier digest bit for bit.
@@ -20,7 +20,6 @@
 //!    band is checked rank-for-rank, bit-for-bit against the O(n²)
 //!    per-point oracle ([`brute_force_band`]).
 //!
-//! [`evaluate_static`]: bios_explore::evaluate_static
 //! [`brute_force_band`]: bios_explore::brute_force_band
 
 use bios_biochem::Analyte;

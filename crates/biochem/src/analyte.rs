@@ -95,31 +95,6 @@ impl Analyte {
         }
     }
 
-    /// Short clinical description (mirrors the paper's table annotations).
-    pub fn description(self) -> &'static str {
-        match self {
-            Analyte::Glucose => "metabolic compound as energy source",
-            Analyte::Lactate => "metabolic compound as marker of cell suffering",
-            Analyte::Glutamate => "excitatory neurotransmitter",
-            Analyte::Cholesterol => {
-                "metabolic compound that establishes proper membrane permeability and fluidity"
-            }
-            Analyte::Benzphetamine => "used in the treatment of obesity",
-            Analyte::Aminopyrine => "analgesic, anti-inflammatory, and antipyretic drug",
-            Analyte::Clozapine => "antipsychotic used in the treatment of schizophrenia",
-            Analyte::Erythromycin => "broad-spectrum antibiotic",
-            Analyte::Indinavir => "used in the treatment of HIV infection and AIDS",
-            Analyte::Bupropion => "antidepressant",
-            Analyte::Lidocaine => "anesthetic and antiarrhythmic",
-            Analyte::Torsemide => "diuretic",
-            Analyte::Diclofenac => "anti-inflammatory",
-            Analyte::PNitrophenol => "intermediate in the synthesis of paracetamol",
-            Analyte::Etoposide => "chemotherapy agent",
-            Analyte::Dopamine => "neurotransmitter",
-            Analyte::Ascorbate => "vitamin C",
-        }
-    }
-
     /// Typical physiological / therapeutic concentration window, used by the
     /// examples to generate realistic workloads.
     pub fn typical_range(self) -> QRange<Molar> {
@@ -143,16 +118,6 @@ impl Analyte {
             Analyte::Ascorbate => (0.03, 0.09),
         };
         QRange::between(Molar::from_millimolar(lo_mm), Molar::from_millimolar(hi_mm))
-    }
-
-    /// Whether the molecule oxidizes directly on a bare electrode at typical
-    /// working potentials. The paper warns (§II-C) that the blank-electrode
-    /// CDS trick fails for such species (dopamine, etoposide).
-    pub fn oxidizes_directly(self) -> bool {
-        matches!(
-            self,
-            Analyte::Dopamine | Analyte::Etoposide | Analyte::Ascorbate
-        )
     }
 }
 
@@ -207,14 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_oxidizers_match_paper_warning() {
-        assert!(Analyte::Dopamine.oxidizes_directly());
-        assert!(Analyte::Etoposide.oxidizes_directly());
-        assert!(!Analyte::Glucose.oxidizes_directly());
-        assert!(!Analyte::Benzphetamine.oxidizes_directly());
-    }
-
-    #[test]
     fn ranges_are_positive_and_ordered() {
         for a in Analyte::ALL {
             let r = a.typical_range();
@@ -224,10 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn display_and_description_nonempty() {
+    fn display_nonempty() {
         for a in Analyte::ALL {
             assert!(!a.to_string().is_empty());
-            assert!(!a.description().is_empty());
         }
     }
 }

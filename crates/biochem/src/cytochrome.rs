@@ -66,13 +66,13 @@ impl core::fmt::Display for CypIsoform {
 /// Default catalytic sensitivity for Table II drugs that Table III does not
 /// quantify, in µA/(mM·cm²) (documented substitution: a modest mid-range
 /// value between benzphetamine's 0.28 and aminopyrine's 2.8).
-pub const DEFAULT_CYP_SENSITIVITY_UA: f64 = 0.8;
+pub(crate) const DEFAULT_CYP_SENSITIVITY_UA: f64 = 0.8;
 
 /// Critical scan rate above which catalytic peaks start drifting cathodically
 /// (Laviron kinetics). The paper's §II-C guidance — "the electrochemical cell
 /// reacts only to slow potential variations of about 20 mV/sec" — maps to
 /// staying below this.
-pub const PEAK_SHIFT_CRITICAL_RATE: VoltsPerSecond = VoltsPerSecond::new(0.030);
+pub(crate) const PEAK_SHIFT_CRITICAL_RATE: VoltsPerSecond = VoltsPerSecond::new(0.030);
 
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 struct CypSubstrate {
@@ -160,30 +160,9 @@ impl CypSensor {
         self.isoform
     }
 
-    /// Heme surface coverage (baseline protein wave amplitude).
-    pub fn coverage(&self) -> MolesPerCm2 {
-        self.coverage
-    }
-
-    /// Overrides the heme coverage.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the coverage is strictly positive.
-    pub fn with_coverage(mut self, coverage: MolesPerCm2) -> Self {
-        assert!(coverage.value() > 0.0, "coverage must be positive");
-        self.coverage = coverage;
-        self
-    }
-
     /// The analytes this sensor can report.
     pub fn substrates(&self) -> impl Iterator<Item = Analyte> + '_ {
         self.substrates.iter().map(|s| s.analyte)
-    }
-
-    /// Whether the sensor responds to `analyte`.
-    pub fn supports(&self, analyte: Analyte) -> bool {
-        self.substrates.iter().any(|s| s.analyte == analyte)
     }
 
     /// Catalytic sensitivity for `analyte` in A/(M·cm²).
@@ -203,7 +182,7 @@ impl CypSensor {
 
     /// Expected cathodic peak potential for `analyte` at scan rate `v`,
     /// including the Laviron drift that sets in above
-    /// [`PEAK_SHIFT_CRITICAL_RATE`] — the quantitative form of the paper's
+    /// `PEAK_SHIFT_CRITICAL_RATE` — the quantitative form of the paper's
     /// 20 mV/s guidance.
     pub fn peak_potential(
         &self,
@@ -425,9 +404,6 @@ mod tests {
     #[test]
     fn cyp2b4_detects_two_drugs() {
         let s = CypSensor::from_registry(CypIsoform::Cyp2B4).expect("registry");
-        assert!(s.supports(Analyte::Benzphetamine));
-        assert!(s.supports(Analyte::Aminopyrine));
-        assert!(!s.supports(Analyte::Clozapine));
         assert_eq!(
             s.nominal_peak_potential(Analyte::Benzphetamine),
             Some(Volts::new(-0.250))

@@ -17,7 +17,8 @@ use bios_units::Seconds;
 /// use bios_electrochem::Nanostructure;
 ///
 /// let stack = Functionalization::new(Nanostructure::CarbonNanotubes, true);
-/// assert!(stack.sensitivity_gain_over_bare() > 10.0);
+/// // Polymer entrapment keeps 90 % of the enzyme activity for days.
+/// assert!(stack.usable_life(0.9).as_hours() > 48.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Functionalization {
@@ -50,27 +51,9 @@ impl Functionalization {
         self.nanostructure
     }
 
-    /// Whether a stabilizing polymer layer is present.
-    pub fn polymer_stabilized(&self) -> bool {
-        self.polymer_stabilized
-    }
-
-    /// Sensitivity multiplier relative to a bare electrode (more active
-    /// area → more immobilized enzyme → more signal).
-    pub fn sensitivity_gain_over_bare(&self) -> f64 {
-        self.nanostructure.roughness_factor()
-    }
-
-    /// Sensitivity multiplier relative to the paper's CNT reference stack —
-    /// what you apply to Table III-calibrated sensors when exploring other
-    /// electrodes.
-    pub fn sensitivity_gain_over_reference(&self) -> f64 {
-        self.nanostructure.roughness_factor() / Nanostructure::CarbonNanotubes.roughness_factor()
-    }
-
     /// Operational lifetime constant: enzyme activity decays as
     /// `exp(−t/τ)`. Polymer entrapment extends τ from days to a month.
-    pub fn lifetime_tau(&self) -> Seconds {
+    pub(crate) fn lifetime_tau(&self) -> Seconds {
         let days = if self.polymer_stabilized { 30.0 } else { 3.0 };
         Seconds::from_hours(24.0 * days)
     }
@@ -107,16 +90,6 @@ impl Default for Functionalization {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reference_stack_gains() {
-        let r = Functionalization::paper_reference();
-        assert!((r.sensitivity_gain_over_reference() - 1.0).abs() < 1e-12);
-        assert!(r.sensitivity_gain_over_bare() > 10.0);
-        let bare = Functionalization::bare();
-        assert!((bare.sensitivity_gain_over_bare() - 1.0).abs() < 1e-12);
-        assert!(bare.sensitivity_gain_over_reference() < 0.1);
-    }
 
     #[test]
     fn polymer_extends_lifetime_tenfold() {

@@ -40,7 +40,6 @@
 
 mod analyte;
 mod cytochrome;
-mod enzyme;
 mod error;
 mod functionalization;
 mod interference;
@@ -53,16 +52,13 @@ mod probe;
 pub mod tables;
 
 pub use analyte::{Analyte, AnalyteKind};
-pub use cytochrome::{
-    CypIsoform, CypSensor, CypSweep, DEFAULT_CYP_SENSITIVITY_UA, PEAK_SHIFT_CRITICAL_RATE,
-};
-pub use enzyme::{EnzymeFilm, ProstheticGroup};
+pub use cytochrome::{CypIsoform, CypSensor, CypSweep};
 pub use error::BiochemError;
 pub use functionalization::Functionalization;
-pub use interference::{selectivity_coefficient, Interferent};
+pub use interference::Interferent;
 pub use membrane::Membrane;
 pub use michaelis::MichaelisMenten;
 pub use oxidase::{Oxidase, OxidaseSensor};
-pub use oxygen::{thermal_activity_factor, OxygenConditions, KM_OXYGEN};
+pub use oxygen::{thermal_activity_factor, OxygenConditions};
 pub use pharmacokinetics::{OneCompartmentPk, Route};
 pub use probe::{Probe, Technique};

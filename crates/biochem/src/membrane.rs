@@ -61,18 +61,13 @@ impl Membrane {
         }
     }
 
-    /// Membrane thickness.
-    pub fn thickness(&self) -> Centimeters {
-        self.thickness
-    }
-
     /// Effective diffusion coefficient inside the membrane.
     pub fn diffusion(&self) -> DiffusionCoefficient {
         self.diffusion
     }
 
     /// The diffusion time scale `L²/D`.
-    pub fn diffusion_time(&self) -> Seconds {
+    pub(crate) fn diffusion_time(&self) -> Seconds {
         Seconds::new(self.thickness.value().powi(2) / self.diffusion.value())
     }
 
@@ -126,20 +121,6 @@ impl Membrane {
             }
         }
         Seconds::new(0.5 * (lo + hi))
-    }
-
-    /// The diffusion time lag `τ = L²/(6D)` — the classic permeation-lag
-    /// result, exposed as a cross-check of the series solution.
-    pub fn time_lag(&self) -> Seconds {
-        Seconds::new(self.thickness.value().powi(2) / (6.0 * self.diffusion.value()))
-    }
-
-    /// Factor by which the membrane raises the enzyme's apparent `Km`
-    /// (external mass-transport limitation). Modeled as `1 + Λ` where
-    /// `Λ = L·k_cat_eff/D` is folded into the registry's calibrated `Km`s;
-    /// exposed for the ablation bench.
-    pub fn km_amplification(&self, reaction_velocity_cm_per_s: f64) -> f64 {
-        1.0 + self.thickness.value() * reaction_velocity_cm_per_s / self.diffusion.value()
     }
 }
 
@@ -197,24 +178,5 @@ mod tests {
         )
         .expect("valid");
         assert!(thin.response_time(0.9).value() < thick.response_time(0.9).value() / 5.0);
-    }
-
-    #[test]
-    fn time_lag_is_sixth_of_diffusion_time() {
-        let m = Membrane::paper_glucose_membrane();
-        assert!((m.time_lag().value() * 6.0 - m.diffusion_time().value()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn km_amplification_grows_with_thickness() {
-        let thin = Membrane::new(
-            Centimeters::from_micrometers(10.0),
-            DiffusionCoefficient::new(1e-6),
-        )
-        .expect("valid");
-        let thick = Membrane::paper_glucose_membrane();
-        let v = 1e-4;
-        assert!(thick.km_amplification(v) > thin.km_amplification(v));
-        assert!(thin.km_amplification(0.0) == 1.0);
     }
 }

@@ -57,20 +57,6 @@ impl MichaelisMenten {
         c / (self.km.value() + c)
     }
 
-    /// First-order slope at the origin, `d(saturation)/dC = 1/Km` (per M).
-    pub fn initial_slope_per_molar(&self) -> f64 {
-        1.0 / self.km.value()
-    }
-
-    /// Relative deviation from the initial linear law at concentration `c`:
-    /// `1 − v(C)/(C/Km) = C/(Km + C)`.
-    ///
-    /// This equals the saturation itself — a handy identity: the fractional
-    /// nonlinearity *is* the fractional saturation.
-    pub fn nonlinearity(&self, c: Molar) -> f64 {
-        self.saturation(c)
-    }
-
     /// The largest concentration whose nonlinearity stays below `tolerance`:
     /// `C_max = Km·tol/(1 − tol)`.
     ///
@@ -104,35 +90,6 @@ impl MichaelisMenten {
         Self {
             km: Molar::new(c_max.value() * (1.0 - tolerance) / tolerance),
         }
-    }
-
-    /// The law under a *competitive* inhibitor at concentration `i` with
-    /// inhibition constant `ki`: the apparent `Km` inflates to
-    /// `Km·(1 + [I]/Ki)` while `Vmax` is untouched — e.g. a co-administered
-    /// drug competing for the same CYP active site, the classic mechanism
-    /// behind drug–drug interactions in therapeutic monitoring.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BiochemError::InvalidParameter`] for negative inhibitor
-    /// concentration or non-positive `Ki`.
-    pub fn with_competitive_inhibitor(
-        &self,
-        inhibitor: Molar,
-        ki: Molar,
-    ) -> Result<Self, BiochemError> {
-        if inhibitor.value() < 0.0 || !inhibitor.value().is_finite() {
-            return Err(BiochemError::invalid(
-                "inhibitor",
-                "must be non-negative and finite",
-            ));
-        }
-        if ki.value() <= 0.0 || !ki.value().is_finite() {
-            return Err(BiochemError::invalid("ki", "must be positive and finite"));
-        }
-        Self::new(Molar::new(
-            self.km.value() * (1.0 + inhibitor.value() / ki.value()),
-        ))
     }
 }
 
@@ -170,15 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn nonlinearity_equals_saturation() {
-        let m = mm(20.0);
-        for c_mm in [0.1, 1.0, 5.0, 20.0, 100.0] {
-            let c = Molar::from_millimolar(c_mm);
-            assert_eq!(m.nonlinearity(c), m.saturation(c));
-        }
-    }
-
-    #[test]
     fn saturation_is_monotone() {
         let m = mm(5.0);
         let mut prev = -1.0;
@@ -193,38 +141,5 @@ mod tests {
     #[should_panic(expected = "tolerance")]
     fn linear_limit_rejects_bad_tolerance() {
         let _ = mm(1.0).linear_limit(1.0);
-    }
-
-    #[test]
-    fn competitive_inhibition_inflates_km_only() {
-        let base = mm(10.0);
-        let inhibited = base
-            .with_competitive_inhibitor(Molar::from_millimolar(5.0), Molar::from_millimolar(5.0))
-            .expect("valid");
-        // [I] = Ki doubles the apparent Km.
-        assert!((inhibited.km().as_millimolar() - 20.0).abs() < 1e-9);
-        // Saturation at very high substrate is unaffected (same Vmax).
-        let huge = Molar::new(100.0);
-        assert!((inhibited.saturation(huge) - base.saturation(huge)).abs() < 1e-3);
-        // But low-concentration response halves.
-        let low = Molar::from_millimolar(0.1);
-        let ratio = inhibited.saturation(low) / base.saturation(low);
-        assert!((ratio - 0.5).abs() < 0.01, "ratio {ratio}");
-    }
-
-    #[test]
-    fn inhibition_validates_inputs() {
-        let base = mm(10.0);
-        assert!(base
-            .with_competitive_inhibitor(Molar::new(-1.0), Molar::from_millimolar(1.0))
-            .is_err());
-        assert!(base
-            .with_competitive_inhibitor(Molar::from_millimolar(1.0), Molar::ZERO)
-            .is_err());
-        // Zero inhibitor: unchanged.
-        let same = base
-            .with_competitive_inhibitor(Molar::ZERO, Molar::from_millimolar(1.0))
-            .expect("valid");
-        assert_eq!(same.km(), base.km());
     }
 }

@@ -1,7 +1,6 @@
 //! Oxidase biosensors: enzyme → H₂O₂ → anodic current (paper eqs. 1–3).
 
 use crate::analyte::Analyte;
-use crate::enzyme::ProstheticGroup;
 use crate::error::BiochemError;
 use crate::membrane::Membrane;
 use crate::michaelis::MichaelisMenten;
@@ -37,15 +36,6 @@ impl Oxidase {
             Oxidase::Lactate => Analyte::Lactate,
             Oxidase::Glutamate => Analyte::Glutamate,
             Oxidase::Cholesterol => Analyte::Cholesterol,
-        }
-    }
-
-    /// The prosthetic group involved in the redox cycle (paper §I-B: FAD for
-    /// most oxidases, FMN for lactate oxidase).
-    pub fn prosthetic_group(self) -> ProstheticGroup {
-        match self {
-            Oxidase::Lactate => ProstheticGroup::Fmn,
-            _ => ProstheticGroup::Fad,
         }
     }
 
@@ -123,7 +113,10 @@ impl OxidaseSensor {
     ///
     /// Returns [`BiochemError::InvalidParameter`] for non-positive
     /// sensitivity.
-    pub fn from_performance(oxidase: Oxidase, row: &PerformanceRow) -> Result<Self, BiochemError> {
+    pub(crate) fn from_performance(
+        oxidase: Oxidase,
+        row: &PerformanceRow,
+    ) -> Result<Self, BiochemError> {
         if row.sensitivity_si() <= 0.0 {
             return Err(BiochemError::invalid("sensitivity", "must be positive"));
         }
@@ -134,13 +127,6 @@ impl OxidaseSensor {
             membrane: Membrane::paper_glucose_membrane(),
             blank_sd: row.blank_sd(),
         })
-    }
-
-    /// Replaces the membrane (thinner membrane → faster response, ablation
-    /// A2/F3 material).
-    pub fn with_membrane(mut self, membrane: Membrane) -> Self {
-        self.membrane = membrane;
-        self
     }
 
     /// Scales the sensitivity, e.g. to model removing the CNT
@@ -234,8 +220,6 @@ mod tests {
     #[test]
     fn metadata_matches_paper() {
         assert_eq!(Oxidase::Glucose.target(), Analyte::Glucose);
-        assert_eq!(Oxidase::Lactate.prosthetic_group(), ProstheticGroup::Fmn);
-        assert_eq!(Oxidase::Glucose.prosthetic_group(), ProstheticGroup::Fad);
         assert_eq!(Oxidase::Glucose.applied_potential(), Volts::new(0.55));
         assert_eq!(Oxidase::Cholesterol.applied_potential(), Volts::new(0.70));
     }

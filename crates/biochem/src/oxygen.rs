@@ -11,7 +11,7 @@ use crate::error::BiochemError;
 use bios_units::{Kelvin, Molar};
 
 /// Apparent Michaelis constant of typical oxidases for molecular oxygen.
-pub const KM_OXYGEN: Molar = Molar::new(0.2e-3);
+pub(crate) const KM_OXYGEN: Molar = Molar::new(0.2e-3);
 
 /// Dissolved-oxygen conditions around the sensor.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -37,7 +37,7 @@ impl OxygenConditions {
     }
 
     /// Air-saturated aqueous buffer at 25 °C: ≈0.25 mM.
-    pub fn air_saturated() -> Self {
+    pub(crate) fn air_saturated() -> Self {
         Self {
             concentration: Molar::from_micromolar(250.0),
         }
@@ -64,7 +64,7 @@ impl OxygenConditions {
 
     /// The multiplicative availability factor `[O₂]/(Km_O₂ + [O₂])` the
     /// oxidase turnover (and thus the sensor current) carries.
-    pub fn availability(&self) -> f64 {
+    pub(crate) fn availability(&self) -> f64 {
         let c = self.concentration.value();
         c / (KM_OXYGEN.value() + c)
     }

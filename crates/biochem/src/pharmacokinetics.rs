@@ -124,25 +124,6 @@ impl OneCompartmentPk {
             }
         }
     }
-
-    /// Samples the concentration timeline at interval `dt` over `duration`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` or `duration` is not strictly positive.
-    pub fn timeline(&self, duration: Seconds, dt: Seconds) -> Vec<(Seconds, Molar)> {
-        assert!(
-            dt.value() > 0.0 && duration.value() > 0.0,
-            "need positive times"
-        );
-        let n = (duration.value() / dt.value()).ceil() as usize;
-        (0..=n)
-            .map(|k| {
-                let t = Seconds::new((k as f64 * dt.value()).min(duration.value()));
-                (t, self.concentration(t))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -207,13 +188,5 @@ mod tests {
         let c = |tt: f64| pk.concentration(Seconds::new(tt)).value();
         assert!(c(t) >= c(t * 0.99));
         assert!(c(t) >= c(t * 1.01));
-    }
-
-    #[test]
-    fn timeline_covers_duration() {
-        let pk = oral();
-        let tl = pk.timeline(Seconds::from_hours(12.0), Seconds::from_minutes(10.0));
-        assert_eq!(tl.len(), 73);
-        assert!((tl.last().expect("nonempty").0.as_hours() - 12.0).abs() < 1e-9);
     }
 }

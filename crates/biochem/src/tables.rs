@@ -26,12 +26,12 @@ use bios_units::{AmpsPerCm2, Molar, QRange, Volts};
 
 /// Nonlinearity tolerance used to back-derive apparent `Km`s from the
 /// paper's linear ranges.
-pub const LINEARITY_TOLERANCE: f64 = 0.10;
+pub(crate) const LINEARITY_TOLERANCE: f64 = 0.10;
 
 /// One row of the paper's **Table I** (oxidase biosensors and their
 /// chronoamperometric working potentials vs Ag/AgCl).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct OxidaseRow {
+pub(crate) struct OxidaseRow {
     /// The enzyme.
     pub oxidase: Oxidase,
     /// Its target metabolite.
@@ -41,7 +41,7 @@ pub struct OxidaseRow {
 }
 
 /// The paper's Table I.
-pub const TABLE_I: [OxidaseRow; 4] = [
+pub(crate) const TABLE_I: [OxidaseRow; 4] = [
     OxidaseRow {
         oxidase: Oxidase::Glucose,
         target: Analyte::Glucose,
@@ -246,7 +246,7 @@ impl PerformanceRow {
     }
 
     /// Apparent `Km` back-derived from the top of the linear range at the
-    /// registry's [`LINEARITY_TOLERANCE`].
+    /// registry's `LINEARITY_TOLERANCE`.
     pub fn km_apparent(&self) -> Molar {
         MichaelisMenten::from_linear_limit(
             Molar::from_millimolar(self.linear_hi_mm),
@@ -262,16 +262,6 @@ impl PerformanceRow {
     pub fn blank_sd(&self) -> AmpsPerCm2 {
         let lod_m = self.lod_um.unwrap_or(3.0) * 1e-6;
         AmpsPerCm2::new(lod_m * self.sensitivity_si() / 3.0)
-    }
-
-    /// Current density at the top of the calibration curve's linear range
-    /// — the largest signal a correctly-ranged readout chain must carry
-    /// for this probe on the registry's reference electrodes. A pure
-    /// closed-form bound: static feasibility analysis uses it to refute
-    /// design classes whose front-end saturates before the panel's
-    /// concentration window is covered.
-    pub fn peak_current_density(&self) -> AmpsPerCm2 {
-        AmpsPerCm2::new(self.sensitivity_si() * Molar::from_millimolar(self.linear_hi_mm).value())
     }
 
     /// The registry LOD as a closed-form floor (`3σ/S` with the blank noise
@@ -294,7 +284,7 @@ pub fn performance_of(target: Analyte) -> Option<&'static PerformanceRow> {
 ///
 /// `TABLE_I` is laid out in `Oxidase` declaration order, so the lookup is a
 /// direct index with no panic path; `table_i_matches_paper` pins the order.
-pub fn oxidase_row(oxidase: Oxidase) -> &'static OxidaseRow {
+pub(crate) fn oxidase_row(oxidase: Oxidase) -> &'static OxidaseRow {
     let idx = match oxidase {
         Oxidase::Glucose => 0,
         Oxidase::Lactate => 1,
@@ -305,7 +295,8 @@ pub fn oxidase_row(oxidase: Oxidase) -> &'static OxidaseRow {
 }
 
 /// Looks up the Table II reduction potential for an (isoform, drug) pair.
-pub fn cyp_reduction_potential(isoform: CypIsoform, target: Analyte) -> Option<Volts> {
+#[cfg(test)]
+pub(crate) fn cyp_reduction_potential(isoform: CypIsoform, target: Analyte) -> Option<Volts> {
     TABLE_II
         .iter()
         .find(|r| r.isoform == isoform && r.target == target)
@@ -313,7 +304,7 @@ pub fn cyp_reduction_potential(isoform: CypIsoform, target: Analyte) -> Option<V
 }
 
 /// All Table II rows for one isoform (CYP2B4 and CYP3A4 have two drugs).
-pub fn cyp_rows(isoform: CypIsoform) -> impl Iterator<Item = &'static CypRow> {
+pub(crate) fn cyp_rows(isoform: CypIsoform) -> impl Iterator<Item = &'static CypRow> {
     TABLE_II.iter().filter(move |r| r.isoform == isoform)
 }
 
@@ -397,24 +388,6 @@ mod tests {
             .expect("present")
             .km_apparent();
         assert!((km.as_millimolar() - 36.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn peak_current_density_is_sensitivity_times_linear_top() {
-        for row in &TABLE_III {
-            let peak = row.peak_current_density().value();
-            assert!(peak > 0.0 && peak.is_finite());
-            // The peak sits at the linear top, so it exceeds the signal at
-            // any in-range concentration, e.g. the midpoint.
-            let mid = row.sensitivity_si()
-                * Molar::from_millimolar(0.5 * (row.linear_lo_mm + row.linear_hi_mm)).value();
-            assert!(peak > mid);
-        }
-        // Cholesterol: huge sensitivity on a narrow window — its peak must
-        // still be far below glucose's (0.08 mM vs 4 mM tops).
-        let glucose = performance_of(Analyte::Glucose).expect("present");
-        let chol = performance_of(Analyte::Cholesterol).expect("present");
-        assert!(chol.peak_current_density().value() < glucose.peak_current_density().value());
     }
 
     #[test]

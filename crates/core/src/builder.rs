@@ -89,15 +89,17 @@ impl PlatformBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero.
-    pub fn with_redundancy(mut self, n: usize) -> Self {
+    /// Panics if `n` is zero. Only the redundancy tests build replicated
+    /// platforms.
+    #[cfg(test)]
+    pub(crate) fn with_redundancy(mut self, n: usize) -> Self {
         assert!(n >= 1, "redundancy must be at least 1");
         self.redundancy = n;
         self
     }
 
     /// Overrides the working-electrode template.
-    pub fn with_electrode(mut self, electrode: Electrode) -> Self {
+    pub(crate) fn with_electrode(mut self, electrode: Electrode) -> Self {
         self.we_template = electrode;
         self
     }
@@ -111,12 +113,6 @@ impl PlatformBuilder {
     /// Overrides the chronoamperometry timing.
     pub fn with_chrono_protocol(mut self, protocol: ChronoProtocol) -> Self {
         self.chrono_protocol = protocol;
-        self
-    }
-
-    /// Overrides the CV settings.
-    pub fn with_cv_protocol(mut self, protocol: CvProtocol) -> Self {
-        self.cv_protocol = protocol;
         self
     }
 
@@ -141,21 +137,6 @@ impl PlatformBuilder {
     /// Sets the probe preference for ambiguous targets.
     pub fn with_preference(mut self, preference: ProbePreference) -> Self {
         self.preference = preference;
-        self
-    }
-
-    /// Sets the acceptable neighbour cross-talk fraction before chamber
-    /// separation is forced.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < tolerance < 1`.
-    pub fn with_crosstalk_tolerance(mut self, tolerance: f64) -> Self {
-        assert!(
-            tolerance > 0.0 && tolerance < 1.0,
-            "tolerance must be in (0, 1)"
-        );
-        self.crosstalk_tolerance = tolerance;
         self
     }
 

@@ -8,12 +8,12 @@
 use bios_units::{Centimeters, DiffusionCoefficient, Seconds};
 
 /// Diffusion coefficient of H₂O₂ in aqueous solution.
-pub const D_H2O2: DiffusionCoefficient = DiffusionCoefficient::new(1.71e-5);
+pub(crate) const D_H2O2: DiffusionCoefficient = DiffusionCoefficient::new(1.71e-5);
 
 /// Geometric capture efficiency of a neighbouring electrode for product
 /// spreading in 3-D solution (most of the product diffuses into the bulk,
 /// not onto the neighbour).
-pub const CAPTURE_EFFICIENCY: f64 = 0.05;
+pub(crate) const CAPTURE_EFFICIENCY: f64 = 0.05;
 
 /// Fraction of one WE's H₂O₂ signal that appears on a neighbour a distance
 /// `pitch` away after a measurement of duration `t`:
@@ -48,7 +48,7 @@ pub fn crosstalk_fraction(pitch: Centimeters, t: Seconds) -> f64 {
 /// # Panics
 ///
 /// Panics unless `0 < tolerance < 1`.
-pub fn needs_chambers(pitch: Centimeters, measurement: Seconds, tolerance: f64) -> bool {
+pub(crate) fn needs_chambers(pitch: Centimeters, measurement: Seconds, tolerance: f64) -> bool {
     assert!(
         tolerance > 0.0 && tolerance < 1.0,
         "tolerance must be in (0, 1)"

@@ -76,11 +76,11 @@ impl DesignSpace {
         }
     }
 
-    /// Lazily enumerates all design points, in the same (row-major) order
-    /// as [`DesignSpace::points`]. Nothing is materialized until the
+    /// Lazily enumerates all design points in row-major order (the last
+    /// axis varies fastest). Nothing is materialized until the
     /// iterator is driven, so callers that stop early (feasibility probes,
     /// `take(n)` sampling) pay only for what they consume.
-    pub fn points_iter(&self) -> impl Iterator<Item = DesignPoint> + '_ {
+    pub(crate) fn points_iter(&self) -> impl Iterator<Item = DesignPoint> + '_ {
         self.nanostructures
             .iter()
             .copied()
@@ -152,7 +152,7 @@ const AMP_FLICKER_FRACTION: f64 = 0.5;
 /// Geometric area of the paper's working electrode (0.23 mm²), in cm² —
 /// the reference area every current-density figure in the LOD model is
 /// referred to.
-pub const PAPER_WE_AREA_CM2: f64 = 0.0023;
+pub(crate) const PAPER_WE_AREA_CM2: f64 = 0.0023;
 
 /// The blank-noise current-density budget behind [`predict_lod`], term by
 /// term (all in A/cm²), exposed as a pure closed form so downstream

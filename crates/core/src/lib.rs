@@ -19,7 +19,7 @@
 //!   ([`FaultPlan`](bios_afe::FaultPlan)), per-acquisition QC gating,
 //!   bounded retries with quarantine, and a [`DegradationSummary`] so
 //!   faulted sessions return partial results with provenance;
-//! * [`explore`] / [`DesignSpace`] — design-space exploration with
+//! * [`explore_with`] / [`DesignSpace`] — design-space exploration with
 //!   analytic LOD prediction ([`predict_lod`]) and Pareto filtering
 //!   ([`pareto_front`]).
 //!
@@ -58,13 +58,13 @@ mod session;
 mod structure;
 
 pub use builder::{PlatformBuilder, ProbePreference};
-pub use chamber::{crosstalk_fraction, minimum_pitch, needs_chambers, CAPTURE_EFFICIENCY, D_H2O2};
+pub use chamber::{crosstalk_fraction, minimum_pitch};
 pub use cost::{electronics_budget, PlatformCost, ReadoutSharing};
 pub use error::PlatformError;
 pub use exec::{par_map, par_map_chunks, par_map_mut, try_par_map, ExecPolicy};
 pub use explore::{
     effective_sensitivity, evaluate, explore_with, noise_breakdown, pareto_front, predict_lod,
-    required_lod, DesignPoint, DesignSpace, EvaluatedDesign, NoiseBreakdown, PAPER_WE_AREA_CM2,
+    required_lod, DesignPoint, DesignSpace, EvaluatedDesign, NoiseBreakdown,
 };
 pub use platform::{Platform, SensorModel, SessionReport, TargetReading, WeAssignment};
 pub use requirements::{PanelSpec, TargetSpec};

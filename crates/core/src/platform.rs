@@ -13,8 +13,7 @@ use bios_biochem::Interferent;
 use bios_biochem::{Analyte, CypSensor, MichaelisMenten, OxidaseSensor, Probe, Technique};
 use bios_electrochem::{Electrode, PotentialProgram};
 use bios_instrument::{
-    calibrate_chrono, calibrate_cv, run_chrono_with_interferents, run_cv, ChronoProtocol,
-    CvProtocol, PerformanceReport, QcClass, QcVerdict,
+    run_chrono_with_interferents, run_cv, ChronoProtocol, CvProtocol, QcClass, QcVerdict,
 };
 use bios_units::{Amps, Molar, Seconds};
 use std::sync::OnceLock;
@@ -182,14 +181,6 @@ impl SessionReport {
         self
     }
 
-    /// Marks this report as covering `n` work units shed by an
-    /// overloaded server before they ran.
-    #[must_use]
-    pub fn with_shed(mut self, n: usize) -> Self {
-        self.degradation.shed += n;
-        self
-    }
-
     /// Worst relative concentration error against a ground-truth sample
     /// (readings without an estimate count as 100% error; truths of zero
     /// are skipped).
@@ -299,7 +290,7 @@ impl Platform {
     }
 
     /// The duration of one measurement on an assignment.
-    pub fn measurement_duration(&self, assignment: &WeAssignment) -> Seconds {
+    pub(crate) fn measurement_duration(&self, assignment: &WeAssignment) -> Seconds {
         match &assignment.sensor {
             SensorModel::Oxidase(_) => Seconds::new(
                 self.chrono_protocol.settle.value() + self.chrono_protocol.measure.value(),
@@ -770,78 +761,6 @@ impl Platform {
         }
     }
 
-    /// Self-characterizes every working electrode with a full calibration
-    /// campaign (blank replicates plus a concentration series over the
-    /// registry linear range), returning one Table III-style
-    /// [`PerformanceReport`] per target.
-    ///
-    /// This is what a manufactured platform's acceptance test would run.
-    /// With `n_blanks` around 6–10 the LODs carry the usual small-sample
-    /// scatter; the concentration series uses 6 points per target.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError`] if any underlying campaign fails.
-    pub fn calibrate(
-        &self,
-        n_blanks: usize,
-        seed: u64,
-    ) -> Result<Vec<PerformanceReport>, PlatformError> {
-        let mut reports = Vec::new();
-        for assignment in &self.assignments {
-            let we_seed = seed.wrapping_add(1009 * (assignment.index as u64 + 1));
-            let area = assignment.electrode.geometric_area();
-            match &assignment.sensor {
-                SensorModel::Oxidase(sensor) => {
-                    let analyte = assignment.targets[0];
-                    let concs = series_for(analyte);
-                    let outcome = calibrate_chrono(
-                        sensor,
-                        &assignment.electrode,
-                        &self.chrono_chain,
-                        &concs,
-                        n_blanks,
-                        &self.chrono_protocol,
-                        we_seed,
-                    )?;
-                    reports.push(
-                        PerformanceReport::from_calibration(
-                            analyte.to_string(),
-                            assignment.probe.to_string(),
-                            Technique::Chronoamperometry.to_string(),
-                            &outcome,
-                            area,
-                        )
-                        .with_timing(sensor.response_time_t90(), self.chrono_protocol.settle),
-                    );
-                }
-                SensorModel::Cytochrome(sensor) => {
-                    for (j, analyte) in assignment.targets.iter().enumerate() {
-                        let concs = series_for(*analyte);
-                        let outcome = calibrate_cv(
-                            sensor,
-                            &assignment.electrode,
-                            &self.cv_chain,
-                            *analyte,
-                            &concs,
-                            n_blanks,
-                            &self.cv_protocol,
-                            we_seed.wrapping_add(j as u64),
-                        )?;
-                        reports.push(PerformanceReport::from_calibration(
-                            analyte.to_string(),
-                            assignment.probe.to_string(),
-                            Technique::CyclicVoltammetry.to_string(),
-                            &outcome,
-                            area,
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(reports)
-    }
-
     /// The platform's cost summary.
     pub fn cost(&self) -> PlatformCost {
         let n_we = self.assignments.len();
@@ -878,16 +797,6 @@ fn invert_mm(response: f64, area_cm2: f64, s_si: f64, kinetics: &MichaelisMenten
         return None;
     }
     Some(Molar::new(kinetics.km().value() * x / (1.0 - x)))
-}
-
-/// The calibration concentration series for an analyte: six points over
-/// its registry (Table III) linear range, falling back to the typical
-/// physiological range for unregistered targets.
-fn series_for(analyte: Analyte) -> Vec<Molar> {
-    let range = bios_biochem::tables::performance_of(analyte)
-        .map(|row| row.linear_range())
-        .unwrap_or_else(|| analyte.typical_range());
-    range.linspace(6)
 }
 
 fn concentration_of(sample: &[(Analyte, Molar)], analyte: Analyte) -> Molar {
@@ -1112,35 +1021,6 @@ mod tests {
         let report = triple.run_session(&sample, 9).expect("session");
         assert_eq!(report.readings().len(), 1);
         assert!(report.readings()[0].identified);
-    }
-
-    #[test]
-    fn self_calibration_produces_six_reports() {
-        let p = fig4();
-        let reports = p.calibrate(6, 314).expect("calibration");
-        assert_eq!(reports.len(), 6, "one report per target");
-        for r in &reports {
-            assert!(r.sensitivity_ua_per_mm_cm2 > 0.0, "{}", r.target);
-            assert!(r.lod_um > 0.0, "{}", r.target);
-        }
-        // Oxidase reports carry timing; CYP reports do not.
-        let glucose = reports
-            .iter()
-            .find(|r| r.target == "glucose")
-            .expect("present");
-        assert!(glucose.t90.is_some());
-        assert!(glucose.throughput_per_hour.expect("timing set") > 10.0);
-        let chol = reports
-            .iter()
-            .find(|r| r.target == "cholesterol")
-            .expect("present");
-        assert!(chol.t90.is_none());
-        // Sensitivities land near the registry (wide band: quick campaign).
-        assert!(
-            (glucose.sensitivity_ua_per_mm_cm2 - 27.7).abs() / 27.7 < 0.4,
-            "glucose S {}",
-            glucose.sensitivity_ua_per_mm_cm2
-        );
     }
 
     #[test]

@@ -33,12 +33,6 @@ impl TargetSpec {
         self.required_lod = Some(lod);
         self
     }
-
-    /// Overrides the required range.
-    pub fn with_range(mut self, range: QRange<Molar>) -> Self {
-        self.required_range = range;
-        self
-    }
 }
 
 /// A multi-target sensing panel.

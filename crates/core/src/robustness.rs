@@ -48,15 +48,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (single attempt, immediate quarantine).
-    pub fn none() -> Self {
-        Self {
-            max_retries: 0,
-            quarantine_after: 1,
-            ..Self::default()
-        }
-    }
-
     /// The seed attempt `attempt` (0-based) measures with, derived from
     /// the electrode's base seed. Pure arithmetic: the whole retry
     /// schedule is a function of `(we_seed, policy)` alone, which is what
@@ -152,12 +143,6 @@ impl SessionOptions {
     /// Replaces the QC gate.
     pub fn with_qc(mut self, qc: QcGate) -> Self {
         self.qc = qc;
-        self
-    }
-
-    /// Replaces the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -257,7 +242,6 @@ mod tests {
         assert!(opts.fault_plan.is_none());
         assert_eq!(opts.qc.min_delta, bios_units::Amps::ZERO);
         assert_eq!(opts.retry.max_retries, 2);
-        assert!(RetryPolicy::none().max_retries == 0);
     }
 
     #[test]

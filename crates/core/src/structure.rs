@@ -90,15 +90,6 @@ impl SensorStructure {
         }
     }
 
-    /// Whether all working electrodes share one solution volume (and so
-    /// can cross-talk).
-    pub fn shares_volume(&self) -> bool {
-        matches!(
-            self,
-            SensorStructure::Single | SensorStructure::MultiElectrode { .. }
-        )
-    }
-
     /// The paper's Fig. 4 structure: five WEs, one CE, one RE.
     pub fn paper_fig4() -> Self {
         SensorStructure::MultiElectrode { working: 5 }
@@ -138,7 +129,6 @@ mod tests {
         // "five working electrodes, one counter and one reference" — 7.
         assert_eq!(s.total_electrodes(), 7);
         assert_eq!(s.chambers(), 1);
-        assert!(s.shares_volume());
     }
 
     #[test]
@@ -154,14 +144,12 @@ mod tests {
         let a = SensorStructure::Array2d { rows: 3, cols: 4 };
         assert_eq!(a.working_electrodes(), 12);
         assert_eq!(a.total_electrodes(), 36);
-        assert!(!a.shares_volume());
     }
 
     #[test]
     fn chambers_isolate_reactions() {
         let m = SensorStructure::MultiChamber { chambers: 4 };
         assert_eq!(m.chambers(), 4);
-        assert!(!m.shares_volume());
     }
 
     #[test]

@@ -18,7 +18,8 @@ use bios_units::{Farads, Kelvin, Ohms, T_ROOM};
 ///
 /// # fn main() -> Result<(), bios_electrochem::ElectrochemError> {
 /// let cell = Cell::builder(Electrode::paper_gold_we()).build()?;
-/// assert!(cell.double_layer_capacitance().as_nanofarads() > 10.0);
+/// // R_u·C_dl: the interface charges within microseconds.
+/// assert!(cell.time_constant().as_micros() < 10.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -36,8 +37,6 @@ impl Cell {
         CellBuilder {
             working,
             temperature: T_ROOM,
-            uncompensated_resistance: Ohms::new(100.0),
-            double_layer_override: None,
         }
     }
 
@@ -51,13 +50,8 @@ impl Cell {
         self.temperature
     }
 
-    /// Uncompensated solution resistance between RE tip and WE.
-    pub fn uncompensated_resistance(&self) -> Ohms {
-        self.uncompensated_resistance
-    }
-
     /// Double-layer capacitance (override, or derived from the electrode).
-    pub fn double_layer_capacitance(&self) -> Farads {
+    pub(crate) fn double_layer_capacitance(&self) -> Farads {
         self.double_layer_override
             .unwrap_or_else(|| self.working.double_layer_capacitance())
     }
@@ -76,8 +70,6 @@ impl Cell {
 pub struct CellBuilder {
     working: Electrode,
     temperature: Kelvin,
-    uncompensated_resistance: Ohms,
-    double_layer_override: Option<Farads>,
 }
 
 impl CellBuilder {
@@ -87,25 +79,12 @@ impl CellBuilder {
         self
     }
 
-    /// Sets the uncompensated resistance (default 100 Ω).
-    pub fn uncompensated_resistance(mut self, r: Ohms) -> Self {
-        self.uncompensated_resistance = r;
-        self
-    }
-
-    /// Overrides the double-layer capacitance instead of deriving it from
-    /// the electrode material and area.
-    pub fn double_layer_capacitance(mut self, c: Farads) -> Self {
-        self.double_layer_override = Some(c);
-        self
-    }
-
     /// Validates and builds the cell.
     ///
     /// # Errors
     ///
-    /// Returns [`ElectrochemError::InvalidParameter`] for non-physical
-    /// temperature, negative resistance or non-positive capacitance override.
+    /// Returns [`ElectrochemError::InvalidParameter`] for a non-physical
+    /// temperature.
     pub fn build(self) -> Result<Cell, ElectrochemError> {
         if self.temperature.value() <= 0.0 || !self.temperature.value().is_finite() {
             return Err(ElectrochemError::invalid(
@@ -113,27 +92,11 @@ impl CellBuilder {
                 "must be positive kelvin",
             ));
         }
-        if self.uncompensated_resistance.value() < 0.0
-            || !self.uncompensated_resistance.value().is_finite()
-        {
-            return Err(ElectrochemError::invalid(
-                "uncompensated_resistance",
-                "must be non-negative and finite",
-            ));
-        }
-        if let Some(c) = self.double_layer_override {
-            if c.value() <= 0.0 || !c.value().is_finite() {
-                return Err(ElectrochemError::invalid(
-                    "double_layer_capacitance",
-                    "must be positive and finite",
-                ));
-            }
-        }
         Ok(Cell {
             working: self.working,
             temperature: self.temperature,
-            uncompensated_resistance: self.uncompensated_resistance,
-            double_layer_override: self.double_layer_override,
+            uncompensated_resistance: Ohms::new(100.0),
+            double_layer_override: None,
         })
     }
 }
@@ -149,20 +112,10 @@ mod tests {
             .build()
             .expect("valid");
         assert_eq!(cell.temperature(), T_ROOM);
-        assert_eq!(cell.uncompensated_resistance(), Ohms::new(100.0));
         // 0.23 mm² gold at 20 µF/cm² = 46 nF.
         assert!((cell.double_layer_capacitance().as_nanofarads() - 46.0).abs() < 0.5);
         // τ = 100 Ω · 46 nF ≈ 4.6 µs.
         assert!((cell.time_constant().as_micros() - 4.6).abs() < 0.1);
-    }
-
-    #[test]
-    fn override_capacitance() {
-        let cell = Cell::builder(Electrode::paper_gold_we())
-            .double_layer_capacitance(Farads::from_nanofarads(100.0))
-            .build()
-            .expect("valid");
-        assert!((cell.double_layer_capacitance().as_nanofarads() - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -178,14 +131,6 @@ mod tests {
     fn rejects_bad_parameters() {
         assert!(Cell::builder(Electrode::paper_gold_we())
             .temperature(Kelvin::new(0.0))
-            .build()
-            .is_err());
-        assert!(Cell::builder(Electrode::paper_gold_we())
-            .uncompensated_resistance(Ohms::new(-1.0))
-            .build()
-            .is_err());
-        assert!(Cell::builder(Electrode::paper_gold_we())
-            .double_layer_capacitance(Farads::ZERO)
             .build()
             .is_err());
     }

@@ -42,47 +42,10 @@ pub fn cottrell_current(
     Amps::new(n * FARADAY * area.value() * c * (d / (core::f64::consts::PI * t.value())).sqrt())
 }
 
-/// Steady-state limiting current of a disk *microelectrode* of radius `r`:
-/// `i_ss = 4·n·F·D·C·r`.
-///
-/// Unlike planar electrodes, microelectrodes reach a true steady state —
-/// the basis of the paper's §III observation that scaled-down electrodes
-/// enable "much shorter measurements".
-pub fn microdisk_steady_state(couple: &RedoxCouple, radius: Centimeters, bulk: Molar) -> Amps {
-    let n = couple.electrons() as f64;
-    let d = couple.diffusion_ox().value();
-    let c = bulk.to_moles_per_cm3().value();
-    Amps::new(4.0 * n * FARADAY * d * c * radius.value())
-}
-
 /// Time for a disk microelectrode of radius `r` to settle within ~10% of its
 /// steady state, `t ≈ r²/D` — the response-time advantage of miniaturization.
 pub fn microdisk_settling_time(couple: &RedoxCouple, radius: Centimeters) -> Seconds {
     Seconds::new(radius.value().powi(2) / couple.diffusion_ox().value())
-}
-
-/// Charge passed by a Cottrell transient between `t0` and `t1`
-/// (`Q = 2·n·F·A·C·√(D/π)·(√t₁ − √t₀)`), for coulometric sizing.
-///
-/// # Panics
-///
-/// Panics if `t0 > t1` or `t0 < 0`.
-pub fn cottrell_charge(
-    couple: &RedoxCouple,
-    area: SquareCentimeters,
-    bulk: Molar,
-    t0: Seconds,
-    t1: Seconds,
-) -> bios_units::Coulombs {
-    assert!(
-        t0.value() >= 0.0 && t1.value() >= t0.value(),
-        "need 0 <= t0 <= t1"
-    );
-    let n = couple.electrons() as f64;
-    let d = couple.diffusion_ox().value();
-    let c = bulk.to_moles_per_cm3().value();
-    let k = 2.0 * n * FARADAY * area.value() * c * (d / core::f64::consts::PI).sqrt();
-    bios_units::Coulombs::new(k * (t1.value().sqrt() - t0.value().sqrt()))
 }
 
 #[cfg(test)]
@@ -137,35 +100,5 @@ mod tests {
         assert!(small.value() < large.value() / 50.0);
         // 5 µm disk settles in well under a second.
         assert!(small.value() < 0.1);
-    }
-
-    #[test]
-    fn microdisk_steady_state_magnitude() {
-        // 4·n·F·D·C·r for 1 mM, 6.7e-6 cm²/s, 10 µm radius:
-        // 4·96485·6.7e-6·1e-6·1e-3 ≈ 2.59 nA.
-        let c = RedoxCouple::ferrocyanide();
-        let i = microdisk_steady_state(
-            &c,
-            Centimeters::from_micrometers(10.0),
-            Molar::from_millimolar(1.0),
-        );
-        assert!(
-            (i.as_nanoamps() - 2.59).abs() < 0.05,
-            "i = {}",
-            i.as_nanoamps()
-        );
-    }
-
-    #[test]
-    fn charge_integrates_current() {
-        // dQ/dt at t must match i(t): check with a finite difference.
-        let c = RedoxCouple::ferrocyanide();
-        let a = SquareCentimeters::new(0.01);
-        let conc = Molar::from_millimolar(1.0);
-        let t = 2.0;
-        let eps = 1e-4;
-        let dq = cottrell_charge(&c, a, conc, Seconds::new(t - eps), Seconds::new(t + eps));
-        let i = cottrell_current(&c, a, conc, Seconds::new(t));
-        assert!((dq.value() / (2.0 * eps) - i.value()).abs() / i.value() < 1e-6);
     }
 }

@@ -189,8 +189,6 @@ pub struct DiffusionSim {
     bulk_red: f64,
     ox: SpeciesField,
     red: SpeciesField,
-    /// Cumulative `O` consumed through the electrode, mol/cm².
-    consumed_ox: f64,
     initial_inventory_ox: f64,
     initial_inventory_red: f64,
 }
@@ -222,7 +220,6 @@ impl DiffusionSim {
             bulk_red: bulk_red.value(),
             ox,
             red,
-            consumed_ox: 0.0,
             initial_inventory_ox,
             initial_inventory_red,
         })
@@ -270,18 +267,7 @@ impl DiffusionSim {
         let flux = (kf * base_o0 - kb * base_r0) / denom;
         self.ox.commit(flux);
         self.red.commit(-flux);
-        self.consumed_ox += flux * self.dt;
         flux
-    }
-
-    /// Advances one step with a *prescribed* surface flux in mol/(cm²·s)
-    /// (positive = `O` consumed, `R` produced). Used for enzyme-generated
-    /// product streams where the chemistry, not the electrode, sets the rate.
-    pub fn step_with_flux(&mut self, flux: f64) {
-        self.solve_base();
-        self.ox.commit(flux);
-        self.red.commit(-flux);
-        self.consumed_ox += flux * self.dt;
     }
 
     /// Surface concentration of the oxidized species.
@@ -302,11 +288,6 @@ impl DiffusionSim {
     /// Concentration profile of the reduced species (mol/cm³ per node).
     pub fn profile_red(&self) -> &[f64] {
         &self.red.conc
-    }
-
-    /// Cumulative `O` consumed through the electrode (mol/cm²).
-    pub fn consumed_ox(&self) -> f64 {
-        self.consumed_ox
     }
 
     /// Relative mass-balance error of the `O + R` inventory.
@@ -441,7 +422,6 @@ pub struct BatchDiffusionSim {
     bulk_red: Vec<f64>,
     ox: BatchSpeciesField,
     red: BatchSpeciesField,
-    consumed_ox: Vec<f64>,
     initial_inventory_ox: Vec<f64>,
     initial_inventory_red: Vec<f64>,
     /// Reused by [`Self::step_with_rate_constants`] so the convenience
@@ -495,7 +475,6 @@ impl BatchDiffusionSim {
             bulk_red,
             ox,
             red,
-            consumed_ox: vec![0.0; batch],
             initial_inventory_ox,
             initial_inventory_red,
             flux_scratch: vec![0.0; batch],
@@ -524,7 +503,11 @@ impl BatchDiffusionSim {
     /// # Panics
     ///
     /// Panics if `rates` or `fluxes` don't match the batch width.
-    pub fn step_with_rate_constants_into(&mut self, rates: &[(f64, f64)], fluxes: &mut [f64]) {
+    pub(crate) fn step_with_rate_constants_into(
+        &mut self,
+        rates: &[(f64, f64)],
+        fluxes: &mut [f64],
+    ) {
         assert_eq!(rates.len(), self.batch, "rate batch width mismatch");
         assert_eq!(fluxes.len(), self.batch, "flux batch width mismatch");
         self.ox.solve_base(self.dt, &self.bulk_ox);
@@ -541,15 +524,13 @@ impl BatchDiffusionSim {
         }
         self.ox.commit_scaled(fluxes, 1.0);
         self.red.commit_scaled(fluxes, -1.0);
-        for (acc, f) in self.consumed_ox.iter_mut().zip(fluxes.iter()) {
-            *acc += f * self.dt;
-        }
     }
 
-    /// Convenience wrapper around
-    /// [`Self::step_with_rate_constants_into`] that lends the per-lane
-    /// fluxes from a persistent scratch buffer (allocated once at
-    /// construction, so stepping through here stays allocation-free).
+    /// Advances every lane one step with its own Butler–Volmer rate
+    /// constants `(kf, kb)` and returns the per-lane reaction fluxes
+    /// (mol/(cm²·s), positive = `O` consumed), lent from a persistent
+    /// scratch buffer (allocated once at construction, so stepping through
+    /// here stays allocation-free).
     ///
     /// # Panics
     ///
@@ -559,23 +540,6 @@ impl BatchDiffusionSim {
         self.step_with_rate_constants_into(rates, &mut fluxes);
         self.flux_scratch = fluxes;
         &self.flux_scratch
-    }
-
-    /// Advances every lane one step with a prescribed surface flux
-    /// (positive = `O` consumed, `R` produced).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fluxes` doesn't match the batch width.
-    pub fn step_with_flux(&mut self, fluxes: &[f64]) {
-        assert_eq!(fluxes.len(), self.batch, "flux batch width mismatch");
-        self.ox.solve_base(self.dt, &self.bulk_ox);
-        self.red.solve_base(self.dt, &self.bulk_red);
-        self.ox.commit_scaled(fluxes, 1.0);
-        self.red.commit_scaled(fluxes, -1.0);
-        for (acc, f) in self.consumed_ox.iter_mut().zip(fluxes.iter()) {
-            *acc += f * self.dt;
-        }
     }
 
     /// Surface concentration of the oxidized species in lane `lane`.
@@ -617,15 +581,6 @@ impl BatchDiffusionSim {
     pub fn profile_red(&self, lane: usize) -> Vec<f64> {
         assert!(lane < self.batch, "lane out of bounds");
         self.red.lane_profile(self.batch, lane)
-    }
-
-    /// Cumulative `O` consumed through lane `lane`'s electrode (mol/cm²).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of bounds.
-    pub fn consumed_ox(&self, lane: usize) -> f64 {
-        self.consumed_ox[lane]
     }
 
     /// Relative mass-balance error of lane `lane`'s `O + R` inventory; same
@@ -717,18 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn prescribed_flux_accumulates_product() {
-        let mut sim = make_sim(0.0, 0.01, 10.0);
-        // Negative flux: R consumed... here negative means O produced.
-        for _ in 0..100 {
-            sim.step_with_flux(-1e-12);
-        }
-        // O appears at the surface.
-        assert!(sim.surface_ox().value() > 0.0);
-        assert!((sim.consumed_ox() + 1e-12 * 0.01 * 100.0).abs() < 1e-20);
-    }
-
-    #[test]
     fn mass_balance_holds_during_partial_electrolysis() {
         let mut sim = make_sim(1e-6, 0.005, 5.0);
         for _ in 0..1000 {
@@ -784,7 +727,6 @@ mod tests {
                 batch.surface_ox(b).value().to_bits(),
                 sim.surface_ox().value().to_bits()
             );
-            assert_eq!(batch.consumed_ox(b).to_bits(), sim.consumed_ox().to_bits());
             let bp = batch.profile_ox(b);
             for (x, y) in bp.iter().zip(sim.profile_ox()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "lane {b}");
@@ -797,39 +739,6 @@ mod tests {
                 batch.mass_balance_error(b).to_bits(),
                 sim.mass_balance_error().to_bits()
             );
-        }
-    }
-
-    #[test]
-    fn batch_prescribed_flux_matches_scalar() {
-        let d = DiffusionCoefficient::new(1e-5);
-        let dt = 0.01;
-        let grid = Grid::for_experiment(d, Seconds::new(5.0), Seconds::new(dt)).expect("grid");
-        let bulks = [
-            (MolesPerCm3::ZERO, MolesPerCm3::ZERO),
-            (MolesPerCm3::new(1e-6), MolesPerCm3::ZERO),
-        ];
-        let mut batch =
-            BatchDiffusionSim::new(grid.clone(), d, d, &bulks, Seconds::new(dt)).expect("batch");
-        let mut scalars: Vec<DiffusionSim> = bulks
-            .iter()
-            .map(|(o, r)| {
-                DiffusionSim::new(grid.clone(), d, d, *o, *r, Seconds::new(dt)).expect("sim")
-            })
-            .collect();
-        for k in 0..40usize {
-            let fluxes = [-1e-12 * (1.0 + k as f64 * 0.01), 3e-13];
-            batch.step_with_flux(&fluxes);
-            for (b, sim) in scalars.iter_mut().enumerate() {
-                sim.step_with_flux(fluxes[b]);
-            }
-        }
-        for (b, sim) in scalars.iter().enumerate() {
-            assert_eq!(
-                batch.surface_ox(b).value().to_bits(),
-                sim.surface_ox().value().to_bits()
-            );
-            assert_eq!(batch.consumed_ox(b).to_bits(), sim.consumed_ox().to_bits());
         }
     }
 

@@ -19,39 +19,6 @@ pub fn sweep_charging_current(cell: &Cell, rate: VoltsPerSecond, direction_up: b
     Amps::new(if direction_up { magnitude } else { -magnitude })
 }
 
-/// Charging transient after a potential step `ΔE` through the uncompensated
-/// resistance: `i_c(t) = (ΔE/R_u)·exp(−t/(R_u·C_dl))`.
-///
-/// Returns zero for `t < 0`. With `R_u = 0` the step charges instantly and
-/// the function returns zero for `t > 0` (and ΔE/0 = ∞ is avoided by
-/// convention: use a small series resistance if you need the spike).
-pub fn step_charging_current(cell: &Cell, delta_e: Volts, t: Seconds) -> Amps {
-    if t.value() < 0.0 {
-        return Amps::ZERO;
-    }
-    let ru = cell.uncompensated_resistance().value();
-    // advdiag::allow(F1, exact sentinel: an ideally unresisted cell charges instantaneously)
-    if ru == 0.0 {
-        return Amps::ZERO;
-    }
-    let tau = cell.time_constant().value();
-    Amps::new(delta_e.value() / ru * (-t.value() / tau).exp())
-}
-
-/// Time for the step-charging transient to decay below `fraction` of its
-/// initial value: `t = τ·ln(1/fraction)`.
-///
-/// # Panics
-///
-/// Panics unless `0 < fraction < 1`.
-pub fn charging_settling_time(cell: &Cell, fraction: f64) -> Seconds {
-    assert!(
-        fraction > 0.0 && fraction < 1.0,
-        "fraction must be in (0, 1)"
-    );
-    Seconds::new(cell.time_constant().value() * (1.0 / fraction).ln())
-}
-
 /// Discrete-time double-layer charging model for the simulation drivers.
 ///
 /// The interface capacitance `C_dl` charges through the uncompensated
@@ -61,7 +28,7 @@ pub fn charging_settling_time(cell: &Cell, fraction: f64) -> Seconds {
 /// ideal `i_c = C_dl·dE/dt`. A filter is bound to one step length `Δt`, so
 /// the decay factor is computed once, not per step.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ChargingFilter {
+pub(crate) struct ChargingFilter {
     e_cap: f64,
     cdl: f64,
     dt: f64,
@@ -112,7 +79,8 @@ impl ChargingFilter {
     }
 
     /// The capacitor's present potential.
-    pub fn capacitor_potential(&self) -> Volts {
+    #[cfg(test)]
+    pub(crate) fn capacitor_potential(&self) -> Volts {
         Volts::new(self.e_cap)
     }
 }
@@ -163,35 +131,6 @@ mod tests {
             "i = {}",
             i.as_nanoamps()
         );
-    }
-
-    #[test]
-    fn step_transient_decays_exponentially() {
-        let cell = cell_with_area(0.23);
-        let de = Volts::from_millivolts(650.0);
-        let i0 = step_charging_current(&cell, de, Seconds::ZERO);
-        assert!((i0.value() - 0.65 / 100.0).abs() < 1e-12);
-        let tau = cell.time_constant();
-        let i_tau = step_charging_current(&cell, de, tau);
-        assert!((i_tau.value() / i0.value() - (-1.0f64).exp()).abs() < 1e-9);
-        assert_eq!(
-            step_charging_current(&cell, de, Seconds::new(-1.0)),
-            Amps::ZERO
-        );
-    }
-
-    #[test]
-    fn settling_time_log_relation() {
-        let cell = cell_with_area(0.23);
-        let t1 = charging_settling_time(&cell, 0.01);
-        // ln(100) ≈ 4.6 time constants.
-        assert!((t1.value() / cell.time_constant().value() - 100.0f64.ln()).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn settling_rejects_bad_fraction() {
-        let _ = charging_settling_time(&cell_with_area(0.23), 1.5);
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl ElectrodeMaterial {
     /// Typical specific double-layer capacitance of the bare material.
     ///
     /// Double layers run 10–40 µF/cm²; carbons sit at the high end.
-    pub fn double_layer_capacitance(self) -> FaradsPerCm2 {
+    pub(crate) fn double_layer_capacitance(self) -> FaradsPerCm2 {
         let uf = match self {
             ElectrodeMaterial::Gold => 20.0,
             ElectrodeMaterial::SilverSilverChloride => 25.0,
@@ -45,7 +45,7 @@ impl ElectrodeMaterial {
     /// Multiplier on heterogeneous electron-transfer rate constants relative
     /// to gold (electrocatalytic activity for inner-sphere reactions such as
     /// H₂O₂ oxidation).
-    pub fn kinetic_factor(self) -> f64 {
+    pub(crate) fn kinetic_factor(self) -> f64 {
         match self {
             ElectrodeMaterial::Gold => 1.0,
             ElectrodeMaterial::SilverSilverChloride => 0.2,
@@ -104,7 +104,7 @@ impl Nanostructure {
 
     /// Multiplier on electron-transfer kinetics (nanostructures also act as
     /// electrocatalysts and promote direct electron transfer to enzymes).
-    pub fn kinetic_factor(self) -> f64 {
+    pub(crate) fn kinetic_factor(self) -> f64 {
         match self {
             Nanostructure::None => 1.0,
             Nanostructure::CarbonNanotubes => 25.0,
@@ -193,11 +193,6 @@ impl Electrode {
         self
     }
 
-    /// Conductor material.
-    pub fn material(&self) -> ElectrodeMaterial {
-        self.material
-    }
-
     /// Geometric (projected) area.
     pub fn geometric_area(&self) -> SquareCentimeters {
         self.geometric_area
@@ -218,12 +213,12 @@ impl Electrode {
     /// Scales with *active* area — the microelectrode advantage the paper
     /// cites ("the background current is smaller" for scaled-down electrodes)
     /// falls directly out of this product.
-    pub fn double_layer_capacitance(&self) -> bios_units::Farads {
+    pub(crate) fn double_layer_capacitance(&self) -> bios_units::Farads {
         self.material.double_layer_capacitance() * self.active_area()
     }
 
     /// Combined electron-transfer kinetic enhancement over bare gold.
-    pub fn kinetic_factor(&self) -> f64 {
+    pub(crate) fn kinetic_factor(&self) -> f64 {
         self.material.kinetic_factor() * self.nanostructure.kinetic_factor()
     }
 }
@@ -243,7 +238,7 @@ mod tests {
     fn paper_we_dimensions() {
         let we = Electrode::paper_gold_we();
         assert!((we.geometric_area().as_square_millimeters() - 0.23).abs() < 1e-12);
-        assert_eq!(we.material(), ElectrodeMaterial::Gold);
+        assert_eq!(we.material, ElectrodeMaterial::Gold);
     }
 
     #[test]

@@ -151,17 +151,12 @@ impl Grid {
         self.x.is_empty()
     }
 
-    /// Node positions in cm.
-    pub fn positions(&self) -> &[f64] {
-        &self.x
-    }
-
     /// Spacing `x[i+1] - x[i]` in cm.
     ///
     /// # Panics
     ///
     /// Panics if `i + 1` is out of bounds.
-    pub fn spacing(&self, i: usize) -> f64 {
+    pub(crate) fn spacing(&self, i: usize) -> f64 {
         self.x[i + 1] - self.x[i]
     }
 
@@ -172,7 +167,7 @@ impl Grid {
     }
 
     /// Finite-volume control width of node `i` (half-cells at both ends).
-    pub fn control_width(&self, i: usize) -> f64 {
+    pub(crate) fn control_width(&self, i: usize) -> f64 {
         let n = self.x.len();
         if i == 0 {
             (self.x[1] - self.x[0]) / 2.0
@@ -188,7 +183,7 @@ impl Grid {
     /// # Panics
     ///
     /// Panics if `field` does not match the grid length.
-    pub fn integrate(&self, field: &[f64]) -> f64 {
+    pub(crate) fn integrate(&self, field: &[f64]) -> f64 {
         assert_eq!(field.len(), self.len(), "field length mismatch");
         field
             .iter()
@@ -218,7 +213,7 @@ mod tests {
         assert!((r - 1.5).abs() < 1e-12);
         assert!(g.length() >= 1.0);
         // Strictly increasing positions.
-        for w in g.positions().windows(2) {
+        for w in g.x.windows(2) {
             assert!(w[1] > w[0]);
         }
     }

@@ -19,8 +19,7 @@ use bios_units::{Kelvin, Volts, FARADAY, GAS_CONSTANT};
 /// let couple = RedoxCouple::ferrocyanide();
 /// // At E = E⁰' both rate constants equal k⁰.
 /// let (kf, kb) = rate_constants(&couple, couple.formal_potential(), T_ROOM, 1.0);
-/// assert!((kf - couple.rate_constant_cm_per_s()).abs() < 1e-12);
-/// assert!((kb - couple.rate_constant_cm_per_s()).abs() < 1e-12);
+/// assert!((kf - kb).abs() < 1e-12);
 /// ```
 pub fn rate_constants(
     couple: &RedoxCouple,
@@ -38,67 +37,10 @@ pub fn rate_constants(
     (kf, kb)
 }
 
-/// Electrochemical reversibility regime at a given scan rate, classified by
-/// the Matsuda–Ayabe parameter `Λ = k⁰ / √(D·f·v)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum Reversibility {
-    /// `Λ ≥ 15`: Nernstian behaviour; CV peaks at `E⁰' ± 28.5/n mV`.
-    Reversible,
-    /// `15 > Λ ≥ 10⁻³`: intermediate; peaks shift with scan rate.
-    QuasiReversible,
-    /// `Λ < 10⁻³`: fully irreversible; large overpotentials needed — the
-    /// regime of H₂O₂ oxidation that forces the paper's +650 mV bias.
-    Irreversible,
-}
-
-impl core::fmt::Display for Reversibility {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let s = match self {
-            Reversibility::Reversible => "reversible",
-            Reversibility::QuasiReversible => "quasi-reversible",
-            Reversibility::Irreversible => "irreversible",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Classifies the couple's reversibility at scan rate `v` (V/s).
-///
-/// # Example
-///
-/// ```
-/// use bios_electrochem::{classify_reversibility, RedoxCouple, Reversibility};
-/// use bios_units::{T_ROOM, VoltsPerSecond};
-///
-/// let v = VoltsPerSecond::from_millivolts_per_second(20.0);
-/// let fast = RedoxCouple::ferrocyanide();
-/// assert_eq!(classify_reversibility(&fast, v, T_ROOM, 1.0), Reversibility::Reversible);
-/// let slow = RedoxCouple::hydrogen_peroxide();
-/// assert_eq!(classify_reversibility(&slow, v, T_ROOM, 1.0), Reversibility::Irreversible);
-/// ```
-pub fn classify_reversibility(
-    couple: &RedoxCouple,
-    scan_rate: bios_units::VoltsPerSecond,
-    temperature: Kelvin,
-    kinetic_factor: f64,
-) -> Reversibility {
-    let f = FARADAY / (GAS_CONSTANT * temperature.value());
-    let d = couple.diffusion_ox().value();
-    let lambda =
-        couple.rate_constant_cm_per_s() * kinetic_factor / (d * f * scan_rate.value()).sqrt();
-    if lambda >= 15.0 {
-        Reversibility::Reversible
-    } else if lambda >= 1e-3 {
-        Reversibility::QuasiReversible
-    } else {
-        Reversibility::Irreversible
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bios_units::{VoltsPerSecond, T_ROOM};
+    use bios_units::T_ROOM;
 
     #[test]
     fn rates_cross_at_formal_potential() {
@@ -151,41 +93,5 @@ mod tests {
         let (kf1, _) = rate_constants(&c1, e, T_ROOM, 1.0);
         let (kf2, _) = rate_constants(&c2, e, T_ROOM, 1.0);
         assert!(kf2 > kf1);
-    }
-
-    #[test]
-    fn nanostructuring_can_promote_quasi_reversibility() {
-        let h2o2 = RedoxCouple::hydrogen_peroxide();
-        let v = VoltsPerSecond::from_millivolts_per_second(20.0);
-        assert_eq!(
-            classify_reversibility(&h2o2, v, T_ROOM, 1.0),
-            Reversibility::Irreversible
-        );
-        // CNT kinetic factor ≈ 25: moves H2O2 into the quasi-reversible band.
-        assert_eq!(
-            classify_reversibility(&h2o2, v, T_ROOM, 1000.0),
-            Reversibility::QuasiReversible
-        );
-    }
-
-    #[test]
-    fn faster_scans_reduce_reversibility() {
-        // A moderately fast couple looks reversible at 20 mV/s but only
-        // quasi-reversible at very high scan rates.
-        let c = RedoxCouple::builder("m")
-            .rate_constant(0.1)
-            .diffusion(1e-5)
-            .build()
-            .expect("valid");
-        let slow = VoltsPerSecond::from_millivolts_per_second(20.0);
-        let fast = VoltsPerSecond::new(100.0);
-        assert_eq!(
-            classify_reversibility(&c, slow, T_ROOM, 1.0),
-            Reversibility::Reversible
-        );
-        assert_eq!(
-            classify_reversibility(&c, fast, T_ROOM, 1.0),
-            Reversibility::QuasiReversible
-        );
     }
 }

@@ -3,7 +3,7 @@
 //! This crate replaces the wet-lab electrochemical cell of the DATE 2011
 //! paper with a quantitative model:
 //!
-//! * [`RedoxCouple`] / [`SurfaceCouple`] — the species the electrode sees,
+//! * [`RedoxCouple`] — the species the electrode sees,
 //! * [`Electrode`] / [`Cell`] — geometry, materials, nanostructuring,
 //!   double layer and uncompensated resistance,
 //! * [`PotentialProgram`] — holds, steps and triangular sweeps,
@@ -13,17 +13,19 @@
 //! * [`BatchDiffusionSim`] — the same solver vectorized across an electrode
 //!   fleet: structure-of-arrays `[node × lane]` planes and one batched
 //!   Thomas sweep per species per step, bit-identical per lane,
-//! * [`simulate_chrono`] / [`simulate_cv`] / [`simulate_chrono_fleet`] —
+//! * [`simulate_chrono`] / [`simulate_cv_with`] / [`simulate_chrono_fleet`] —
 //!   experiment drivers producing [`Transient`]s and [`Voltammogram`]s,
 //! * closed-form cross-checks: [`cottrell_current`],
-//!   [`randles_sevcik_peak`], microelectrode steady states.
+//!   [`randles_sevcik_peak`], [`microdisk_settling_time`].
 //!
 //! Sign convention is IUPAC throughout: anodic (oxidation) current positive.
 //!
-//! # Example: a cyclic voltammogram in six lines
+//! # Example: a cyclic voltammogram
 //!
 //! ```
-//! use bios_electrochem::{simulate_cv, Cell, Electrode, PotentialProgram, RedoxCouple};
+//! use bios_electrochem::{
+//!     simulate_cv_with, Cell, Electrode, PotentialProgram, RedoxCouple, SimOptions,
+//! };
 //! use bios_units::{Molar, Volts, VoltsPerSecond};
 //!
 //! # fn main() -> Result<(), bios_electrochem::ElectrochemError> {
@@ -32,7 +34,8 @@
 //! let sweep = PotentialProgram::cyclic_single(
 //!     Volts::new(0.55), Volts::new(-0.1),
 //!     VoltsPerSecond::from_millivolts_per_second(50.0));
-//! let cv = simulate_cv(&cell, &couple, Molar::from_millimolar(1.0), Molar::ZERO, &sweep)?;
+//! let bulk = Molar::from_millimolar(1.0);
+//! let cv = simulate_cv_with(&cell, &couple, bulk, Molar::ZERO, &sweep, SimOptions::default())?;
 //! assert!(cv.min_current().expect("nonempty").1.value() < 0.0);
 //! # Ok(())
 //! # }
@@ -49,39 +52,27 @@ mod electrode;
 mod error;
 mod grid;
 mod kinetics;
-mod nernst;
 mod randles_sevcik;
 mod simulate;
 mod species;
-mod surface;
 mod swv;
 mod trace;
 mod tridiag;
 mod waveform;
 
 pub use cell::{Cell, CellBuilder};
-pub use cottrell::{
-    cottrell_charge, cottrell_current, microdisk_settling_time, microdisk_steady_state,
-};
+pub use cottrell::{cottrell_current, microdisk_settling_time};
 pub use diffusion::{BatchDiffusionSim, DiffusionSim};
-pub use double_layer::{
-    charging_settling_time, step_charging_current, sweep_charging_current, ChargingFilter,
-};
+pub use double_layer::sweep_charging_current;
 pub use electrode::{Electrode, ElectrodeMaterial, Nanostructure};
 pub use error::ElectrochemError;
 pub use grid::Grid;
-pub use kinetics::{classify_reversibility, rate_constants, Reversibility};
-pub use nernst::{equilibrium_potential, nernst_ratio};
-pub use randles_sevcik::{
-    randles_sevcik_peak, reversible_anodic_peak_potential, reversible_cathodic_peak_potential,
-    reversible_peak_separation,
-};
+pub use kinetics::rate_constants;
+pub use randles_sevcik::randles_sevcik_peak;
 pub use simulate::{
-    simulate_chrono, simulate_chrono_fleet, simulate_chrono_with, simulate_cv, simulate_cv_with,
-    SimOptions,
+    simulate_chrono, simulate_chrono_fleet, simulate_chrono_with, simulate_cv_with, SimOptions,
 };
 pub use species::{RedoxCouple, RedoxCoupleBuilder};
-pub use surface::SurfaceCouple;
 pub use swv::{simulate_swv, SwvParams};
 pub use trace::{Transient, Voltammogram};
 pub use tridiag::Tridiagonal;

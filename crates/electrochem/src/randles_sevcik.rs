@@ -2,9 +2,7 @@
 //! closed-form benchmarks the CV simulator must reproduce.
 
 use crate::species::RedoxCouple;
-use bios_units::{
-    Amps, Kelvin, Molar, SquareCentimeters, Volts, VoltsPerSecond, FARADAY, GAS_CONSTANT,
-};
+use bios_units::{Amps, Kelvin, Molar, SquareCentimeters, VoltsPerSecond, FARADAY, GAS_CONSTANT};
 
 /// Reversible CV peak current magnitude:
 /// `i_p = 0.4463·n·F·A·C·√(n·F·v·D/(R·T))`.
@@ -43,23 +41,15 @@ pub fn randles_sevcik_peak(
 }
 
 /// Cathodic peak potential of a reversible reduction:
-/// `E_p = E⁰' − 1.109·RT/(nF)` (≈ `E⁰' − 28.5/n` mV at 25 °C).
-pub fn reversible_cathodic_peak_potential(couple: &RedoxCouple, temperature: Kelvin) -> Volts {
+/// `E_p = E⁰' − 1.109·RT/(nF)` (≈ `E⁰' − 28.5/n` mV at 25 °C): the
+/// expected value the CV simulator's tests check against.
+#[cfg(test)]
+pub(crate) fn reversible_cathodic_peak_potential(
+    couple: &RedoxCouple,
+    temperature: Kelvin,
+) -> bios_units::Volts {
     let shift = 1.109 * GAS_CONSTANT * temperature.value() / (couple.electrons() as f64 * FARADAY);
-    Volts::new(couple.formal_potential().value() - shift)
-}
-
-/// Anodic peak potential of a reversible oxidation:
-/// `E_p = E⁰' + 1.109·RT/(nF)`.
-pub fn reversible_anodic_peak_potential(couple: &RedoxCouple, temperature: Kelvin) -> Volts {
-    let shift = 1.109 * GAS_CONSTANT * temperature.value() / (couple.electrons() as f64 * FARADAY);
-    Volts::new(couple.formal_potential().value() + shift)
-}
-
-/// Reversible peak-to-peak separation `ΔE_p ≈ 2.218·RT/(nF)`
-/// (≈ 57/n mV at 25 °C) — the classic reversibility diagnostic.
-pub fn reversible_peak_separation(couple: &RedoxCouple, temperature: Kelvin) -> Volts {
-    Volts::new(2.218 * GAS_CONSTANT * temperature.value() / (couple.electrons() as f64 * FARADAY))
+    bios_units::Volts::new(couple.formal_potential().value() - shift)
 }
 
 #[cfg(test)]
@@ -88,25 +78,10 @@ mod tests {
     }
 
     #[test]
-    fn peak_potentials_bracket_formal_potential() {
+    fn cathodic_peak_sits_below_formal_potential() {
         let c = RedoxCouple::ferrocyanide();
         let ec = reversible_cathodic_peak_potential(&c, T_ROOM);
-        let ea = reversible_anodic_peak_potential(&c, T_ROOM);
-        assert!(ec.value() < c.formal_potential().value());
-        assert!(ea.value() > c.formal_potential().value());
-        // 28.5 mV shifts at room temperature for n = 1.
+        // 28.5 mV shift at room temperature for n = 1.
         assert!(((c.formal_potential() - ec).as_millivolts() - 28.5).abs() < 0.2);
-        let sep = reversible_peak_separation(&c, T_ROOM);
-        assert!((sep.as_millivolts() - 57.0).abs() < 0.5);
-    }
-
-    #[test]
-    fn multi_electron_compresses_separation() {
-        let c2 = RedoxCouple::builder("x")
-            .electrons(2)
-            .build()
-            .expect("valid");
-        let sep = reversible_peak_separation(&c2, T_ROOM);
-        assert!((sep.as_millivolts() - 28.5).abs() < 0.3);
     }
 }

@@ -310,7 +310,7 @@ pub fn simulate_chrono_fleet(
 }
 
 /// Simulates a voltammetry experiment (typically a [`PotentialProgram::Cyclic`]
-/// sweep), returning the voltammogram.
+/// sweep) with explicit [`SimOptions`], returning the voltammogram.
 ///
 /// # Errors
 ///
@@ -320,7 +320,9 @@ pub fn simulate_chrono_fleet(
 /// # Example
 ///
 /// ```
-/// use bios_electrochem::{simulate_cv, Cell, Electrode, PotentialProgram, RedoxCouple};
+/// use bios_electrochem::{
+///     simulate_cv_with, Cell, Electrode, PotentialProgram, RedoxCouple, SimOptions,
+/// };
 /// use bios_units::{Molar, Volts, VoltsPerSecond};
 ///
 /// # fn main() -> Result<(), bios_electrochem::ElectrochemError> {
@@ -331,35 +333,15 @@ pub fn simulate_chrono_fleet(
 ///     Volts::new(-0.1),
 ///     VoltsPerSecond::from_millivolts_per_second(50.0),
 /// );
-/// let cv = simulate_cv(&cell, &couple, Molar::from_millimolar(1.0), Molar::ZERO, &program)?;
+/// let bulk = Molar::from_millimolar(1.0);
+/// let options = SimOptions::default();
+/// let cv = simulate_cv_with(&cell, &couple, bulk, Molar::ZERO, &program, options)?;
 /// let (peak_e, peak_i) = cv.min_current().expect("nonempty");
 /// assert!(peak_i.value() < 0.0); // a cathodic peak appears
 /// assert!(peak_e.value() < couple.formal_potential().value());
 /// # Ok(())
 /// # }
 /// ```
-pub fn simulate_cv(
-    cell: &Cell,
-    couple: &RedoxCouple,
-    bulk_ox: Molar,
-    bulk_red: Molar,
-    program: &PotentialProgram,
-) -> Result<Voltammogram, ElectrochemError> {
-    simulate_cv_with(
-        cell,
-        couple,
-        bulk_ox,
-        bulk_red,
-        program,
-        SimOptions::default(),
-    )
-}
-
-/// [`simulate_cv`] with explicit [`SimOptions`].
-///
-/// # Errors
-///
-/// See [`simulate_cv`].
 pub fn simulate_cv_with(
     cell: &Cell,
     couple: &RedoxCouple,
@@ -485,12 +467,13 @@ mod tests {
             e0 - Volts::new(0.3),
             VoltsPerSecond::from_millivolts_per_second(50.0),
         );
-        let cv = simulate_cv(
+        let cv = simulate_cv_with(
             &cell(),
             &couple,
             Molar::from_millimolar(1.0),
             Molar::ZERO,
             &program,
+            SimOptions::default(),
         )
         .expect("simulation");
         let (e_an, i_an) = cv.max_current().expect("nonempty");
@@ -507,8 +490,15 @@ mod tests {
             Volts::new(-0.8),
             VoltsPerSecond::from_millivolts_per_second(20.0),
         );
-        let with =
-            simulate_cv(&cell(), &couple, Molar::ZERO, Molar::ZERO, &program).expect("simulation");
+        let with = simulate_cv_with(
+            &cell(),
+            &couple,
+            Molar::ZERO,
+            Molar::ZERO,
+            &program,
+            SimOptions::default(),
+        )
+        .expect("simulation");
         // Mid-scan sample on the downward leg: ≈ −Cdl·v.
         let k = with.len() / 4;
         let i = with.current()[k];

@@ -80,7 +80,7 @@ impl RedoxCouple {
     ///
     /// ≳0.1 cm/s behaves reversibly at the paper's 20 mV/s scan rates;
     /// ≲10⁻⁴ cm/s is irreversible and needs a large overpotential.
-    pub fn rate_constant_cm_per_s(&self) -> f64 {
+    pub(crate) fn rate_constant_cm_per_s(&self) -> f64 {
         self.rate_constant_cm_per_s
     }
 

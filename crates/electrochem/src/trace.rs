@@ -110,21 +110,6 @@ impl Transient {
             tail.iter().map(|i| i.value()).sum::<f64>() / tail.len() as f64,
         ))
     }
-
-    /// Sample with the maximum absolute current.
-    pub fn peak_abs(&self) -> Option<(Seconds, Amps)> {
-        self.iter()
-            .max_by(|a, b| a.1.abs().value().total_cmp(&b.1.abs().value()))
-    }
-
-    /// Renders the record as CSV with a header row.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_s,current_a\n");
-        for (t, i) in self.iter() {
-            out.push_str(&format!("{},{}\n", t.value(), i.value()));
-        }
-        out
-    }
 }
 
 impl FromIterator<(Seconds, Amps)> for Transient {
@@ -227,7 +212,8 @@ impl Voltammogram {
     }
 
     /// The sample with the most positive current (anodic peak candidate).
-    pub fn max_current(&self) -> Option<(Volts, Amps)> {
+    #[cfg(test)]
+    pub(crate) fn max_current(&self) -> Option<(Volts, Amps)> {
         self.potential
             .iter()
             .zip(self.current.iter())
@@ -242,15 +228,6 @@ impl Voltammogram {
             .zip(self.current.iter())
             .min_by(|a, b| a.1.value().total_cmp(&b.1.value()))
             .map(|(e, i)| (*e, *i))
-    }
-
-    /// Renders the record as CSV with a header row.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_s,potential_v,current_a\n");
-        for (t, e, i) in self.iter() {
-            out.push_str(&format!("{},{},{}\n", t.value(), e.value(), i.value()));
-        }
-        out
     }
 }
 
@@ -301,25 +278,6 @@ mod tests {
         }
         let ss = t.tail_mean(0.2).expect("nonempty");
         assert_eq!(ss, Amps::new(4.0));
-    }
-
-    #[test]
-    fn peak_abs_finds_largest_magnitude() {
-        let mut t = Transient::new();
-        t.push(Seconds::new(0.0), Amps::new(1.0));
-        t.push(Seconds::new(1.0), Amps::new(-5.0));
-        t.push(Seconds::new(2.0), Amps::new(3.0));
-        let (pt, pi) = t.peak_abs().expect("nonempty");
-        assert_eq!(pt, Seconds::new(1.0));
-        assert_eq!(pi, Amps::new(-5.0));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let t = ramp_transient();
-        let csv = t.to_csv();
-        assert!(csv.starts_with("time_s,current_a\n"));
-        assert_eq!(csv.lines().count(), 12);
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl Tridiagonal {
     /// # Panics
     ///
     /// Panics if `d` has the wrong length.
-    pub fn solve_in_place(&self, d: &mut [f64]) {
+    pub(crate) fn solve_in_place(&self, d: &mut [f64]) {
         let n = self.len();
         assert_eq!(d.len(), n, "right-hand side length mismatch");
         // Forward elimination with the precomputed multipliers. The running
@@ -265,7 +265,7 @@ impl Tridiagonal {
     /// lane `b`'s value at node `i`, so all lanes of a node are contiguous
     /// and the inner lane loops are straight-line, unit-stride, and
     /// autovectorizable. Per lane the arithmetic is exactly the operation
-    /// sequence of [`Self::solve_in_place`] (same multiplies, subtracts, and
+    /// sequence of `Self::solve_in_place` (same multiplies, subtracts, and
     /// divides, in the same order), so lane `b` of the batched result is
     /// bit-identical to a scalar solve of lane `b` alone — batching shares
     /// the factorization sweep across lanes without reassociating anything.

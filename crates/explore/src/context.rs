@@ -17,7 +17,7 @@ use crate::space::ExploreSpec;
 
 /// The static facts one assembled platform contributes to the closed forms.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Skeleton {
+pub(crate) struct Skeleton {
     /// Working-electrode count (readout chains when dedicated).
     pub n_we: usize,
     /// Total electrodes including counter/reference/blank.
@@ -47,7 +47,7 @@ pub(crate) fn sharing_ordinal(s: ReadoutSharing) -> u8 {
 
 /// Skeletons for every `(preference, sharing, cds)` triple a space can hit.
 #[derive(Debug, Clone)]
-pub struct PanelContext {
+pub(crate) struct PanelContext {
     skeletons: BTreeMap<(u8, u8, bool), Skeleton>,
 }
 
@@ -55,7 +55,7 @@ impl PanelContext {
     /// Assembles the skeleton set for `spec`'s panel over exactly the
     /// triples its space enumerates. Fails if any required skeleton cannot
     /// be built — a panel the builder rejects cannot be explored.
-    pub fn for_spec(spec: &ExploreSpec) -> Result<Self, ExploreError> {
+    pub(crate) fn for_spec(spec: &ExploreSpec) -> Result<Self, ExploreError> {
         let mut skeletons = BTreeMap::new();
         for &pf in &spec.space.preferences {
             for &sh in &spec.space.sharing {
@@ -93,7 +93,7 @@ impl PanelContext {
     }
 
     /// The skeleton for a `(preference, sharing, cds)` triple.
-    pub fn skeleton(
+    pub(crate) fn skeleton(
         &self,
         preference: ProbePreference,
         sharing: ReadoutSharing,
@@ -106,11 +106,6 @@ impl PanelContext {
                 what: "skeleton missing for a space triple",
             })
     }
-
-    /// How many distinct skeletons were assembled.
-    pub fn skeleton_count(&self) -> usize {
-        self.skeletons.len()
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +117,7 @@ mod tests {
     fn fig4_context_builds_all_triples() {
         let spec = ExploreSpec::standard(PanelSpec::paper_fig4());
         let cx = PanelContext::for_spec(&spec).expect("context");
-        assert_eq!(cx.skeleton_count(), 12);
+        assert_eq!(cx.skeletons.len(), 12);
         let sk = cx
             .skeleton(
                 ProbePreference::MinimizeElectrodes,

@@ -36,7 +36,7 @@ pub struct ExploreOutcome {
 }
 
 /// Digest of a scored band: every rank, coordinate and metric bit.
-pub fn band_digest(band: &[ScoredDesign]) -> u64 {
+pub(crate) fn band_digest(band: &[ScoredDesign]) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(band.len() as u64);
     for d in band {

@@ -52,15 +52,11 @@ mod passes;
 mod shard;
 mod space;
 
-pub use context::{PanelContext, Skeleton};
 pub use error::ExploreError;
 pub use frontier::{
-    band_digest, brute_force_band, explore, explore_with_manager, ExploreOutcome, BRUTE_FORCE_CAP,
+    brute_force_band, explore, explore_with_manager, ExploreOutcome, BRUTE_FORCE_CAP,
 };
-pub use model::{
-    afe_incompatibility, cost_scalar, derived_dynamic_range, evaluate_static, session_time_s,
-    surrogate_lod, worst_margin, RejectReason, StaticEval,
-};
+pub use model::{surrogate_lod, worst_margin, RejectReason};
 pub use passes::{PassId, PassManager, PassReport, RejectBucket};
 pub use shard::{ScoredDesign, Shard};
 pub use space::{ExplorePoint, ExploreSpace, ExploreSpec};

@@ -91,7 +91,7 @@ pub fn worst_margin(panel: &PanelSpec, point: &ExplorePoint) -> Result<f64, Expl
 /// resolution resolves a third of the blank noise, clamped at the
 /// builder's own 15-bit realizability floor. Electrode area cancels;
 /// only the roughness gain moves it.
-pub fn derived_dynamic_range(
+pub(crate) fn derived_dynamic_range(
     target: Analyte,
     nanostructure: bios_electrochem::Nanostructure,
 ) -> Result<f64, ExploreError> {
@@ -113,7 +113,7 @@ pub fn derived_dynamic_range(
 /// point's ADC cannot span, if any — the "AFE range/noise incompatibility"
 /// refutation: the chain cannot simultaneously pass the Vmax current and
 /// resolve the calibration blank noise with that many bits.
-pub fn afe_incompatibility(
+pub(crate) fn afe_incompatibility(
     panel: &PanelSpec,
     nanostructure: bios_electrochem::Nanostructure,
     adc_bits: u8,
@@ -129,7 +129,7 @@ pub fn afe_incompatibility(
 
 /// One full session's duration in seconds: the skeleton's base schedule
 /// repeated `oversampling` times.
-pub fn session_time_s(skeleton: &Skeleton, oversampling: u16) -> f64 {
+pub(crate) fn session_time_s(skeleton: &Skeleton, oversampling: u16) -> f64 {
     skeleton.schedule_s * f64::from(oversampling)
 }
 
@@ -137,7 +137,7 @@ pub fn session_time_s(skeleton: &Skeleton, oversampling: u16) -> f64 {
 /// core electronics bill at the point's ADC/chopper/CDS settings plus
 /// the area-scaled electrode estate and the oversampled session time,
 /// collapsed through [`PlatformCost::scalar`].
-pub fn cost_scalar(skeleton: &Skeleton, point: &ExplorePoint) -> f64 {
+pub(crate) fn cost_scalar(skeleton: &Skeleton, point: &ExplorePoint) -> f64 {
     let budget = electronics_budget(
         skeleton.n_we,
         point.base.sharing,
@@ -186,7 +186,7 @@ pub enum RejectReason {
 /// passes must reproduce exactly. Used by the brute-force oracle and the
 /// proptests; the pipeline never calls this per point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StaticEval {
+pub(crate) struct StaticEval {
     /// The first refutation in canonical order (LOD, AFE, schedule), if any.
     pub reject: Option<RejectReason>,
     /// Scalar cost (lower is better).
@@ -198,7 +198,7 @@ pub struct StaticEval {
 }
 
 /// Evaluates every static closed form at one point.
-pub fn evaluate_static(
+pub(crate) fn evaluate_static(
     panel: &PanelSpec,
     skeleton: &Skeleton,
     session_budget_s: f64,

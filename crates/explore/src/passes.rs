@@ -659,7 +659,7 @@ impl PassManager {
     }
 
     /// The configured order.
-    pub fn order(&self) -> &[PassId] {
+    pub(crate) fn order(&self) -> &[PassId] {
         &self.order
     }
 }

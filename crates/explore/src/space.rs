@@ -36,7 +36,7 @@ pub struct ExplorePoint {
 
 impl ExplorePoint {
     /// Area scale factor `a` relative to the paper's WE geometry.
-    pub fn area_scale(&self) -> f64 {
+    pub(crate) fn area_scale(&self) -> f64 {
         f64::from(self.area_pct) / 100.0
     }
 }
@@ -154,8 +154,8 @@ impl AxisSizes {
 }
 
 /// The cartesian-product design space, held as axis value lists and never
-/// materialized. Duplicate axis values are rejected by [`validate`]
-/// (`ExploreSpace::validate`) so ranks and points stay in bijection.
+/// materialized. Duplicate axis values are rejected by
+/// [`ExploreSpace::validate`] so ranks and points stay in bijection.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ExploreSpace {
     /// Working-electrode nanostructuring options.
@@ -268,7 +268,7 @@ impl ExploreSpace {
     }
 
     /// Decodes a row-major rank into its point; `None` past the end.
-    pub fn point_at(&self, rank: u64) -> Option<ExplorePoint> {
+    pub(crate) fn point_at(&self, rank: u64) -> Option<ExplorePoint> {
         let sz = self.sizes();
         if rank >= sz.total() {
             return None;

@@ -32,22 +32,8 @@ pub struct LinearFit {
 
 impl LinearFit {
     /// Predicted response at a concentration.
-    pub fn predict(&self, c: Molar) -> f64 {
+    pub(crate) fn predict(&self, c: Molar) -> f64 {
         self.intercept + self.slope * c.value()
-    }
-
-    /// Inverts the calibration: the concentration producing `response`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InstrumentError::FitFailed`] for a zero slope.
-    pub fn invert(&self, response: f64) -> Result<Molar, InstrumentError> {
-        if self.slope == 0.0 {
-            return Err(InstrumentError::FitFailed(
-                "zero slope cannot be inverted".to_string(),
-            ));
-        }
-        Ok(Molar::new((response - self.intercept) / self.slope))
     }
 }
 
@@ -291,9 +277,6 @@ mod tests {
         assert!((fit.slope - 2.5e-3).abs() / 2.5e-3 < 1e-9);
         assert!((fit.intercept - 1e-9).abs() < 1e-15);
         assert!(fit.r2 > 0.999999);
-        // Inversion round-trips.
-        let c = fit.invert(fit.predict(mm(3.3))).expect("invert");
-        assert!((c.as_millimolar() - 3.3).abs() < 1e-9);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Chronoamperometry protocol: the oxidase readout of paper Table I and
 //! the Fig. 3 time-response experiment.
 
-use crate::calibration::{analyze_calibration, CalibrationOutcome, CalibrationPoint};
 use crate::error::InstrumentError;
 use bios_afe::ReadoutChain;
 use bios_biochem::{Interferent, OxidaseSensor};
@@ -277,53 +276,6 @@ pub fn analyze_transient(transient: Transient, injection: Seconds) -> ChronoMeas
     }
 }
 
-/// Runs a full calibration campaign: `n_blanks` blank measurements plus one
-/// measurement per requested concentration, analyzed per the paper's
-/// eqs. 5–7.
-///
-/// # Errors
-///
-/// Returns [`InstrumentError`] for invalid protocols, too few points, or
-/// degenerate data.
-pub fn calibrate_chrono(
-    sensor: &OxidaseSensor,
-    electrode: &Electrode,
-    chain: &ReadoutChain,
-    concentrations: &[Molar],
-    n_blanks: usize,
-    protocol: &ChronoProtocol,
-    seed: u64,
-) -> Result<CalibrationOutcome, InstrumentError> {
-    let mut blanks = Vec::with_capacity(n_blanks);
-    for k in 0..n_blanks {
-        let m = run_chrono(
-            sensor,
-            electrode,
-            chain,
-            Molar::ZERO,
-            protocol,
-            seed.wrapping_add(k as u64),
-        )?;
-        blanks.push(m.delta().value());
-    }
-    let mut points = Vec::with_capacity(concentrations.len());
-    for (k, &c) in concentrations.iter().enumerate() {
-        let m = run_chrono(
-            sensor,
-            electrode,
-            chain,
-            c,
-            protocol,
-            seed.wrapping_add(1000 + k as u64),
-        )?;
-        points.push(CalibrationPoint {
-            concentration: c,
-            response: m.delta().value(),
-        });
-    }
-    analyze_calibration(&blanks, &points, 0.10)
-}
-
 fn gaussian(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
@@ -410,47 +362,6 @@ mod tests {
             (d2 / d1 - 2.0).abs() < 0.35,
             "expected ~2x response: {d1} vs {d2}"
         );
-    }
-
-    #[test]
-    fn calibration_recovers_table_iii_sensitivity() {
-        let (sensor, electrode, chain) = setup();
-        let concs: Vec<Molar> = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
-            .iter()
-            .map(|c| Molar::from_millimolar(*c))
-            .collect();
-        let out = calibrate_chrono(
-            &sensor,
-            &electrode,
-            &chain,
-            &concs,
-            6,
-            &ChronoProtocol::default(),
-            77,
-        )
-        .expect("calibration");
-        // Sensitivity per area: slope / area ≈ 27.7 µA/(mM·cm²) within the
-        // MM attenuation and noise.
-        let area = electrode.geometric_area().value();
-        let s_ua_mm_cm2 = out.fit.slope / area * 1e3 * 1e6 / 1e6; // A/M/cm² → µA/mM/cm² is ×1e3... compute directly:
-        let s_si = out.fit.slope / area; // A/(M·cm²)
-        let s_report = s_si * 1e3; // µA/(mM·cm²)
-                                   // One-shot responses near the LOD carry ~±20% scatter; the bench
-                                   // harness averages replicates, here we just need the right scale.
-        assert!(
-            (s_report - 27.7).abs() / 27.7 < 0.30,
-            "sensitivity {s_report} µA/(mM·cm²)"
-        );
-        let _ = s_ua_mm_cm2;
-        // LOD lands in the ballpark of the paper's 575 µM (within a factor
-        // of ~2.5 — it is a statistical estimate from 6 blanks).
-        let lod_um = out.lod.as_micromolar();
-        assert!(
-            lod_um > 150.0 && lod_um < 1600.0,
-            "LOD {lod_um} µM vs paper 575 µM"
-        );
-        // Realistic blank noise near the LOD limits single-shot R².
-        assert!(out.fit.r2 > 0.90, "r2 = {}", out.fit.r2);
     }
 
     #[test]

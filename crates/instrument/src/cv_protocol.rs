@@ -1,7 +1,6 @@
 //! Cyclic voltammetry protocol: the cytochrome P450 readout of paper
 //! Table II, with peak detection and signature matching.
 
-use crate::calibration::{analyze_calibration, CalibrationOutcome, CalibrationPoint};
 use crate::error::InstrumentError;
 use crate::peaks::{cathodic_segment, detect_cathodic_peaks, Peak, PeakOptions};
 use crate::signature::{match_signature, ExpectedPeak, SignatureMatch, DEFAULT_WINDOW};
@@ -209,67 +208,6 @@ pub fn peak_readout(segment: &[(Volts, Amps)], expected: Volts) -> Option<Amps> 
     Some(Amps::new((left + right) / 2.0 - apex))
 }
 
-/// Runs a CV calibration campaign for one analyte on a CYP sensor:
-/// `n_blanks` blank sweeps plus one sweep per concentration, with the
-/// response taken by [`peak_readout`] at the analyte's nominal potential.
-///
-/// # Errors
-///
-/// Returns [`InstrumentError`] for unsupported analytes, invalid protocols
-/// or degenerate data.
-#[allow(clippy::too_many_arguments)] // a calibration campaign genuinely has this many knobs
-pub fn calibrate_cv(
-    sensor: &CypSensor,
-    electrode: &Electrode,
-    chain: &ReadoutChain,
-    analyte: Analyte,
-    concentrations: &[Molar],
-    n_blanks: usize,
-    protocol: &CvProtocol,
-    seed: u64,
-) -> Result<CalibrationOutcome, InstrumentError> {
-    let expected = sensor.nominal_peak_potential(analyte).ok_or_else(|| {
-        InstrumentError::Biochem(bios_biochem::BiochemError::UnsupportedAnalyte {
-            probe: format!("{}", sensor.isoform()),
-            analyte: analyte.to_string(),
-        })
-    })?;
-    let response_of = |m: &CvMeasurement| -> f64 {
-        let seg = cathodic_segment(&m.voltammogram);
-        peak_readout(&seg, expected)
-            .map(|a| a.value())
-            .unwrap_or(0.0)
-    };
-    let mut blanks = Vec::with_capacity(n_blanks);
-    for k in 0..n_blanks {
-        let m = run_cv(
-            sensor,
-            electrode,
-            chain,
-            &[],
-            protocol,
-            seed.wrapping_add(k as u64),
-        )?;
-        blanks.push(response_of(&m));
-    }
-    let mut points = Vec::with_capacity(concentrations.len());
-    for (k, &c) in concentrations.iter().enumerate() {
-        let m = run_cv(
-            sensor,
-            electrode,
-            chain,
-            &[(analyte, c)],
-            protocol,
-            seed.wrapping_add(1000 + k as u64),
-        )?;
-        points.push(CalibrationPoint {
-            concentration: c,
-            response: response_of(&m),
-        });
-    }
-    analyze_calibration(&blanks, &points, 0.10)
-}
-
 fn gaussian(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
@@ -409,47 +347,5 @@ mod tests {
         let r3 = peak_readout(&wave(3e-9), Volts::new(-0.4)).expect("readout");
         assert!((r3.value() / r1.value() - 3.0).abs() < 0.01);
         assert!((r1.as_nanoamps() - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn cv_calibration_recovers_aminopyrine_sensitivity() {
-        let (sensor, electrode, chain) = setup(CypIsoform::Cyp2B4);
-        let concs: Vec<Molar> = [0.8, 2.0, 4.0, 6.0, 8.0]
-            .iter()
-            .map(|c| Molar::from_millimolar(*c))
-            .collect();
-        let out = calibrate_cv(
-            &sensor,
-            &electrode,
-            &chain,
-            Analyte::Aminopyrine,
-            &concs,
-            6,
-            &CvProtocol::default(),
-            11,
-        )
-        .expect("calibration");
-        let s_report = out.fit.slope / electrode.geometric_area().value() * 1e3;
-        assert!(
-            (s_report - 2.8).abs() / 2.8 < 0.2,
-            "sensitivity {s_report} µA/(mM·cm²) vs paper 2.8"
-        );
-    }
-
-    #[test]
-    fn unsupported_analyte_is_rejected() {
-        let (sensor, electrode, chain) = setup(CypIsoform::Cyp2B4);
-        let err = calibrate_cv(
-            &sensor,
-            &electrode,
-            &chain,
-            Analyte::Clozapine,
-            &[Molar::from_millimolar(1.0)],
-            2,
-            &CvProtocol::default(),
-            1,
-        )
-        .unwrap_err();
-        assert!(matches!(err, InstrumentError::Biochem(_)));
     }
 }

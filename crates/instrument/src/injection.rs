@@ -85,23 +85,13 @@ impl InjectionSchedule {
     }
 
     /// The events.
-    pub fn events(&self) -> &[(Seconds, Molar)] {
+    pub(crate) fn events(&self) -> &[(Seconds, Molar)] {
         &self.events
     }
 
     /// Total duration.
     pub fn duration(&self) -> Seconds {
         self.duration
-    }
-
-    /// The bath concentration at time `t` (blank before the first event).
-    pub fn concentration_at(&self, t: Seconds) -> Molar {
-        self.events
-            .iter()
-            .take_while(|(et, _)| et.value() <= t.value())
-            .last()
-            .map(|(_, c)| *c)
-            .unwrap_or(Molar::ZERO)
     }
 }
 
@@ -276,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn concentration_at_follows_events() {
+    fn wash_cycles_span_their_duration() {
         let s = InjectionSchedule::sample_wash_cycles(
             2,
             Molar::from_millimolar(2.0),
@@ -284,16 +274,6 @@ mod tests {
             Seconds::new(40.0),
         )
         .expect("valid");
-        assert_eq!(s.concentration_at(Seconds::new(-1.0)), Molar::ZERO);
-        assert_eq!(
-            s.concentration_at(Seconds::new(30.0)),
-            Molar::from_millimolar(2.0)
-        );
-        assert_eq!(s.concentration_at(Seconds::new(80.0)), Molar::ZERO);
-        assert_eq!(
-            s.concentration_at(Seconds::new(130.0)),
-            Molar::from_millimolar(2.0)
-        );
         assert!((s.duration().value() - 240.0).abs() < 1e-9);
     }
 

@@ -4,13 +4,11 @@
 //! This crate turns the paper's §II-B "desirable properties of a biosensing
 //! acquisition chain" into code:
 //!
-//! * [`run_chrono`] / [`calibrate_chrono`] — chronoamperometry on oxidase
-//!   sensors: injections, `t₉₀` and transient response times (Fig. 3),
-//!   full calibration campaigns;
-//! * [`run_cv`] / [`calibrate_cv`] — cyclic voltammetry on cytochrome P450
-//!   sensors: cathodic [`Peak`] detection, electrochemical
-//!   [`match_signature`] identification (Table II), peak-height
-//!   calibration;
+//! * [`run_chrono`] — chronoamperometry on oxidase sensors: injections,
+//!   `t₉₀` and transient response times (Fig. 3);
+//! * [`run_cv`] — cyclic voltammetry on cytochrome P450 sensors: cathodic
+//!   [`Peak`] detection, electrochemical [`match_signature`]
+//!   identification (Table II), peak-height readout;
 //! * [`analyze_calibration`] — sensitivity (eq. 6), LOD = `V_b + 3σ_b`
 //!   (eq. 5), linear-range detection and `NL_max` (eq. 7);
 //! * [`ReplicateStats`] and [`PerformanceReport`] — the statistics and the
@@ -38,16 +36,13 @@ pub use calibration::{
     LinearFit,
 };
 pub use chrono_protocol::{
-    analyze_transient, calibrate_chrono, run_chrono, run_chrono_with_interferents,
-    ChronoMeasurement, ChronoProtocol,
+    analyze_transient, run_chrono, run_chrono_with_interferents, ChronoMeasurement, ChronoProtocol,
 };
-pub use cv_protocol::{calibrate_cv, peak_readout, run_cv, CvMeasurement, CvProtocol};
+pub use cv_protocol::{peak_readout, run_cv, CvMeasurement, CvProtocol};
 pub use error::InstrumentError;
 pub use injection::{run_injection_series, InjectionSchedule, InjectionSeriesResult};
 pub use metrics::PerformanceReport;
-pub use peaks::{
-    anodic_segment, cathodic_segment, detect_anodic_peaks, detect_cathodic_peaks, Peak, PeakOptions,
-};
+pub use peaks::{cathodic_segment, detect_cathodic_peaks, Peak, PeakOptions};
 pub use qc::{QcClass, QcDecision, QcGate, QcReason, QcVerdict};
 pub use replicate::ReplicateStats;
 pub use signature::{match_signature, ExpectedPeak, SignatureMatch, DEFAULT_WINDOW};

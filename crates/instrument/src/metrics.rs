@@ -1,8 +1,7 @@
 //! Assembled performance reports — the per-sensor rows of the paper's
 //! Table III plus the §II-B timing properties.
 
-use crate::calibration::CalibrationOutcome;
-use bios_units::{Seconds, SquareCentimeters};
+use bios_units::Seconds;
 
 /// A complete characterization of one functionalized electrode.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -29,67 +28,6 @@ pub struct PerformanceReport {
     pub throughput_per_hour: Option<f64>,
 }
 
-impl PerformanceReport {
-    /// Builds a report from a calibration outcome where the response was a
-    /// current in amperes measured on an electrode of the given area.
-    pub fn from_calibration(
-        target: impl Into<String>,
-        probe: impl Into<String>,
-        technique: impl Into<String>,
-        outcome: &CalibrationOutcome,
-        area: SquareCentimeters,
-    ) -> Self {
-        let s_si = outcome.fit.slope / area.value(); // A/(M·cm²)
-        Self {
-            target: target.into(),
-            probe: probe.into(),
-            technique: technique.into(),
-            sensitivity_ua_per_mm_cm2: s_si * 1e3,
-            lod_um: outcome.lod.as_micromolar(),
-            linear_range_mm: (
-                outcome.linear_range.lo().as_millimolar(),
-                outcome.linear_range.hi().as_millimolar(),
-            ),
-            nl_max: outcome.nl_max,
-            r2: outcome.fit.r2,
-            t90: None,
-            throughput_per_hour: None,
-        }
-    }
-
-    /// Attaches timing: `t₉₀` plus a throughput estimate assuming one
-    /// sample needs `settle + 2·t₉₀` (response + recovery, paper §II-B).
-    pub fn with_timing(mut self, t90: Seconds, settle: Seconds) -> Self {
-        let cycle = settle.value() + 2.0 * t90.value();
-        self.t90 = Some(t90);
-        self.throughput_per_hour = (cycle > 0.0).then(|| 3600.0 / cycle);
-        self
-    }
-
-    /// Renders the Table III-style row.
-    pub fn table_row(&self) -> String {
-        format!(
-            "{:<14} {:<22} {:>8.2} {:>10.0} {:>6.2} - {:<6.2} {:>5.3} {:>6.3}",
-            self.target.to_uppercase(),
-            self.probe,
-            self.sensitivity_ua_per_mm_cm2,
-            self.lod_um,
-            self.linear_range_mm.0,
-            self.linear_range_mm.1,
-            self.nl_max,
-            self.r2,
-        )
-    }
-
-    /// The header matching [`PerformanceReport::table_row`].
-    pub fn table_header() -> String {
-        format!(
-            "{:<14} {:<22} {:>8} {:>10} {:>15} {:>5} {:>6}",
-            "Target", "Probe", "S", "LOD(µM)", "Linear(mM)", "NLmax", "R²"
-        )
-    }
-}
-
 impl core::fmt::Display for PerformanceReport {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
@@ -109,61 +47,21 @@ impl core::fmt::Display for PerformanceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibration::{analyze_calibration, CalibrationPoint};
-    use bios_units::Molar;
-
-    fn outcome() -> CalibrationOutcome {
-        let blanks = [0.0, 1e-9, -1e-9, 2e-9];
-        let points: Vec<CalibrationPoint> = (1..=6)
-            .map(|k| CalibrationPoint {
-                concentration: Molar::from_millimolar(k as f64),
-                response: 27.7e-3 * 0.0023 * k as f64 * 1e-3,
-            })
-            .collect();
-        analyze_calibration(&blanks, &points, 0.1).expect("analysis")
-    }
 
     #[test]
-    fn report_converts_units() {
-        let r = PerformanceReport::from_calibration(
-            "glucose",
-            "glucose oxidase",
-            "chronoamperometry",
-            &outcome(),
-            SquareCentimeters::new(0.0023),
-        );
-        assert!((r.sensitivity_ua_per_mm_cm2 - 27.7).abs() < 0.3);
-        assert!(r.lod_um > 0.0);
-        assert!(r.r2 > 0.999);
-    }
-
-    #[test]
-    fn timing_produces_throughput() {
-        let r = PerformanceReport::from_calibration(
-            "glucose",
-            "glucose oxidase",
-            "chronoamperometry",
-            &outcome(),
-            SquareCentimeters::new(0.0023),
-        )
-        .with_timing(Seconds::new(30.0), Seconds::new(10.0));
-        // 10 + 60 s per sample → ~51 per hour.
-        let tph = r.throughput_per_hour.expect("timing set");
-        assert!((tph - 3600.0 / 70.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn table_rendering_is_aligned() {
-        let r = PerformanceReport::from_calibration(
-            "glucose",
-            "glucose oxidase",
-            "chronoamperometry",
-            &outcome(),
-            SquareCentimeters::new(0.0023),
-        );
-        let row = r.table_row();
-        assert!(row.contains("GLUCOSE"));
-        assert!(!PerformanceReport::table_header().is_empty());
+    fn display_shows_sensitivity_units() {
+        let r = PerformanceReport {
+            target: "glucose".into(),
+            probe: "glucose oxidase".into(),
+            technique: "chronoamperometry".into(),
+            sensitivity_ua_per_mm_cm2: 27.7,
+            lod_um: 575.0,
+            linear_range_mm: (0.5, 4.0),
+            nl_max: 0.1,
+            r2: 0.999,
+            t90: None,
+            throughput_per_hour: None,
+        };
         let shown = format!("{r}");
         assert!(shown.contains("µA/(mM·cm²)"));
     }

@@ -126,42 +126,6 @@ pub fn detect_cathodic_peaks(
     Ok(peaks)
 }
 
-/// Detects *anodic* peaks (local maxima of the current) — the mirror of
-/// [`detect_cathodic_peaks`], used for oxidation waves such as the H₂O₂
-/// signal or the return sweep of a reversible couple.
-///
-/// # Errors
-///
-/// Returns [`InstrumentError::InsufficientData`] for fewer than 5 samples.
-pub fn detect_anodic_peaks(
-    sweep: &[(Volts, Amps)],
-    options: PeakOptions,
-) -> Result<Vec<Peak>, InstrumentError> {
-    let negated: Vec<(Volts, Amps)> = sweep.iter().map(|(e, i)| (*e, -*i)).collect();
-    let mut peaks = detect_cathodic_peaks(&negated, options)?;
-    for p in &mut peaks {
-        p.current = -p.current;
-    }
-    Ok(peaks)
-}
-
-/// Extracts the anodic (upward-potential) leg of a voltammogram as
-/// `(E, i)` pairs, ready for [`detect_anodic_peaks`].
-pub fn anodic_segment(cv: &bios_electrochem::Voltammogram) -> Vec<(Volts, Amps)> {
-    let segs = cv.segments();
-    for range in segs {
-        if range.len() >= 2 {
-            let e = cv.potential();
-            if e[range.end - 1].value() > e[range.start].value() {
-                return range
-                    .map(|k| (cv.potential()[k], cv.current()[k]))
-                    .collect();
-            }
-        }
-    }
-    Vec::new()
-}
-
 /// Extracts the cathodic (downward-potential) leg of a voltammogram as
 /// `(E, i)` pairs, ready for [`detect_cathodic_peaks`].
 pub fn cathodic_segment(cv: &bios_electrochem::Voltammogram) -> Vec<(Volts, Amps)> {
@@ -269,7 +233,7 @@ mod tests {
         let mut sweep = gaussian_sweep(&[(-0.4, 2e-9)]);
         sweep[30].1 = Amps::new(f64::INFINITY);
         assert!(matches!(
-            detect_anodic_peaks(&sweep, PeakOptions::default()),
+            detect_cathodic_peaks(&sweep, PeakOptions::default()),
             Err(InstrumentError::NonFiniteData { .. })
         ));
     }
@@ -290,27 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn anodic_detection_mirrors_cathodic() {
-        // A positive (anodic) bump.
-        let sweep: Vec<(Volts, Amps)> = (0..200)
-            .map(|k| {
-                let e = -0.2 + 0.004 * k as f64;
-                let i = 2e-9 * (-((e - 0.23) / 0.05).powi(2)).exp();
-                (Volts::new(e), Amps::new(i))
-            })
-            .collect();
-        let anodic = detect_anodic_peaks(&sweep, PeakOptions::default()).expect("peaks");
-        assert_eq!(anodic.len(), 1);
-        assert!((anodic[0].potential.value() - 0.23).abs() < 0.01);
-        assert!(anodic[0].current.value() > 0.0, "current keeps its sign");
-        assert!((anodic[0].height.as_nanoamps() - 2.0).abs() < 0.1);
-        // And the cathodic detector sees nothing here.
-        let cathodic = detect_cathodic_peaks(&sweep, PeakOptions::default()).expect("peaks");
-        assert!(cathodic.is_empty());
-    }
-
-    #[test]
-    fn segment_extractors_split_a_full_cycle() {
+    fn cathodic_segment_takes_the_down_leg() {
         use bios_electrochem::Voltammogram;
         use bios_units::Seconds;
         let mut cv = Voltammogram::new();
@@ -330,14 +274,10 @@ mod tests {
             );
         }
         let down = cathodic_segment(&cv);
-        let up = anodic_segment(&cv);
         assert!(
             down.first().expect("nonempty").0.value() > down.last().expect("nonempty").0.value()
         );
-        assert!(up.first().expect("nonempty").0.value() < up.last().expect("nonempty").0.value());
         assert!(down.iter().all(|(_, i)| i.value() < 0.0));
-        // Segments share the vertex sample; skip it on the return leg.
-        assert!(up.iter().skip(1).all(|(_, i)| i.value() > 0.0));
     }
 
     #[test]

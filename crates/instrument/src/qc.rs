@@ -255,12 +255,6 @@ impl QcGate {
         }
     }
 
-    /// Screens a chronoamperometric measurement against a chain whose
-    /// full-scale input current is `full_scale`.
-    pub fn check_chrono(&self, m: &ChronoMeasurement, full_scale: Amps) -> QcVerdict {
-        self.check_chrono_referenced(m, full_scale, None)
-    }
-
     /// Grades a built-in self-test: `measured` is the chain's live
     /// response to a known test input, `expected` the commissioning
     /// (calibration-time) response to the same input. Gain errors beyond
@@ -282,10 +276,11 @@ impl QcGate {
         verdict
     }
 
-    /// Like [`check_chrono`](Self::check_chrono), additionally comparing
-    /// the measured baseline noise against the chain's calibrated
-    /// self-noise (`reference_noise`, e.g. from
-    /// `ReadoutChain::baseline_noise_reference`). A channel far quieter
+    /// Screens a chronoamperometric measurement against a chain whose
+    /// full-scale input current is `full_scale`. With `reference_noise`
+    /// (the chain's calibrated self-noise, e.g. from
+    /// `ReadoutChain::baseline_noise_reference`) it also compares the
+    /// measured baseline noise against it. A channel far quieter
     /// than its calibration is attenuated, not healthy — the one symptom
     /// an open electrode contact or stale mux channel cannot hide.
     pub fn check_chrono_referenced(
@@ -493,7 +488,7 @@ mod tests {
 
     #[test]
     fn clean_transient_passes() {
-        let v = QcGate::default().check_chrono(&clean_measurement(100.0), FS);
+        let v = QcGate::default().check_chrono_referenced(&clean_measurement(100.0), FS, None);
         assert_eq!(v.class, QcClass::Pass, "{:?}", v.reasons);
         assert!(v.reasons.is_empty());
         assert!(v.is_usable());
@@ -507,7 +502,7 @@ mod tests {
             tr.push(t, if k == 50 { Amps::new(f64::NAN) } else { i });
         }
         m.transient = tr;
-        let v = QcGate::default().check_chrono(&m, FS);
+        let v = QcGate::default().check_chrono_referenced(&m, FS, None);
         assert_eq!(v.class, QcClass::Fail);
         assert!(matches!(v.reasons[0], QcReason::NonFinite));
     }
@@ -521,7 +516,7 @@ mod tests {
             tr.push(Seconds::new(t), Amps::new(i));
         }
         let m = crate::analyze_transient(tr, Seconds::new(10.0));
-        let v = QcGate::default().check_chrono(&m, FS);
+        let v = QcGate::default().check_chrono_referenced(&m, FS, None);
         assert_eq!(v.class, QcClass::Fail);
         assert!(v
             .reasons
@@ -540,7 +535,7 @@ mod tests {
             tr.push(Seconds::new(t), Amps::new(i));
         }
         let m = crate::analyze_transient(tr, Seconds::new(10.0));
-        let v = QcGate::default().check_chrono(&m, FS);
+        let v = QcGate::default().check_chrono_referenced(&m, FS, None);
         assert_eq!(v.class, QcClass::Fail, "{:?}", v.reasons);
         assert!(v
             .reasons
@@ -557,7 +552,7 @@ mod tests {
             tr.push(Seconds::new(t), Amps::new(i));
         }
         let m = crate::analyze_transient(tr, Seconds::new(10.0));
-        let v = QcGate::default().check_chrono(&m, FS);
+        let v = QcGate::default().check_chrono_referenced(&m, FS, None);
         assert_eq!(v.class, QcClass::Fail, "{:?}", v.reasons);
         assert!(v
             .reasons
@@ -579,7 +574,7 @@ mod tests {
             tr.push(Seconds::new(t), Amps::new(i));
         }
         let m = crate::analyze_transient(tr, Seconds::new(10.0));
-        let v = QcGate::default().check_chrono(&m, FS);
+        let v = QcGate::default().check_chrono_referenced(&m, FS, None);
         assert!(v.class >= QcClass::Suspect, "{:?}", v.reasons);
         assert!(v
             .reasons
@@ -589,7 +584,7 @@ mod tests {
 
     #[test]
     fn vanished_response_fails_low_response() {
-        let v = QcGate::default().check_chrono(&clean_measurement(0.0), FS);
+        let v = QcGate::default().check_chrono_referenced(&clean_measurement(0.0), FS, None);
         assert_eq!(v.class, QcClass::Fail, "{:?}", v.reasons);
         assert!(v
             .reasons
@@ -597,7 +592,7 @@ mod tests {
             .any(|r| matches!(r, QcReason::LowResponse { .. })));
         // The same gate with the response check disabled passes it.
         let relaxed = QcGate::default().without_min_delta();
-        let v = relaxed.check_chrono(&clean_measurement(0.0), FS);
+        let v = relaxed.check_chrono_referenced(&clean_measurement(0.0), FS, None);
         assert!(v.is_usable());
     }
 

@@ -51,31 +51,11 @@ impl ReplicateStats {
         self.sd
     }
 
-    /// Standard error of the mean.
-    pub fn sem(&self) -> f64 {
-        self.sd / (self.n as f64).sqrt()
-    }
-
-    /// Approximate 95% confidence interval half-width (±1.96·SEM).
-    pub fn ci95_half_width(&self) -> f64 {
-        1.96 * self.sem()
-    }
-
     /// The paper's eq. 5 detection threshold in response units:
     /// `LOD_response = V_b + 3·σ_b` (ACS committee definition, <7% false
     /// positive risk).
     pub fn detection_threshold(&self) -> f64 {
         self.mean + 3.0 * self.sd
-    }
-
-    /// Relative standard deviation (coefficient of variation); infinite for
-    /// a zero mean.
-    pub fn rsd(&self) -> f64 {
-        if self.mean == 0.0 {
-            f64::INFINITY
-        } else {
-            self.sd / self.mean.abs()
-        }
     }
 }
 
@@ -103,20 +83,5 @@ mod tests {
     fn detection_threshold_is_mean_plus_3sd() {
         let s = ReplicateStats::from_samples(&[1.0, 1.0, 1.0, 3.0]).expect("enough data");
         assert!((s.detection_threshold() - (s.mean() + 3.0 * s.sd())).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sem_shrinks_with_n() {
-        let few = ReplicateStats::from_samples(&[1.0, 2.0, 3.0]).expect("enough data");
-        let many: Vec<f64> = (0..300).map(|k| 1.0 + (k % 3) as f64).collect();
-        let lots = ReplicateStats::from_samples(&many).expect("enough data");
-        assert!(lots.sem() < few.sem());
-        assert!(lots.ci95_half_width() < few.ci95_half_width());
-    }
-
-    #[test]
-    fn rsd_handles_zero_mean() {
-        let s = ReplicateStats::from_samples(&[-1.0, 1.0]).expect("enough data");
-        assert!(s.rsd().is_infinite());
     }
 }

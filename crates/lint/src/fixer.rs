@@ -169,7 +169,7 @@ pub fn fix_source(ctx: &FileContext<'_>, source: &str) -> (String, usize) {
 /// applies machine-applicable fixes from *fresh* (non-baselined)
 /// findings, and stops when a pass yields none. Baselined findings are
 /// grandfathered debt and left untouched. Errors if the fixpoint does
-/// not converge within [`MAX_ROUNDS`].
+/// not converge within `MAX_ROUNDS`.
 pub fn fix_files(files: &mut [MemFile], baseline: &Baseline) -> Result<FixOutcome, String> {
     let mut outcome = FixOutcome::default();
     let mut changed = BTreeSet::new();

@@ -18,8 +18,8 @@
 //! apply — CI uses it to keep auto-fixable debt at zero. `--diff`
 //! writes the would-be (or applied) rewrites as a unified diff.
 //!
-//! Exit codes: 0 = clean (no unbaselined error findings; warnings such
-//! as A2 report without failing), 1 = new errors (or, under
+//! Exit codes: 0 = clean (no unbaselined error findings; warnings
+//! report without failing), 1 = new errors (or, under
 //! `--fix-check`, pending fixes), 2 = usage or I/O error.
 
 use std::path::PathBuf;

@@ -13,7 +13,7 @@
 //! | S1 | token | every `unsafe` needs a `// SAFETY:` comment | everywhere |
 //! | F1 | token | no `==`/`!=` against float literals | physics crates |
 //! | A1 | workspace | crate layering (units → physics → afe → instrument → core → server → model → bench) | whole workspace |
-//! | A2 | workspace (warn) | no dead `pub` items unreferenced outside their crate | library crates |
+//! | A2 | workspace | no `pub` item unreferenced outside its crate's `src/` (own `tests/`/`examples/`/`benches/` and `perfbench/` count as outside) unless a pub signature of its crate exposes it | library crates |
 //! | H1 | hot-path | no allocation (`Vec::new`/`vec!`/`format!`/`Box::new`/`to_vec`/`clone`/unreserved `push`) in hot code | all but bench/lint |
 //! | H2 | hot-path | no iterator float reductions (`sum`/`product`/`fold`) in hot code | all but bench/lint |
 //! | H3 | hot-path | no blocking/I-O call reachable from the shard stepping loop | all but bench/lint |

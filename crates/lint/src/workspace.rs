@@ -6,8 +6,10 @@
 //!   `crates/*/src/` tree. All per-file rules plus A1 (layering) bind
 //!   here.
 //! - **corpus-only** files — `tests/`, `benches/` and `examples/` trees
-//!   of every package. They are never linted, but their text feeds A2's
-//!   reference corpus so an item used only from integration tests is not
+//!   of every package, plus the stand-alone `perfbench/src` tree (its
+//!   own workspace, path-depending on the library crates). They are never
+//!   linted nor rewritten, but their text feeds A2's reference corpus so
+//!   an item used only from integration tests or the benchmark is not
 //!   reported dead.
 //!
 //! The walk is sorted so diagnostics, reports and the DOT artifact are
@@ -57,7 +59,8 @@ pub struct MemFile {
     /// Full file contents.
     pub source: String,
     /// True for `src/` files (linted); false for corpus-only files
-    /// (`tests/`, `benches/`, `examples/` — A2 reference corpus only).
+    /// (`tests/`, `benches/`, `examples/`, `perfbench/src` — A2
+    /// reference corpus only).
     pub lintable: bool,
 }
 
@@ -73,26 +76,36 @@ pub fn discover(root: &Path) -> Result<Vec<SourceFile>, String> {
 }
 
 /// Gathers the full in-memory workspace: lintable `src/` trees plus the
-/// corpus-only `tests/`/`benches/`/`examples/` trees, sorted by path.
+/// corpus-only `tests/`/`benches/`/`examples/` and `perfbench/src`
+/// trees, sorted by path.
 pub fn gather(root: &Path) -> Result<Vec<MemFile>, String> {
-    let mut out = Vec::new();
+    let mut dirs = Vec::new();
     for (lintable, subdirs) in [
         (true, &["src"][..]),
         (false, &["tests", "benches", "examples"]),
     ] {
         for (pkg, dir, rel) in package_dirs(root, subdirs)? {
-            let mut files = Vec::new();
-            collect_tree(&pkg, dir, &rel, &mut files)?;
-            for f in files {
-                let source = fs::read_to_string(&f.path)
-                    .map_err(|e| format!("cannot read {}: {e}", f.path.display()))?;
-                out.push(MemFile {
-                    crate_name: f.crate_name,
-                    rel_path: f.rel_path,
-                    source,
-                    lintable,
-                });
-            }
+            dirs.push((lintable, pkg, dir, rel));
+        }
+    }
+    let perfbench = root.join("perfbench");
+    if perfbench.join("Cargo.toml").is_file() {
+        let src = perfbench.join("src");
+        dirs.push((false, perfbench, src, "perfbench/src".to_string()));
+    }
+    let mut out = Vec::new();
+    for (lintable, pkg, dir, rel) in dirs {
+        let mut files = Vec::new();
+        collect_tree(&pkg, dir, &rel, &mut files)?;
+        for f in files {
+            let source = fs::read_to_string(&f.path)
+                .map_err(|e| format!("cannot read {}: {e}", f.path.display()))?;
+            out.push(MemFile {
+                crate_name: f.crate_name,
+                rel_path: f.rel_path,
+                source,
+                lintable,
+            });
         }
     }
     out.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
@@ -393,5 +406,19 @@ mod tests {
         ];
         let findings = lint_files(&files);
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn gather_reads_perfbench_as_corpus_only() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = gather(&root).expect("workspace gathers");
+        let bench: Vec<&MemFile> = files
+            .iter()
+            .filter(|f| f.rel_path.starts_with("perfbench/src/"))
+            .collect();
+        assert!(!bench.is_empty());
+        assert!(bench
+            .iter()
+            .all(|f| !f.lintable && f.crate_name == "advdiag-perfbench"));
     }
 }

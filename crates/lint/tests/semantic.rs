@@ -69,7 +69,7 @@ fn a1_flags_only_the_upward_edge() {
 }
 
 #[test]
-fn a2_warns_on_the_orphan_and_spares_the_consumed_item() {
+fn a2_errors_on_the_orphan_and_spares_the_consumed_item() {
     let findings = lint_files(&layering_workspace());
     let a2: Vec<_> = findings.iter().filter(|f| f.rule == "A2").collect();
     assert!(
@@ -80,7 +80,7 @@ fn a2_warns_on_the_orphan_and_spares_the_consumed_item() {
         a2.iter().all(|f| !f.message.contains("used_gain")),
         "{a2:#?}"
     );
-    assert!(a2.iter().all(|f| f.severity == Severity::Warning));
+    assert!(a2.iter().all(|f| f.severity == Severity::Error));
 }
 
 #[test]

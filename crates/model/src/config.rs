@@ -15,12 +15,10 @@ use bios_platform::RetryPolicy;
 use bios_server::ServiceTier;
 
 /// The abstract outcome of one acquisition attempt, after the BIST merge:
-/// what [`QcVerdict::decision`] sees. `Pass` stands for any accepting
+/// what `bios_instrument::QcVerdict::decision` sees. `Pass` stands for any accepting
 /// class (`Pass`/`Suspect`), `Fail` for a failing measured verdict, and
 /// `Err` for a recoverable acquisition error — the three inputs that
 /// reach distinct branches of the real `Qc` transition.
-///
-/// [`QcVerdict::decision`]: bios_instrument::QcVerdict::decision
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
 )]

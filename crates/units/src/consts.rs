@@ -1,6 +1,6 @@
-//! Physical constants and electrochemical helper relations.
+//! Physical constants.
 
-use crate::{Kelvin, Volts};
+use crate::Kelvin;
 
 /// Faraday constant, C/mol (exact, 2019 SI).
 pub const FARADAY: f64 = 96_485.332_12;
@@ -8,78 +8,21 @@ pub const FARADAY: f64 = 96_485.332_12;
 /// Molar gas constant, J/(mol·K) (exact, 2019 SI).
 pub const GAS_CONSTANT: f64 = 8.314_462_618;
 
-/// Boltzmann constant, J/K (exact, 2019 SI).
-pub const BOLTZMANN: f64 = 1.380_649e-23;
-
-/// Elementary charge, C (exact, 2019 SI).
-pub const ELEMENTARY_CHARGE: f64 = 1.602_176_634e-19;
-
-/// Avogadro constant, 1/mol (exact, 2019 SI).
-pub const AVOGADRO: f64 = 6.022_140_76e23;
-
 /// Standard laboratory temperature, 25 °C.
 pub const T_ROOM: Kelvin = Kelvin::new(298.15);
 
 /// Human body temperature, 37 °C — implantable sensors operate here.
 pub const T_BODY: Kelvin = Kelvin::new(310.15);
 
-/// The thermal voltage `RT/F` at temperature `t`.
-///
-/// ≈25.7 mV at 25 °C; it sets the steepness of every Nernstian and
-/// Butler–Volmer exponential in the workspace.
-///
-/// # Example
-///
-/// ```
-/// use bios_units::{thermal_voltage, T_ROOM};
-/// let vt = thermal_voltage(T_ROOM);
-/// assert!((vt.as_millivolts() - 25.69).abs() < 0.01);
-/// ```
-pub fn thermal_voltage(t: Kelvin) -> Volts {
-    Volts::new(GAS_CONSTANT * t.value() / FARADAY)
-}
-
-/// The Nernst slope `RT/(nF)` for an `n`-electron couple at temperature `t`.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-///
-/// # Example
-///
-/// ```
-/// use bios_units::{nernst_slope, T_ROOM};
-/// // 59.2 mV/decade at 25 °C for n = 1 (after ln→log10 conversion).
-/// let slope = nernst_slope(1, T_ROOM);
-/// assert!((slope.as_millivolts() * std::f64::consts::LN_10 - 59.16).abs() < 0.05);
-/// ```
-pub fn nernst_slope(n: u32, t: Kelvin) -> Volts {
-    assert!(n > 0, "electron count must be positive");
-    Volts::new(GAS_CONSTANT * t.value() / (n as f64 * FARADAY))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn thermal_voltage_room_and_body() {
-        assert!((thermal_voltage(T_ROOM).as_millivolts() - 25.693).abs() < 0.01);
-        assert!((thermal_voltage(T_BODY).as_millivolts() - 26.73).abs() < 0.01);
-    }
+    /// Elementary charge, C (exact, 2019 SI).
+    const ELEMENTARY_CHARGE: f64 = 1.602_176_634e-19;
 
-    #[test]
-    fn nernst_slope_scales_inversely_with_n() {
-        let s1 = nernst_slope(1, T_ROOM);
-        let s2 = nernst_slope(2, T_ROOM);
-        assert!((s1.value() / s2.value() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "electron count")]
-    fn zero_electrons_panics() {
-        let _ = nernst_slope(0, T_ROOM);
-    }
+    /// Avogadro constant, 1/mol (exact, 2019 SI).
+    const AVOGADRO: f64 = 6.022_140_76e23;
 
     #[test]
     fn faraday_is_charge_per_mole_of_electrons() {

@@ -74,11 +74,6 @@ impl ParseQuantityError {
             },
         }
     }
-
-    /// The offending input string.
-    pub fn input(&self) -> &str {
-        &self.input
-    }
 }
 
 impl core::fmt::Display for ParseQuantityError {
@@ -125,7 +120,7 @@ mod tests {
     #[test]
     fn parse_error_display_is_lowercase_and_specific() {
         let e = ParseQuantityError::bad_number("oops");
-        assert_eq!(e.input(), "oops");
+        assert_eq!(e.input, "oops");
         let msg = e.to_string();
         assert!(msg.starts_with("invalid"));
         assert!(!msg.ends_with('.'));

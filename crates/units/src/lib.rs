@@ -43,10 +43,7 @@ mod prefix;
 mod range;
 mod types;
 
-pub use consts::{
-    nernst_slope, thermal_voltage, AVOGADRO, BOLTZMANN, ELEMENTARY_CHARGE, FARADAY, GAS_CONSTANT,
-    T_BODY, T_ROOM,
-};
+pub use consts::{FARADAY, GAS_CONSTANT, T_BODY, T_ROOM};
 pub use error::{ErrorSeverity, ParseQuantityError, RangeError};
 pub use prefix::{format_si, Prefix};
 pub use quantity::Quantity;

@@ -9,7 +9,6 @@ use crate::error::ParseQuantityError;
 /// ```
 /// use bios_units::Prefix;
 /// assert_eq!(Prefix::Micro.factor(), 1e-6);
-/// assert_eq!(Prefix::Micro.symbol(), "µ");
 /// ```
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize, Default,
@@ -66,7 +65,7 @@ impl Prefix {
     }
 
     /// The prefix symbol (`"µ"` for micro, `""` for none).
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             Prefix::Femto => "f",
             Prefix::Pico => "p",

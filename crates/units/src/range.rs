@@ -136,51 +136,12 @@ impl<Q: Quantity> QRange<Q> {
             })
             .collect()
     }
-
-    /// `n` logarithmically spaced points from `lo` to `hi` inclusive.
-    ///
-    /// Useful for concentration series spanning decades.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or if either bound is not strictly positive.
-    pub fn logspace(&self, n: usize) -> Vec<Q> {
-        assert!(n >= 2, "logspace needs at least two points");
-        assert!(
-            self.lo.value() > 0.0 && self.hi.value() > 0.0,
-            "logspace requires strictly positive bounds"
-        );
-        let (llo, lhi) = (self.lo.value().ln(), self.hi.value().ln());
-        let step = (lhi - llo) / (n - 1) as f64;
-        (0..n)
-            .map(|i| {
-                if i == n - 1 {
-                    self.hi
-                } else {
-                    Q::from_value((llo + step * i as f64).exp())
-                }
-            })
-            .collect()
-    }
-
-    /// Fraction of the way `q` is through the interval (0 at `lo`, 1 at `hi`).
-    ///
-    /// Returns 0 for a zero-width interval.
-    pub fn fraction_of(&self, q: Q) -> f64 {
-        let w = self.width();
-        // advdiag::allow(F1, exact sentinel: guards the division below against a zero-width interval)
-        if w == 0.0 {
-            0.0
-        } else {
-            (q.value() - self.lo.value()) / w
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Molar, Volts};
+    use crate::Volts;
 
     fn vr(lo: f64, hi: f64) -> QRange<Volts> {
         QRange::new(Volts::new(lo), Volts::new(hi)).expect("valid range")
@@ -225,27 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn logspace_spans_decades() {
-        let r = QRange::new(Molar::from_micromolar(1.0), Molar::from_millimolar(1.0))
-            .expect("valid range");
-        let pts = r.logspace(4);
-        assert_eq!(pts.len(), 4);
-        assert!((pts[1].value() / pts[0].value() - 10.0).abs() < 1e-9);
-        assert_eq!(pts[3], r.hi());
-    }
-
-    #[test]
     #[should_panic(expected = "at least two points")]
     fn linspace_rejects_single_point() {
         let _ = vr(0.0, 1.0).linspace(1);
-    }
-
-    #[test]
-    fn fraction_of_interval() {
-        let r = vr(0.0, 2.0);
-        assert_eq!(r.fraction_of(Volts::new(0.5)), 0.25);
-        let degenerate = vr(1.0, 1.0);
-        assert_eq!(degenerate.fraction_of(Volts::new(1.0)), 0.0);
     }
 
     #[test]

@@ -256,13 +256,6 @@ quantity! {
     MolesPerCm3, "mol/cm³"
 }
 
-impl MolesPerCm3 {
-    /// Converts to molarity (mol/L).
-    pub fn to_molar(self) -> Molar {
-        Molar::new(self.value() * 1e3)
-    }
-}
-
 quantity! {
     /// Volume in litres.
     Liters, "L",
@@ -288,22 +281,6 @@ qprod!(Watts, Seconds => Joules);
 qprod!(MolesPerCm2PerSecond, Seconds => MolesPerCm2);
 qprod!(MolesPerCm3, Centimeters => MolesPerCm2);
 qsquare!(Centimeters => SquareCentimeters);
-
-impl Seconds {
-    /// Returns the reciprocal as a frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the duration is zero.
-    pub fn recip(self) -> Hertz {
-        assert!(
-            // advdiag::allow(F1, exact sentinel: only an exactly-zero duration has no reciprocal)
-            self.value() != 0.0,
-            "cannot take the frequency of a zero duration"
-        );
-        Hertz::new(1.0 / self.value())
-    }
-}
 
 impl Hertz {
     /// Returns the period `1/f`.
@@ -375,7 +352,6 @@ mod tests {
         let c = Molar::from_millimolar(4.0);
         let vol = c.to_moles_per_cm3();
         assert!((vol.value() - 4e-6).abs() < 1e-18);
-        assert!((vol.to_molar().as_millimolar() - 4.0).abs() < 1e-12);
         let n = Molar::from_millimolar(1.0) * Liters::from_milliliters(2.0);
         assert!((n.as_micromoles() - 2.0).abs() < 1e-9);
     }
@@ -393,14 +369,7 @@ mod tests {
 
     #[test]
     fn frequency_period_reciprocal() {
-        assert!((Seconds::from_millis(10.0).recip().value() - 100.0).abs() < 1e-9);
         assert!((Hertz::new(50.0).period().as_millis() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero duration")]
-    fn zero_duration_recip_panics() {
-        let _ = Seconds::ZERO.recip();
     }
 
     #[test]
