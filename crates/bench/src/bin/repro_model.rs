@@ -103,13 +103,27 @@ fn arg_value(flag: &str) -> Option<String> {
 }
 
 fn explore_server(cfg: ServerModelConfig, limits: &ExploreLimits) -> Option<ExploreReport> {
-    match ServerModel::new(cfg) {
-        Ok(model) => Some(explore(&model, limits)),
+    let built = cfg
+        .session
+        .platform()
+        .and_then(|platform| ServerModel::new(&platform, cfg).map(|m| explore(&m, limits)));
+    match built {
+        Ok(report) => Some(report),
         Err(e) => {
             println!("  FAIL server model rejected its config: {e}");
             None
         }
     }
+}
+
+/// Writes `artifact` to `path`, reads it back, and replays it against
+/// its own record.
+fn replay_from_disk(artifact: &TraceArtifact, path: &str) -> Result<(), String> {
+    let json = artifact.to_json().map_err(|e| e.to_string())?;
+    std::fs::write(path, json).map_err(|e| e.to_string())?;
+    let back = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    let replayed = TraceArtifact::from_json(&back).and_then(|a| a.verify());
+    replayed.map(|_| ()).map_err(|e| e.to_string())
 }
 
 fn main() {
@@ -232,37 +246,18 @@ fn main() {
     // 4. Seeded mutations: each deliberate bug is caught, and its
     //    counterexample artifact survives disk and replays to the
     //    recorded violation.
-    {
+    let session_cx = {
         let cfg = SessionModelConfig::new(1, model_retry(1))
             .with_mutation(Mutation::SkipAttemptIncrement);
-        let caught = SessionModel::new(cfg.clone()).ok().and_then(|m| {
-            explore(&m, &limits)
-                .violation
-                .map(|cx| TraceArtifact::Session {
-                    config: cfg,
-                    counterexample: cx,
-                })
-        });
-        check("mutation SkipAttemptIncrement is caught", caught.is_some());
-        if let Some(artifact) = caught {
-            let path = "model_cx_session.json";
-            let roundtrip = artifact
-                .to_json()
-                .map_err(|e| e.to_string())
-                .and_then(|json| std::fs::write(path, &json).map_err(|e| e.to_string()))
-                .and_then(|()| std::fs::read_to_string(path).map_err(|e| e.to_string()))
-                .and_then(|json| TraceArtifact::from_json(&json).map_err(|e| e.to_string()))
-                .and_then(|back| back.verify().map_err(|e| e.to_string()));
-            match roundtrip {
-                Ok(_) => {
-                    check("session counterexample replays from disk", true);
-                    println!("    {}: {}", path, artifact.describe());
-                }
-                Err(e) => check(&format!("session counterexample replay: {e}"), false),
-            }
-        }
-    }
-    {
+        let found = SessionModel::new(cfg.clone())
+            .ok()
+            .and_then(|m| explore(&m, &limits).violation);
+        found.map(|cx| TraceArtifact::Session {
+            config: cfg,
+            counterexample: cx,
+        })
+    };
+    let server_cx = {
         let session =
             SessionModelConfig::new(1, model_retry(1)).with_mutation(Mutation::SilentShed);
         let requests: Vec<MRequest> = (0..3)
@@ -271,32 +266,31 @@ fn main() {
                 tier: ServiceTier::BestEffort,
             })
             .collect();
-        let cfg = ServerModelConfig::new(2, requests, session).with_shed_watermark(1);
-        let caught = ServerModel::new(cfg.clone()).ok().and_then(|m| {
-            explore(&m, &limits)
-                .violation
-                .map(|cx| TraceArtifact::Server {
-                    config: cfg,
-                    counterexample: cx,
-                })
-        });
-        check("mutation SilentShed is caught", caught.is_some());
-        if let Some(artifact) = caught {
-            let path = "model_cx_server.json";
-            let roundtrip = artifact
-                .to_json()
-                .map_err(|e| e.to_string())
-                .and_then(|json| std::fs::write(path, &json).map_err(|e| e.to_string()))
-                .and_then(|()| std::fs::read_to_string(path).map_err(|e| e.to_string()))
-                .and_then(|json| TraceArtifact::from_json(&json).map_err(|e| e.to_string()))
-                .and_then(|back| back.verify().map_err(|e| e.to_string()));
-            match roundtrip {
-                Ok(_) => {
-                    check("server counterexample replays from disk", true);
-                    println!("    {}: {}", path, artifact.describe());
-                }
-                Err(e) => check(&format!("server counterexample replay: {e}"), false),
+        let mut cfg = ServerModelConfig::new(2, requests, session);
+        cfg.server = cfg.server.with_shed_watermark(1);
+        let found = explore_server(cfg.clone(), &limits).and_then(|r| r.violation);
+        found.map(|cx| TraceArtifact::Server {
+            config: cfg,
+            counterexample: cx,
+        })
+    };
+    for (mutation, level, path, caught) in [
+        (
+            "SkipAttemptIncrement",
+            "session",
+            "model_cx_session.json",
+            session_cx,
+        ),
+        ("SilentShed", "server", "model_cx_server.json", server_cx),
+    ] {
+        check(&format!("mutation {mutation} is caught"), caught.is_some());
+        let Some(artifact) = caught else { continue };
+        match replay_from_disk(&artifact, path) {
+            Ok(()) => {
+                check(&format!("{level} counterexample replays from disk"), true);
+                println!("    {}: {}", path, artifact.describe());
             }
+            Err(e) => check(&format!("{level} counterexample replay: {e}"), false),
         }
     }
 

@@ -7,7 +7,7 @@
 //! through serialize → parse → partition and assert the contract holds
 //! when several rules' findings are added concurrently.
 
-use bios_lint::{Baseline, Finding, Severity, RULE_IDS};
+use bios_lint::{Baseline, Finding, RULE_IDS};
 use proptest::prelude::*;
 
 const FILES: &[&str] = &[
@@ -40,11 +40,6 @@ fn synth(seed: u64) -> Finding {
         line: ((seed >> 16) % 500 + 1) as u32,
         col,
         end_col: col + ((seed >> 32) % 40) as u32,
-        severity: if seed.is_multiple_of(7) {
-            Severity::Warning
-        } else {
-            Severity::Error
-        },
         message: format!("synthetic finding #{seed}"),
         excerpt: excerpt.to_string(),
         fix: None,

@@ -163,6 +163,38 @@ impl WeMachine {
         self.phase == StepKind::Done
     }
 
+    /// The per-electrode protocol invariants; see
+    /// [`SessionMachine::check_invariants`].
+    // advdiag::cold(invariant audit: runs when a checker inspects a state,
+    // never from the stepping path)
+    fn check_invariants(&self, retry: &crate::RetryPolicy) -> Result<(), String> {
+        let sealed_phase = matches!(self.phase, StepKind::Quarantine | StepKind::Done);
+        let outcome_agrees = self.outcome.as_ref().is_none_or(|o| {
+            o.retry_slots == self.retry_slots
+                && o.qualities.iter().all(|q| q.attempts == self.attempt + 1)
+                && !(o.quarantined && o.readings.iter().any(|(_, c)| *c != QcClass::Fail))
+        });
+        let broken = if self.retry_slots != self.attempt {
+            "budget invariant broken: retry_slots != attempt (a retry slot was spent \
+             without advancing the attempt budget)"
+        } else if self.attempt > retry.max_retries {
+            "attempt budget exceeded: attempt > max_retries"
+        } else if self.pending.is_some() != (self.phase == StepKind::Qc) {
+            "parked sample out of phase: a sample waits exactly in Qc"
+        } else if self.outcome.is_some() != sealed_phase {
+            "sealed outcome out of phase (a Done machine without an outcome is a silent loss)"
+        } else if !outcome_agrees {
+            "sealed outcome disagrees with the machine's budget, or a quarantined \
+             electrode reports success"
+        } else {
+            return Ok(());
+        };
+        Err(format!(
+            "{broken}: slot {} in {:?}, retry_slots={}, attempt={}, max_retries={}",
+            self.slot, self.phase, self.retry_slots, self.attempt, retry.max_retries
+        ))
+    }
+
     fn step_descriptor(&self, platform: &Platform) -> SessionStep {
         SessionStep {
             slot: self.slot,
@@ -685,6 +717,21 @@ impl SessionMachine {
         }
     }
 
+    /// Checks the protocol invariants every reachable state keeps, on
+    /// each electrode's machine: `retry_slots == attempt <= max_retries`,
+    /// a parked sample only in `Qc`, and a sealed outcome exactly in
+    /// `Quarantine`/`Done` that agrees with the machine's budget (a
+    /// quarantined electrode always reports failure).
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violated invariant.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.machines
+            .iter()
+            .try_for_each(|m| m.check_invariants(&self.options.retry))
+    }
+
     /// Serializes the session's progress. Together with the original
     /// `(sample, seed, options)` this is sufficient to resume the
     /// session bit-identically (see [`Platform::resume_session`]).
@@ -907,6 +954,105 @@ mod tests {
                 .any(|q| q.class == QcClass::Fail && !q.is_usable()),
             "cut electrodes carry failed provenance"
         );
+    }
+
+    /// Drives a one-electrode (glucose) session to completion, answering
+    /// its `k`-th acquisition with `result(k)` instead of running physics;
+    /// returns the backoffs seen and the report.
+    fn drive_glucose(
+        retry: crate::RetryPolicy,
+        result: impl Fn(usize) -> SampleResult,
+    ) -> (usize, crate::SessionReport) {
+        let mut panel = PanelSpec::new();
+        panel.push(crate::TargetSpec::typical(Analyte::Glucose));
+        let p = PlatformBuilder::new(panel).build().expect("build");
+        let options = SessionOptions {
+            retry,
+            ..SessionOptions::default()
+        };
+        let sample = [(Analyte::Glucose, Molar::from_millimolar(3.0))];
+        let mut machine = p.session_machine(&sample, 5, &options);
+        let (mut acquisitions, mut backoffs) = (0, 0);
+        while !machine.is_done() {
+            let event = match machine.begin_sample(&p) {
+                Some(request) => {
+                    acquisitions += 1;
+                    machine.complete_sample(&p, &request, result(acquisitions - 1))
+                }
+                None => machine.step(&p),
+            };
+            let event = event.expect("recoverable driving never errs");
+            backoffs += usize::from(matches!(event, StepEvent::BackedOff { .. }));
+            machine.check_invariants().expect("invariants hold");
+        }
+        (backoffs, machine.finish(&p).expect("done"))
+    }
+
+    fn measured(class: QcClass) -> SampleResult {
+        let reading = TargetReading {
+            analyte: Analyte::Glucose,
+            we: 0,
+            response: Amps::ZERO,
+            estimated: None,
+            identified: false,
+        };
+        let reasons = Vec::new();
+        Ok((vec![reading], QcVerdict { class, reasons }))
+    }
+
+    #[test]
+    fn recoverable_errors_on_every_attempt_end_flagged_and_quarantined() {
+        let clip = || -> SampleResult {
+            Err(PlatformError::Afe(bios_afe::AfeError::RangeExceeded {
+                block: "tia",
+                detail: "synthetic clip".into(),
+            }))
+        };
+        for quarantine_after in [1, 3, 4] {
+            let retry = crate::RetryPolicy {
+                quarantine_after,
+                ..crate::RetryPolicy::default()
+            };
+            let (_, report) = drive_glucose(retry, |_| clip());
+            let (quality, reading) = (&report.qualities()[0], &report.readings()[0]);
+            assert_eq!((quality.class, quality.attempts), (QcClass::Fail, 3));
+            assert!(
+                matches!(&quality.reasons[..], [QcReason::Aborted { detail }] if detail.contains("synthetic clip")),
+                "{:?}",
+                quality.reasons
+            );
+            assert_eq!(reading.response, Amps::ZERO, "placeholder reading");
+            assert!(reading.estimated.is_none() && !reading.identified);
+            assert_eq!(quality.quarantined, 3 >= quarantine_after);
+        }
+    }
+
+    #[test]
+    fn non_recoverable_error_is_returned_and_leaves_the_checkpoint_unchanged() {
+        let p = fig4();
+        let mut machine = p.session_machine(&fig4_sample(), 5, &SessionOptions::default());
+        let request = loop {
+            match machine.begin_sample(&p) {
+                Some(request) => break request,
+                None => machine.step(&p).expect("step"),
+            };
+        };
+        let before = machine.checkpoint();
+        let fatal = PlatformError::invalid("synthetic", "not recoverable");
+        let err = machine.complete_sample(&p, &request, Err(fatal.clone()));
+        assert_eq!(err, Err(fatal));
+        assert_eq!(machine.checkpoint(), before, "no transition was taken");
+    }
+
+    #[test]
+    fn fail_then_pass_spends_exactly_one_retry_slot() {
+        let (backoffs, report) = drive_glucose(crate::RetryPolicy::default(), |k| {
+            measured(if k == 0 { QcClass::Fail } else { QcClass::Pass })
+        });
+        let quality = &report.qualities()[0];
+        assert_eq!((backoffs, report.degradation().retries), (1, 1));
+        assert_eq!((quality.class, quality.attempts), (QcClass::Pass, 2));
+        assert!(!quality.quarantined);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   identification (Table II), peak-height readout;
 //! * [`analyze_calibration`] — sensitivity (eq. 6), LOD = `V_b + 3σ_b`
 //!   (eq. 5), linear-range detection and `NL_max` (eq. 7);
-//! * [`ReplicateStats`] and [`PerformanceReport`] — the statistics and the
-//!   Table III-style outputs.
+//! * [`ReplicateStats`] — replicate statistics behind the Table III-style
+//!   outputs.
 //!
 //! Every stochastic function takes an explicit seed; identical seeds give
 //! identical measurements.
@@ -25,7 +25,6 @@ mod chrono_protocol;
 mod cv_protocol;
 mod error;
 mod injection;
-mod metrics;
 mod peaks;
 mod qc;
 mod replicate;
@@ -41,7 +40,6 @@ pub use chrono_protocol::{
 pub use cv_protocol::{peak_readout, run_cv, CvMeasurement, CvProtocol};
 pub use error::InstrumentError;
 pub use injection::{run_injection_series, InjectionSchedule, InjectionSeriesResult};
-pub use metrics::PerformanceReport;
 pub use peaks::{cathodic_segment, detect_cathodic_peaks, Peak, PeakOptions};
 pub use qc::{QcClass, QcDecision, QcGate, QcReason, QcVerdict};
 pub use replicate::ReplicateStats;

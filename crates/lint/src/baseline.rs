@@ -376,7 +376,6 @@ mod tests {
             line: 1,
             col: 1,
             end_col: 0,
-            severity: crate::rules::Severity::Error,
             message: String::new(),
             excerpt: excerpt.to_string(),
             fix: None,

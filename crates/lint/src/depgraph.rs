@@ -35,7 +35,7 @@
 use crate::ast::{Item, ItemKind};
 use crate::lexer::{lex, Lexed, Token, TokenKind};
 use crate::parser::parse_items;
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 use crate::workspace::MemFile;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -533,7 +533,6 @@ fn rule_a1(graph: &DepGraph, findings: &mut Vec<Finding>) {
                 line: e.line,
                 col: e.col,
                 end_col: 0,
-                severity: Severity::Error,
                 message: format!(
                     "`{}` (layer {}) references `{}` (layer {}): upward \
                      dependency breaks the platform layering units → physics → \
@@ -597,7 +596,6 @@ fn rule_a2_facts(files: &[FactsRef<'_>], findings: &mut Vec<Finding>) {
                     line: p.line,
                     col: p.col,
                     end_col: 0,
-                    severity: Severity::Error,
                     message: format!(
                         "pub {} `{}` is never referenced outside \
                          `{}`'s src/: dead public API surface; drop `pub` or delete it",
@@ -739,7 +737,6 @@ mod tests {
         let a2: Vec<_> = findings.iter().filter(|f| f.rule == "A2").collect();
         assert_eq!(a2.len(), 1, "{findings:?}");
         assert!(a2[0].message.contains("orphan_gain"));
-        assert_eq!(a2[0].severity, Severity::Error);
     }
 
     #[test]

@@ -210,8 +210,11 @@ pub fn lex(src: &str) -> Lexed {
             i += 1;
             while i < bytes.len() && bytes[i] != b'"' {
                 if bytes[i] == b'\\' {
+                    // An escape consumes the next byte — which may be the
+                    // newline of a `\`-continued line.
                     i += 1;
-                } else if bytes[i] == b'\n' {
+                }
+                if bytes.get(i) == Some(&b'\n') {
                     line += 1;
                     line_start = i + 1;
                 }
@@ -689,5 +692,13 @@ mod tests {
         let t = lexed.tokens.iter().find(|t| t.text == "t").expect("t");
         // `b"; let t = 1;` — `t` is on line 2 at char column 9.
         assert_eq!((t.line, t.col), (2, 9));
+    }
+
+    #[test]
+    fn backslash_continued_strings_still_count_their_lines() {
+        let src = "let s = \"a \\\n  b \\\n  c\";\nfn f() {}\n";
+        let lexed = lex(src);
+        let f = lexed.tokens.iter().find(|t| t.text == "f").expect("f");
+        assert_eq!(f.line, 4, "each `\\`-newline continuation is a line");
     }
 }

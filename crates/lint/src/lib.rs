@@ -43,9 +43,7 @@ pub use callgraph::{CallGraph, Level};
 pub use depgraph::{DepGraph, HotOverlay};
 pub use fixer::{Fix, FixOutcome, FixSafety};
 pub use report::Report;
-pub use rules::{
-    lint_file, lint_source, AllowSite, FileContext, FileLint, Finding, Severity, RULE_IDS,
-};
+pub use rules::{lint_file, lint_source, AllowSite, FileContext, FileLint, Finding, RULE_IDS};
 pub use workspace::{
     discover, gather, lint_files, lint_files_graph, lint_workspace, lint_workspace_graph, MemFile,
 };

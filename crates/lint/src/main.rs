@@ -1,5 +1,5 @@
 //! CLI driver: lint the workspace, subtract the baseline, report, and
-//! exit nonzero on any new error-severity finding.
+//! exit nonzero on any new finding.
 //!
 //! ```text
 //! cargo run -p bios-lint                         # human diagnostics
@@ -18,9 +18,8 @@
 //! apply — CI uses it to keep auto-fixable debt at zero. `--diff`
 //! writes the would-be (or applied) rewrites as a unified diff.
 //!
-//! Exit codes: 0 = clean (no unbaselined error findings; warnings
-//! report without failing), 1 = new errors (or, under
-//! `--fix-check`, pending fixes), 2 = usage or I/O error.
+//! Exit codes: 0 = clean (no unbaselined findings), 1 = new findings
+//! (or, under `--fix-check`, pending fixes), 2 = usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -211,7 +210,7 @@ fn run(opts: &Options) -> Result<bool, String> {
         }
         None => print!("{rendered}"),
     }
-    Ok(report.fresh_errors().count() == 0 && pending_fixes == 0)
+    Ok(report.fresh.is_empty() && pending_fixes == 0)
 }
 
 fn main() -> ExitCode {

@@ -1,7 +1,7 @@
 //! Human, machine-readable and CI-annotation rendering of a lint run.
 
 use crate::baseline::escape;
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 
 /// Outcome of one lint run, after baseline partitioning.
 #[derive(Debug)]
@@ -10,52 +10,32 @@ pub struct Report<'a> {
     pub files: usize,
     /// Findings covered by the baseline.
     pub baselined: Vec<&'a Finding>,
-    /// Unbaselined (new) findings. Error-severity entries fail the run;
-    /// warnings only report.
+    /// Unbaselined (new) findings: any one fails the run.
     pub fresh: Vec<&'a Finding>,
 }
 
 impl Report<'_> {
-    /// Fresh error-severity findings — the ones that gate the exit code.
-    pub fn fresh_errors(&self) -> impl Iterator<Item = &&Finding> {
-        self.fresh.iter().filter(|f| f.severity == Severity::Error)
-    }
-
-    /// `file:line:col: severity[RULE] message` diagnostics, new findings
+    /// `file:line:col: error[RULE] message` diagnostics, new findings
     /// first.
     pub fn human(&self) -> String {
         let mut out = String::new();
         for f in &self.fresh {
             out.push_str(&format!(
-                "{}:{}:{}: {}[{}] {}\n    {}\n",
-                f.file,
-                f.line,
-                f.col,
-                f.severity.label(),
-                f.rule,
-                f.message,
-                f.excerpt
+                "{}:{}:{}: error[{}] {}\n    {}\n",
+                f.file, f.line, f.col, f.rule, f.message, f.excerpt
             ));
         }
         for f in &self.baselined {
             out.push_str(&format!(
-                "{}:{}:{}: {}[{}] (baselined) {}\n",
-                f.file,
-                f.line,
-                f.col,
-                f.severity.label(),
-                f.rule,
-                f.message
+                "{}:{}:{}: error[{}] (baselined) {}\n",
+                f.file, f.line, f.col, f.rule, f.message
             ));
         }
-        let errors = self.fresh_errors().count();
         out.push_str(&format!(
-            "bios-lint: {} file(s), {} finding(s): {} new ({} error(s), {} warning(s)), {} baselined\n",
+            "bios-lint: {} file(s), {} finding(s): {} new, {} baselined\n",
             self.files,
             self.fresh.len() + self.baselined.len(),
             self.fresh.len(),
-            errors,
-            self.fresh.len() - errors,
             self.baselined.len()
         ));
         out
@@ -70,7 +50,7 @@ impl Report<'_> {
             self.files,
             self.fresh.len() + self.baselined.len(),
             self.fresh.len(),
-            self.fresh_errors().count(),
+            self.fresh.len(),
             self.baselined.len()
         ));
         out.push_str("  \"findings\": [\n");
@@ -88,7 +68,7 @@ impl Report<'_> {
             out.push_str(&format!(
                 "    {{\"rule\": {}, \"severity\": {}, \"file\": {}, \"line\": {}, \"col\": {}, \"end_col\": {}, \"fixable\": {}, \"baselined\": {}, \"message\": {}, \"excerpt\": {}}}{}\n",
                 escape(f.rule),
-                escape(f.severity.label()),
+                escape("error"),
                 escape(&f.file),
                 f.line,
                 f.col,
@@ -112,17 +92,13 @@ impl Report<'_> {
     pub fn github(&self) -> String {
         let mut out = String::new();
         for f in &self.fresh {
-            let cmd = match f.severity {
-                Severity::Error => "error",
-                Severity::Warning => "warning",
-            };
             let end_col = if f.end_col > f.col {
                 f.end_col
             } else {
                 f.col + 1
             };
             out.push_str(&format!(
-                "::{cmd} file={},line={},endLine={},col={},endColumn={},title=bios-lint {}::{}\n",
+                "::error file={},line={},endLine={},col={},endColumn={},title=bios-lint {}::{}\n",
                 f.file,
                 f.line,
                 f.line,
@@ -155,17 +131,15 @@ mod tests {
             line: 12,
             col: 7,
             end_col: 18,
-            severity: Severity::Error,
             message: "`.unwrap()` in library code".to_string(),
             excerpt: "x.unwrap();".to_string(),
             fix: None,
         }
     }
 
-    fn warning() -> Finding {
+    fn a2() -> Finding {
         Finding {
             rule: "A2",
-            severity: Severity::Warning,
             ..finding()
         }
     }
@@ -199,29 +173,29 @@ mod tests {
         let text = report.human();
         assert!(text.contains("crates/x/src/a.rs:12:7: error[P1]"), "{text}");
         assert!(text.contains("(baselined)"));
-        assert!(text.contains("1 new (1 error(s), 0 warning(s)), 1 baselined"));
+        assert!(text.contains("1 new, 1 baselined"));
     }
 
     #[test]
-    fn warnings_do_not_count_as_errors() {
-        let w = warning();
+    fn every_rule_reports_at_error_level() {
+        let f = a2();
         let report = Report {
             files: 1,
             baselined: vec![],
-            fresh: vec![&w],
+            fresh: vec![&f],
         };
-        assert_eq!(report.fresh_errors().count(), 0);
-        assert!(report.human().contains("warning[A2]"));
+        assert!(report.human().contains("error[A2]"));
+        assert!(report.json().contains("\"new_errors\": 1"));
     }
 
     #[test]
     fn github_format_emits_workflow_commands() {
         let f = finding();
-        let w = warning();
+        let g = a2();
         let report = Report {
             files: 1,
             baselined: vec![&f],
-            fresh: vec![&f, &w],
+            fresh: vec![&f, &g],
         };
         let gh = report.github();
         assert!(
@@ -231,7 +205,8 @@ mod tests {
             ),
             "{gh}"
         );
-        assert!(gh.contains("::warning file="), "{gh}");
+        assert!(gh.contains("title=bios-lint A2::"), "{gh}");
+        assert!(!gh.contains("::warning"), "{gh}");
         // Baselined findings are not annotated: exactly two commands.
         assert_eq!(gh.lines().count(), 2);
     }

@@ -35,25 +35,8 @@
 use crate::fixer::{Fix, FixSafety};
 use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
 
-/// How severe a finding is. `Error` findings gate the exit code; fresh
-/// `Warning` findings are reported but do not fail the build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    Warning,
-    Error,
-}
-
-impl Severity {
-    /// Lower-case label used in reports (`"warning"` / `"error"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
-/// One diagnostic produced by a rule.
+/// One diagnostic produced by a rule. Every finding is an error: an
+/// unbaselined one fails the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Stable rule ID (`"D1"`, `"P1"`, …).
@@ -68,8 +51,6 @@ pub struct Finding {
     /// on `line` (the annotation underline spans `col..end_col`); 0
     /// when unknown.
     pub end_col: u32,
-    /// Error findings gate CI; warnings only report.
-    pub severity: Severity,
     /// Human-readable explanation.
     pub message: String,
     /// Trimmed source line (baseline matching key; robust to line drift).
@@ -276,7 +257,6 @@ pub fn unused_allow_findings(
             line: a.line,
             col: a.col,
             end_col: 0,
-            severity: Severity::Error,
             message,
             excerpt: String::new(),
             // Deleting the stale allow is always sound: it suppresses
@@ -410,7 +390,6 @@ pub(crate) fn push(
         line,
         col,
         end_col: 0,
-        severity: Severity::Error,
         message,
         excerpt: String::new(),
         fix: None,
@@ -973,7 +952,6 @@ mod tests {
         let hit = lint_source(&ctx_det(), "use std::collections::HashMap;\n");
         assert_eq!(hit.len(), 1);
         assert_eq!(hit[0].rule, "D1");
-        assert_eq!(hit[0].severity, Severity::Error);
         let ok = lint_source(
             &ctx_det(),
             "// advdiag::allow(D1, lookup-only cache, order never observed)\nuse std::collections::HashMap;\n",
@@ -1107,10 +1085,7 @@ mod tests {
         let src = "fn f(o: SessionOutcome) {\n    match o {\n        SessionOutcome::Quarantined(d) => handle(d),\n        _ => {}\n    }\n}\n";
         let findings = lint_source(&ctx_server(), src);
         assert_eq!(findings.len(), 1, "{findings:#?}");
-        assert_eq!(
-            (findings[0].rule, findings[0].line, findings[0].severity),
-            ("M1", 4, Severity::Error)
-        );
+        assert_eq!((findings[0].rule, findings[0].line), ("M1", 4));
         // Expression-bodied wildcard arms are caught too.
         let expr = "fn g(t: ServiceTier) -> u8 {\n    match t {\n        ServiceTier::Stat => 0,\n        _ => 9,\n    }\n}\n";
         let hits = lint_source(&ctx_server(), expr);

@@ -5,7 +5,7 @@
 //! never compiled, so they can model violations without breaking the
 //! build.
 
-use bios_lint::{lint_source, FileContext, Severity};
+use bios_lint::{lint_source, Baseline, FileContext};
 
 fn server() -> FileContext<'static> {
     FileContext {
@@ -40,8 +40,10 @@ fn m1_stays_silent_on_negative_fixture() {
 #[test]
 fn m1_findings_gate_the_build() {
     let src = include_str!("fixtures/m1_positive.rs");
-    assert!(lint_source(&server(), src)
-        .iter()
-        .filter(|f| f.rule == "M1")
-        .all(|f| f.severity == Severity::Error));
+    let findings = lint_source(&server(), src);
+    let (_, fresh) = Baseline::default().partition(&findings);
+    assert!(
+        fresh.iter().any(|f| f.rule == "M1"),
+        "an unbaselined M1 finding must fail the run: {fresh:#?}"
+    );
 }

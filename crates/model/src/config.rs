@@ -1,24 +1,31 @@
 //! Model configurations: the bounded universes the checker explores.
 //!
-//! A configuration pins everything *deterministic* about a run — electrode
-//! count, the real [`RetryPolicy`] driving backoff arithmetic, server
-//! shape — and enumerates everything *nondeterministic* as finite choice
-//! sets: the QC verdict alphabet each acquisition may draw, the chaos
-//! stall/abort menus each admitted device may draw, and (at the server
-//! level) which shard ticks next. The checker then explores every
-//! combination; soundness of the abstraction is pinned separately by the
-//! conformance tests, which replay model traces against the real
-//! `SessionMachine` and `DiagnosticsServer`.
+//! A configuration pins everything *deterministic* about a run — the
+//! electrode count of the small real [`Platform`] the sessions run on,
+//! the real [`RetryPolicy`], the real [`ServerConfig`] — and enumerates
+//! everything *nondeterministic* as finite choice sets: the QC verdict
+//! alphabet each acquisition may draw, the chaos stall/abort menus each
+//! admitted device may draw, and (at the server level) which shard ticks
+//! next. The checker then explores every combination against the
+//! shipped `SessionMachine` and `DiagnosticsServer`.
 
 use crate::error::ModelError;
-use bios_platform::RetryPolicy;
-use bios_server::ServiceTier;
+use bios_biochem::Analyte;
+use bios_platform::{
+    ExecPolicy, PanelSpec, Platform, PlatformBuilder, RetryPolicy, SessionOptions, TargetSpec,
+};
+use bios_server::{ServerConfig, ServiceTier};
+use bios_units::Molar;
 
-/// The abstract outcome of one acquisition attempt, after the BIST merge:
-/// what `bios_instrument::QcVerdict::decision` sees. `Pass` stands for any accepting
-/// class (`Pass`/`Suspect`), `Fail` for a failing measured verdict, and
-/// `Err` for a recoverable acquisition error — the three inputs that
-/// reach distinct branches of the real `Qc` transition.
+/// The analytes of the model platform's working electrodes, in slot
+/// order: one oxidase target per electrode.
+const MODEL_ANALYTES: [Analyte; 2] = [Analyte::Glucose, Analyte::Lactate];
+
+/// The abstract outcome of one acquisition attempt: what the real
+/// `Qc` transition branches on. `Pass` stands for any accepting class,
+/// `Fail` for a failing measured verdict, and `Err` for a recoverable
+/// acquisition error. Each is fed to the real machine as a synthetic
+/// `SampleResult`.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
 )]
@@ -42,21 +49,24 @@ impl MVerdict {
     }
 }
 
-/// A deliberate single-transition corruption, used by the self-test to
-/// prove the checker *would* catch a real bug: each mutation breaks
-/// exactly one transition, and a specific invariant must flag it with a
-/// replayable counterexample.
+/// A deliberate corruption of the real state, used by the self-test to
+/// prove the checker *would* catch a real bug: each one breaks a single
+/// transition's effect, and a specific invariant must flag it with a
+/// replayable counterexample. Both live entirely in the model: the
+/// production crates carry no hook for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum Mutation {
-    /// No corruption: the faithful model.
+    /// No corruption.
     None,
-    /// `Backoff` spends a retry slot without advancing the attempt
-    /// counter — the retry budget never exhausts. Violates the
-    /// `retry_slots == attempt` budget invariant on the first backoff.
+    /// Session model: after a `BackedOff` step the old `attempt` is written back into
+    /// the session checkpoint and the machine resumed from it: a retry
+    /// slot is spent without advancing the attempt counter. Violates
+    /// the `retry_slots == attempt` budget invariant on the first
+    /// backoff.
     SkipAttemptIncrement,
-    /// `shed_excess` drops a queued unit without recording a `Shed`
-    /// outcome — silent work loss. Violates conservation
-    /// (admitted = served + shed + in-flight) on the first shed.
+    /// Server model: a drained `Shed` record is dropped before it reaches the
+    /// client's ledger — silent work loss. Violates conservation
+    /// (submitted = drained + queued + in-flight) on the first shed.
     SilentShed,
 }
 
@@ -64,10 +74,9 @@ pub enum Mutation {
 /// isolation, every QC/fault outcome enumerated.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SessionModelConfig {
-    /// Working electrodes in the session (assignment slots).
+    /// Working electrodes of the model platform (1 or 2).
     pub electrodes: u8,
-    /// The *real* retry policy: backoff delays and budget arithmetic are
-    /// computed by `bios_platform::RetryPolicy`, not re-implemented.
+    /// The retry policy the real sessions run under.
     pub retry: RetryPolicy,
     /// Verdicts each acquisition attempt may draw (the nondeterminism).
     pub alphabet: Vec<MVerdict>,
@@ -76,7 +85,7 @@ pub struct SessionModelConfig {
 }
 
 impl SessionModelConfig {
-    /// A faithful config over the full verdict alphabet.
+    /// A config over the full verdict alphabet, without corruption.
     pub fn new(electrodes: u8, retry: RetryPolicy) -> Self {
         Self {
             electrodes,
@@ -100,13 +109,40 @@ impl SessionModelConfig {
         self
     }
 
-    /// The default verdict used when a closure/commutation probe needs to
-    /// resolve an undrawn acquisition deterministically.
-    pub fn default_verdict(&self) -> Result<MVerdict, ModelError> {
-        self.alphabet
-            .first()
-            .copied()
-            .ok_or_else(|| ModelError::config("verdict alphabet is empty"))
+    /// The sample every model session measures: each electrode's analyte
+    /// at 2 mM.
+    pub(crate) fn sample(&self) -> Vec<(Analyte, Molar)> {
+        let electrodes = usize::from(self.electrodes).min(MODEL_ANALYTES.len());
+        let analytes = MODEL_ANALYTES[..electrodes].iter();
+        analytes
+            .map(|a| (*a, Molar::from_millimolar(2.0)))
+            .collect()
+    }
+
+    /// Session options carrying the configured retry policy.
+    pub(crate) fn options(&self) -> SessionOptions {
+        SessionOptions {
+            retry: self.retry,
+            ..SessionOptions::default()
+        }
+    }
+
+    /// Builds the small real platform the sessions run on: one oxidase
+    /// target per working electrode.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::Config`] when the config is invalid or the platform
+    /// does not build.
+    pub fn platform(&self) -> Result<Platform, ModelError> {
+        self.validate()?;
+        let mut panel = PanelSpec::new();
+        for (analyte, _) in self.sample() {
+            panel.push(TargetSpec::typical(analyte));
+        }
+        PlatformBuilder::new(panel)
+            .build()
+            .map_err(|e| ModelError::config(format!("model platform does not build: {e}")))
     }
 
     /// Checks the static well-formedness the explorer relies on,
@@ -115,8 +151,10 @@ impl SessionModelConfig {
     /// schedule is strictly increasing (no retry ever shares a wake
     /// slot, so the schedule cannot stall).
     pub fn validate(&self) -> Result<(), ModelError> {
-        if self.electrodes == 0 {
-            return Err(ModelError::config("session model needs >= 1 electrode"));
+        if !(1..=MODEL_ANALYTES.len()).contains(&usize::from(self.electrodes)) {
+            return Err(ModelError::config(
+                "session model runs on 1 or 2 working electrodes",
+            ));
         }
         if self.alphabet.is_empty() {
             return Err(ModelError::config("verdict alphabet is empty"));
@@ -141,13 +179,13 @@ impl SessionModelConfig {
     }
 }
 
-/// One pre-loaded request in the server model (the bounded analogue of
-/// [`SessionRequest`](bios_server::SessionRequest)).
+/// One pre-loaded request in the server model: the scheduling-relevant
+/// part of a [`SessionRequest`](bios_server::SessionRequest).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct MRequest {
-    /// Routes to shard `device % shards`, like the real server.
+    /// Routes to shard `device % shards`.
     pub device: u64,
-    /// Real [`ServiceTier`]: the shed scan uses its real `Ord`.
+    /// The request's tier (the shed scan orders by it).
     pub tier: ServiceTier,
 }
 
@@ -166,24 +204,12 @@ pub enum Interleave {
 }
 
 /// Bounded universe for server-level exploration: a fixed request batch
-/// over a sharded server, every chaos draw, QC verdict and (full mode)
+/// over a real server, every chaos draw, QC verdict and (full mode)
 /// shard interleaving enumerated.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ServerModelConfig {
-    /// Shard count (devices route by `device % shards`).
-    pub shards: u8,
-    /// Per-shard admission queue bound.
-    pub queue_capacity: usize,
-    /// In-flight sessions a shard drives concurrently.
-    pub max_active_per_shard: usize,
-    /// State-machine steps each in-flight session may take per tick.
-    pub steps_per_tick: usize,
-    /// Ticks before an in-flight session is cut as a deadline miss.
-    pub deadline_ticks: u64,
-    /// Queue occupancy above which lowest-tier queued work is shed.
-    pub shed_watermark: usize,
-    /// Consecutive failed sessions after which a device is quarantined.
-    pub quarantine_threshold: u32,
+    /// The real server configuration the model runs.
+    pub server: ServerConfig,
     /// The request batch submitted before exploration starts.
     pub requests: Vec<MRequest>,
     /// The per-session universe (electrodes, retry policy, verdicts,
@@ -202,17 +228,20 @@ pub struct ServerModelConfig {
 }
 
 impl ServerModelConfig {
-    /// A server universe with serving knobs sized for exhaustive
-    /// exploration (tight deadline, small step budget) over `requests`.
-    pub fn new(shards: u8, requests: Vec<MRequest>, session: SessionModelConfig) -> Self {
+    /// A server universe over `requests` whose serving knobs are sized
+    /// for exhaustive exploration (tight deadline, small step budget).
+    /// Adjust them through the public [`server`](Self::server) field.
+    pub fn new(shards: usize, requests: Vec<MRequest>, session: SessionModelConfig) -> Self {
         Self {
-            shards,
-            queue_capacity: 8,
-            max_active_per_shard: 2,
-            steps_per_tick: 4,
-            deadline_ticks: 64,
-            shed_watermark: 8,
-            quarantine_threshold: 2,
+            server: ServerConfig::default()
+                .with_shards(shards)
+                .with_queue_capacity(8)
+                .with_shed_watermark(8)
+                .with_max_active(2)
+                .with_steps_per_tick(4)
+                .with_deadline_ticks(64)
+                .with_quarantine_threshold(2)
+                .with_exec(ExecPolicy::Sequential),
             requests,
             session,
             stall_choices: vec![0],
@@ -243,57 +272,20 @@ impl ServerModelConfig {
         self
     }
 
-    /// Replaces the shed watermark.
-    #[must_use]
-    pub fn with_shed_watermark(mut self, watermark: usize) -> Self {
-        self.shed_watermark = watermark;
-        self
-    }
-
-    /// Replaces the per-session step budget per tick.
-    #[must_use]
-    pub fn with_steps_per_tick(mut self, steps: usize) -> Self {
-        self.steps_per_tick = steps.max(1);
-        self
-    }
-
-    /// Replaces the deadline.
-    #[must_use]
-    pub fn with_deadline_ticks(mut self, ticks: u64) -> Self {
-        self.deadline_ticks = ticks;
-        self
-    }
-
-    /// Replaces the in-flight bound per shard.
-    #[must_use]
-    pub fn with_max_active(mut self, max_active: usize) -> Self {
-        self.max_active_per_shard = max_active.max(1);
-        self
-    }
-
-    /// Checks static well-formedness, including that the request batch
-    /// fits the queues (the model pre-loads every request; a config that
-    /// would overflow a queue is a config error, not an exploration).
+    /// Checks what the model adds to the real server config: a shard
+    /// count its `u8` shard choices can name, the session universe
+    /// (verdict alphabet included), the chaos menus, and
+    /// a request batch that names each device once (oracle keys are
+    /// per-device). Whether the server admits the batch is the server's
+    /// call: the model submits it for real when it is built. The
+    /// interleave mode is a closed enum.
     pub fn validate(&self) -> Result<(), ModelError> {
         self.session.validate()?;
-        if self.shards == 0 {
-            return Err(ModelError::config("server model needs >= 1 shard"));
+        if !(1..=usize::from(u8::MAX)).contains(&self.server.shards) {
+            return Err(ModelError::config("shard choices address 1 to 255 shards"));
         }
         if self.stall_choices.is_empty() || self.abort_choices.is_empty() {
             return Err(ModelError::config("chaos choice menus must be non-empty"));
-        }
-        let shards = self.shards as u64;
-        for s in 0..shards {
-            let load = self
-                .requests
-                .iter()
-                .filter(|r| r.device % shards == s)
-                .count();
-            if load > self.queue_capacity {
-                return Err(ModelError::config(
-                    "request batch overflows a shard queue: shrink the batch or raise capacity",
-                ));
-            }
         }
         let mut devices: Vec<u64> = self.requests.iter().map(|r| r.device).collect();
         devices.sort_unstable();
@@ -304,21 +296,5 @@ impl ServerModelConfig {
             ));
         }
         Ok(())
-    }
-
-    /// The default chaos draw used when a commutation probe needs to
-    /// resolve an undrawn admission deterministically.
-    pub fn default_chaos(&self) -> Result<(u64, Option<u64>), ModelError> {
-        let stall = self
-            .stall_choices
-            .first()
-            .copied()
-            .ok_or_else(|| ModelError::config("stall menu is empty"))?;
-        let abort = self
-            .abort_choices
-            .first()
-            .copied()
-            .ok_or_else(|| ModelError::config("abort menu is empty"))?;
-        Ok((stall, abort))
     }
 }

@@ -71,7 +71,7 @@ mod tests {
     use super::*;
     use crate::config::{MVerdict, SessionModelConfig};
     use crate::explore::{explore, ExploreLimits};
-    use crate::session::SessionModel;
+    use crate::session_model::SessionModel;
     use bios_platform::RetryPolicy;
 
     #[test]

@@ -14,8 +14,8 @@
 use crate::config::{ServerModelConfig, SessionModelConfig};
 use crate::error::ModelError;
 use crate::explore::{replay, Counterexample, ReplayOutcome};
-use crate::server::ServerModel;
-use crate::session::SessionModel;
+use crate::server_model::ServerModel;
+use crate::session_model::SessionModel;
 
 /// A violation packaged with everything needed to replay it.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -99,7 +99,8 @@ impl TraceArtifact {
                 config,
                 counterexample,
             } => {
-                let model = ServerModel::new(config.clone())?;
+                let platform = config.session.platform()?;
+                let model = ServerModel::new(&platform, config.clone())?;
                 replay(&model, &counterexample.trace)
             }
         }

@@ -103,13 +103,13 @@ impl ChaosPlan {
 
     /// Ticks this device stalls for after admission, if it is scheduled
     /// to stall at all.
-    pub fn stall_for(&self, device: u64) -> Option<u64> {
+    pub(crate) fn stall_for(&self, device: u64) -> Option<u64> {
         (unit_f64(mix(self.seed, device, 0x57a1)) < self.stall_rate).then_some(self.stall_ticks)
     }
 
     /// The step count after which this device's session aborts, if it is
     /// scheduled to abort. Early (1–8 steps), so aborts land mid-session.
-    pub fn abort_after_for(&self, device: u64) -> Option<u64> {
+    pub(crate) fn abort_after_for(&self, device: u64) -> Option<u64> {
         let h = mix(self.seed, device, 0xab07);
         (unit_f64(h) < self.abort_rate).then(|| 1 + (h >> 32) % 8)
     }

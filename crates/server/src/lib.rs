@@ -71,6 +71,6 @@ pub use chaos::{ChaosPlan, ServerFaultKind};
 pub use clock::{Clock, NullClock};
 pub use error::ServerError;
 pub use server::{
-    CompletedSession, DiagnosticsServer, ServerConfig, ServerStats, ServiceTier, SessionOutcome,
-    SessionRequest, TickSummary,
+    CompletedSession, DiagnosticsServer, InFlight, ServerConfig, ServerStats, ServiceTier,
+    SessionOutcome, SessionRequest, Shard, TickInputs, TickSummary,
 };

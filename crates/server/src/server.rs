@@ -12,11 +12,11 @@
 //! Within a shard, `Sample`-phase acquisitions from *different* in-flight
 //! sessions are coalesced: each tick the shard parks every awake session
 //! at its next acquisition ([`SessionMachine::begin_sample`]) and serves
-//! the whole batch through one
-//! [`run_samples`](Platform::run_samples) dispatch before absorbing the
-//! results ([`SessionMachine::complete_sample`]). Acquisitions are pure
-//! functions of their requests, so coalescing changes dispatch count —
-//! not one bit of any report.
+//! the whole batch through one [`TickInputs::acquire_batch`] call — in
+//! production one [`run_samples`](Platform::run_samples) dispatch —
+//! before absorbing the results ([`SessionMachine::complete_sample`]).
+//! Acquisitions are pure functions of their requests, so coalescing
+//! changes dispatch count — not one bit of any report.
 //!
 //! The request/response interface is deliberately narrow and batched —
 //! [`submit`](DiagnosticsServer::submit) in,
@@ -30,7 +30,8 @@ use crate::clock::Clock;
 use crate::error::ServerError;
 use bios_biochem::Analyte;
 use bios_platform::{
-    par_map_mut, ExecPolicy, Platform, SessionMachine, SessionOptions, SessionReport,
+    par_map_mut, ExecPolicy, Platform, SampleRequest, SampleResult, SessionMachine, SessionOptions,
+    SessionReport,
 };
 use bios_units::Molar;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -280,6 +281,53 @@ pub struct ServerStats {
     pub quarantined_devices: u64,
 }
 
+/// What a shard tick draws from outside the scheduler: each admitted
+/// device's chaos schedule, and the results of each coalesced
+/// acquisition batch.
+///
+/// [`DiagnosticsServer::tick`] supplies the production inputs — the
+/// installed [`ChaosPlan`] and the physics of [`Platform::run_samples`].
+/// A model checker supplies its own (drawn verdicts, drawn chaos) and
+/// drives single shards through [`DiagnosticsServer::tick_shard`], so it
+/// explores the shipped scheduler rather than a copy of it.
+pub trait TickInputs {
+    /// `(stall_ticks, abort_after_steps)` for `device`, admitted now.
+    fn admission(&mut self, device: u64) -> (u64, Option<u64>);
+
+    /// Serves one coalesced batch: result `i` answers `requests[i]`,
+    /// which `devices[i]`'s session issued.
+    fn acquire_batch(
+        &mut self,
+        platform: &Platform,
+        devices: &[u64],
+        requests: &[SampleRequest],
+    ) -> Vec<SampleResult>;
+}
+
+/// The production [`TickInputs`]: chaos from the installed plan (none
+/// without one), acquisitions from the simulated physics.
+struct Physics<'c> {
+    chaos: Option<&'c ChaosPlan>,
+}
+
+impl TickInputs for Physics<'_> {
+    fn admission(&mut self, device: u64) -> (u64, Option<u64>) {
+        match self.chaos {
+            Some(c) => (c.stall_for(device).unwrap_or(0), c.abort_after_for(device)),
+            None => (0, None),
+        }
+    }
+
+    fn acquire_batch(
+        &mut self,
+        platform: &Platform,
+        _devices: &[u64],
+        requests: &[SampleRequest],
+    ) -> Vec<SampleResult> {
+        platform.run_samples(requests, ExecPolicy::Sequential)
+    }
+}
+
 /// A queued, not-yet-admitted request.
 #[derive(Debug, Clone)]
 struct Pending {
@@ -290,18 +338,23 @@ struct Pending {
     options: SessionOptions,
 }
 
-/// One in-flight session.
+/// One in-flight session, readable through [`Shard::in_flight`].
 #[derive(Debug, Clone)]
-struct Active {
-    device: u64,
-    tier: ServiceTier,
-    seed: u64,
-    machine: SessionMachine,
-    admitted_tick: u64,
+pub struct InFlight {
+    /// The requesting device.
+    pub device: u64,
+    /// The request's tier.
+    pub tier: ServiceTier,
+    /// The request's seed.
+    pub seed: u64,
+    /// The session's state machine.
+    pub machine: SessionMachine,
+    /// Tick the session was admitted.
+    pub admitted_tick: u64,
     /// The session is not stepped before this tick (backoff or stall).
-    wake_tick: u64,
+    pub wake_tick: u64,
     /// Chaos: tear the session down once it has taken this many steps.
-    abort_after: Option<u64>,
+    pub abort_after: Option<u64>,
 }
 
 /// What one shard did during one tick.
@@ -318,7 +371,7 @@ struct ShardTick {
 /// the stepping loop performs no per-tick allocation (lint rule H1): each
 /// vector is cleared and refilled in place, growing once to the shard's
 /// high-water lane count and staying there.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct StepScratch {
     budgets: Vec<usize>,
     outcomes: Vec<Option<SessionOutcome>>,
@@ -326,16 +379,18 @@ struct StepScratch {
     sleeping: Vec<bool>,
     expired: Vec<bool>,
     lanes: Vec<usize>,
-    requests: Vec<bios_platform::SampleRequest>,
+    devices: Vec<u64>,
+    requests: Vec<SampleRequest>,
     finished: Vec<(usize, SessionOutcome)>,
 }
 
 /// One independent slice of the fleet: queue + in-flight sessions +
-/// per-device health, never shared with other shards.
-#[derive(Debug)]
-struct Shard {
+/// per-device health, never shared with other shards. Read-only outside
+/// the server (see [`DiagnosticsServer::shards`]).
+#[derive(Debug, Clone)]
+pub struct Shard {
     queue: VecDeque<Pending>,
-    active: Vec<Active>,
+    active: Vec<InFlight>,
     strikes: BTreeMap<u64, u32>,
     quarantined: BTreeSet<u64>,
     completed: Vec<CompletedSession>,
@@ -356,6 +411,26 @@ impl Shard {
             peak_queue: 0,
             scratch: StepScratch::default(),
         }
+    }
+
+    /// Queued requests, front first, as `(device, tier)`.
+    pub fn queued(&self) -> impl Iterator<Item = (u64, ServiceTier)> + '_ {
+        self.queue.iter().map(|p| (p.device, p.tier))
+    }
+
+    /// In-flight sessions, admission order.
+    pub fn in_flight(&self) -> &[InFlight] {
+        &self.active
+    }
+
+    /// Consecutive-failure strikes per device.
+    pub fn strikes(&self) -> &BTreeMap<u64, u32> {
+        &self.strikes
+    }
+
+    /// Devices this shard has fleet-quarantined.
+    pub fn quarantined(&self) -> &BTreeSet<u64> {
+        &self.quarantined
     }
 
     /// Sheds lowest-tier queued work down to the watermark, recording
@@ -392,7 +467,7 @@ impl Shard {
         &mut self,
         platform: &Platform,
         config: &ServerConfig,
-        chaos: Option<&ChaosPlan>,
+        inputs: &mut dyn TickInputs,
         now: u64,
     ) {
         while self.active.len() < config.max_active_per_shard {
@@ -400,9 +475,8 @@ impl Shard {
                 break;
             };
             let machine = platform.session_machine(&pending.sample, pending.seed, &pending.options);
-            let stall = chaos.and_then(|c| c.stall_for(pending.device)).unwrap_or(0);
-            let abort_after = chaos.and_then(|c| c.abort_after_for(pending.device));
-            self.active.push(Active {
+            let (stall, abort_after) = inputs.admission(pending.device);
+            self.active.push(InFlight {
                 device: pending.device,
                 tier: pending.tier,
                 seed: pending.seed,
@@ -416,7 +490,7 @@ impl Shard {
 
     /// Advances every awake in-flight session by up to `steps_per_tick`
     /// steps, coalescing `Sample`-phase acquisitions across interleaved
-    /// sessions into batched [`Platform::run_samples`] dispatches, then
+    /// sessions into batches served by [`TickInputs::acquire_batch`], then
     /// harvests terminal sessions (done, aborted, past deadline).
     ///
     /// Batching is invisible in the results: each acquisition is a pure
@@ -429,6 +503,7 @@ impl Shard {
         &mut self,
         platform: &Platform,
         config: &ServerConfig,
+        inputs: &mut dyn TickInputs,
         clock: &dyn Clock,
         now: u64,
         tick: &mut ShardTick,
@@ -477,8 +552,10 @@ impl Shard {
         // (C) absorb the results and loop until nothing parks.
         loop {
             let lanes = &mut scratch.lanes;
+            let devices = &mut scratch.devices;
             let requests = &mut scratch.requests;
             lanes.clear();
+            devices.clear();
             requests.clear();
             for idx in 0..lane_count {
                 if stopped[idx] {
@@ -506,6 +583,7 @@ impl Shard {
                     if session.machine.next_is_sample() {
                         if let Some(request) = session.machine.begin_sample(platform) {
                             lanes.push(idx);
+                            devices.push(session.device);
                             requests.push(request);
                             break;
                         }
@@ -539,7 +617,7 @@ impl Shard {
             // One dispatch serves every parked session's acquisition;
             // latency is attributed evenly across the batch.
             let t0 = clock.now_nanos();
-            let results = platform.run_samples(requests, ExecPolicy::Sequential);
+            let results = inputs.acquire_batch(platform, devices, requests);
             let elapsed = clock.now_nanos().saturating_sub(t0);
             let per_sample = elapsed / requests.len() as u64;
             for ((idx, request), result) in lanes.iter().copied().zip(requests.iter()).zip(results)
@@ -649,14 +727,14 @@ impl Shard {
         &mut self,
         platform: &Platform,
         config: &ServerConfig,
-        chaos: Option<&ChaosPlan>,
+        inputs: &mut dyn TickInputs,
         clock: &dyn Clock,
         now: u64,
     ) -> ShardTick {
         let mut summary = ShardTick::default();
         self.shed_excess(config.shed_watermark, &mut summary);
-        self.admit(platform, config, chaos, now);
-        self.step_active(platform, config, clock, now, &mut summary);
+        self.admit(platform, config, inputs, now);
+        self.step_active(platform, config, inputs, clock, now, &mut summary);
         summary
     }
 }
@@ -664,7 +742,7 @@ impl Shard {
 /// The diagnostics service: a fleet-facing, deterministic session
 /// scheduler over one [`Platform`]. See the crate docs for the serving
 /// contract and an example.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DiagnosticsServer<'p> {
     platform: &'p Platform,
     config: ServerConfig,
@@ -797,22 +875,57 @@ impl<'p> DiagnosticsServer<'p> {
         let chaos = self.chaos.as_ref();
         let now = self.now;
         let ticks = par_map_mut(config.exec, &mut self.shards, |_, shard| {
-            shard.tick(platform, config, chaos, clock, now)
+            shard.tick(platform, config, &mut Physics { chaos }, clock, now)
         });
-        self.now += 1;
         let mut summary = TickSummary::default();
         for t in ticks {
-            summary.steps += t.steps;
-            summary.completed += t.completed;
-            summary.shed += t.shed;
-            summary.deadline_misses += t.deadline_misses;
-            self.stats.aborted += t.aborted as u64;
+            self.record(t, &mut summary);
         }
-        self.stats.steps += summary.steps;
-        self.stats.completed += summary.completed as u64;
-        self.stats.shed += summary.shed as u64;
-        self.stats.deadline_misses += summary.deadline_misses as u64;
+        self.end_tick();
         summary
+    }
+
+    /// Ticks shard `shard` alone at the current virtual tick, drawing
+    /// chaos and acquisition results from `inputs` — the per-shard tick
+    /// [`tick`](Self::tick) fans out. The clock does not move: call
+    /// [`end_tick`](Self::end_tick) once every shard has ticked. `None`
+    /// when `shard` is out of range.
+    pub fn tick_shard(
+        &mut self,
+        shard: usize,
+        clock: &dyn Clock,
+        inputs: &mut dyn TickInputs,
+    ) -> Option<TickSummary> {
+        let t =
+            self.shards
+                .get_mut(shard)?
+                .tick(self.platform, &self.config, inputs, clock, self.now);
+        let mut summary = TickSummary::default();
+        self.record(t, &mut summary);
+        Some(summary)
+    }
+
+    /// Closes the current virtual tick: the clock advances by one.
+    pub fn end_tick(&mut self) {
+        self.now += 1;
+    }
+
+    /// Folds one shard's tick into the fleet summary and counters.
+    fn record(&mut self, t: ShardTick, summary: &mut TickSummary) {
+        summary.steps += t.steps;
+        summary.completed += t.completed;
+        summary.shed += t.shed;
+        summary.deadline_misses += t.deadline_misses;
+        self.stats.steps += t.steps;
+        self.stats.completed += t.completed as u64;
+        self.stats.shed += t.shed as u64;
+        self.stats.deadline_misses += t.deadline_misses as u64;
+        self.stats.aborted += t.aborted as u64;
+    }
+
+    /// Every shard's scheduling state, shard order (read-only).
+    pub fn shards(&self) -> &[Shard] {
+        &self.shards
     }
 
     /// True when no work is queued or in flight anywhere.

@@ -46,7 +46,7 @@ pub mod prelude {
     pub use bios_afe::{ChainConfig, CurrentRange, ReadoutChain};
     pub use bios_biochem::{Analyte, CypIsoform, CypSensor, Oxidase, OxidaseSensor, Probe};
     pub use bios_electrochem::{Cell, Electrode, PotentialProgram, RedoxCouple};
-    pub use bios_instrument::{ChronoProtocol, CvProtocol, PerformanceReport};
+    pub use bios_instrument::{ChronoProtocol, CvProtocol};
     pub use bios_platform::{PanelSpec, Platform, PlatformBuilder, SessionReport, TargetSpec};
     pub use bios_units::{Amps, Molar, Seconds, Volts, VoltsPerSecond};
 }
