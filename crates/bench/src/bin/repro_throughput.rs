@@ -25,6 +25,9 @@
 //! gates are skipped on single-core hosts, and the skip is recorded in
 //! the JSON (`"speedup_gate"`) so a committed report can't silently
 //! claim a gate it never ran.
+//!
+//! Every gate runs and prints its verdict, even after an earlier one
+//! failed; the binary then exits nonzero naming each failed gate.
 
 use bios_afe::{ChainConfig, CurrentRange, ReadoutChain};
 use bios_biochem::{Oxidase, OxidaseSensor};
@@ -155,22 +158,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&json_path, bios_bench::perf::to_json(&report))?;
     println!("wrote {json_path}");
 
-    if !report.all_digests_match() {
-        return Err("parallel output diverged from sequential (digest mismatch)".into());
-    }
+    // Every gate runs and prints its verdict; the exit status reports all
+    // failures at once, so one log shows each gate that missed.
+    let mut failures: Vec<String> = Vec::new();
+    let mut gate = |name: &str, passed: bool, detail: String| {
+        let line = format!(
+            "{name} {}: {detail}",
+            if passed { "passed" } else { "FAILED" }
+        );
+        println!("{line}");
+        if !passed {
+            failures.push(line);
+        }
+    };
+    gate(
+        "digest gate",
+        report.all_digests_match(),
+        "parallel output vs sequential".to_string(),
+    );
     if let Some(floor) = min_speedup {
         if report.host_threads < 2 {
             warn_single_core("min-speedup");
-        } else if report.min_speedup() < floor {
-            return Err(format!(
-                "speedup gate failed: min {:.2}x < required {floor:.2}x",
-                report.min_speedup()
-            )
-            .into());
         } else {
-            println!(
-                "speedup gate passed: min {:.2}x >= {floor:.2}x",
-                report.min_speedup()
+            gate(
+                "speedup gate",
+                report.min_speedup() >= floor,
+                format!("min {:.2}x, required {floor:.2}x", report.min_speedup()),
             );
         }
     }
@@ -226,24 +239,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&batch_json_path, bios_bench::batch::to_json(&batch))?;
     println!("wrote {batch_json_path}");
 
-    if !batch.all_digests_match() {
-        return Err("batched kernel diverged from scalar (digest mismatch)".into());
-    }
+    gate(
+        "batch digest gate",
+        batch.all_digests_match(),
+        "batched kernel vs scalar".to_string(),
+    );
     if let Some(floor) = min_batch_speedup {
         if batch.host_cores < 2 {
             warn_single_core("min-batch-speedup");
-        } else if batch.mt_speedup() < floor {
-            return Err(format!(
-                "batch speedup gate failed: {:.2}x < required {floor:.2}x",
-                batch.mt_speedup()
-            )
-            .into());
         } else {
-            println!(
-                "batch speedup gate passed: {:.2}x >= {floor:.2}x",
-                batch.mt_speedup()
+            gate(
+                "batch speedup gate",
+                batch.mt_speedup() >= floor,
+                format!("{:.2}x, required {floor:.2}x", batch.mt_speedup()),
             );
         }
     }
-    Ok(())
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("{} gate(s) failed: {}", failures.len(), failures.join("; ")).into())
+    }
 }

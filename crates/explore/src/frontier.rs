@@ -69,11 +69,7 @@ pub fn explore_with_manager(
     let cx = PanelContext::for_spec(spec)?;
     let sizes = spec.space.sizes();
     let total_points = sizes.total();
-    let rcx = RunCtx {
-        spec,
-        cx: &cx,
-        sizes,
-    };
+    let rcx = RunCtx::new(spec, &cx, sizes);
     let mut state = SpaceState {
         alive: BitSet::all_set(total_points),
     };

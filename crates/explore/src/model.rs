@@ -30,13 +30,14 @@
 //!   (`area_pct = 100`) is the paper's reference working-electrode area,
 //!   [`bios_platform::PAPER_WE_AREA_CM2`].
 
+use bios_afe::CostBudget;
 use bios_biochem::tables::performance_of;
 use bios_biochem::Analyte;
 use bios_platform::{
-    effective_sensitivity, electronics_budget, noise_breakdown, required_lod, NoiseBreakdown,
-    PanelSpec, PlatformCost,
+    effective_sensitivity, electronics_budget, noise_breakdown, required_lod, DesignPoint,
+    NoiseBreakdown, PanelSpec, PlatformCost, TargetSpec,
 };
-use bios_units::{Seconds, SquareCentimeters};
+use bios_units::{Seconds, SquareCentimeters, Watts};
 
 use crate::context::Skeleton;
 use crate::error::ExploreError;
@@ -47,43 +48,130 @@ use crate::space::ExplorePoint;
 /// `bios-platform`).
 const DERIVED_DR_CAP: f64 = 32768.0;
 
+/// The part of one target's LOD surrogate that reads only the
+/// architectural point's `(nanostructure, chopper, cds, adc_bits)`: the
+/// core noise terms and the effective sensitivity. [`LodTerms::lod`] is
+/// the `(oversampling, area)` tail.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LodTerms {
+    noise: NoiseBreakdown,
+    s_eff: f64,
+}
+
+impl LodTerms {
+    pub(crate) fn new(target: Analyte, base: &DesignPoint) -> Result<Self, ExploreError> {
+        Ok(Self {
+            noise: noise_breakdown(target, base)?,
+            s_eff: effective_sensitivity(target, base.nanostructure)?,
+        })
+    }
+
+    /// Predicted LOD (mol/L) at oversampling `M` and area scale `a`.
+    pub(crate) fn lod(&self, oversampling: u16, a: f64) -> f64 {
+        let nb = &self.noise;
+        let sqrt_a = a.sqrt();
+        let sqrt_m = f64::from(oversampling).sqrt();
+        let drift = nb.drift / sqrt_a;
+        let stochastic = nb.stochastic / (sqrt_a * sqrt_m);
+        let amp_flicker = nb.amp_flicker;
+        let quantization = nb.quantization / (a * sqrt_m);
+        let total =
+            (drift.powi(2) + stochastic.powi(2) + amp_flicker.powi(2) + quantization.powi(2))
+                .sqrt();
+        3.0 * total / self.s_eff
+    }
+}
+
 /// Predicted LOD (mol/L) for one target at an exploration point.
 ///
 /// Composes the core [`noise_breakdown`] with the oversampling and
 /// area-scale attenuations documented on the module. Bit-identical to
 /// [`bios_platform::predict_lod`] at `M = 1`, `a = 1`.
-// advdiag::hot — per-class surrogate; runs ~10⁵ times per pass sweep
 pub fn surrogate_lod(target: Analyte, point: &ExplorePoint) -> Result<f64, ExploreError> {
-    let nb: NoiseBreakdown = noise_breakdown(target, &point.base)?;
-    let s_eff = effective_sensitivity(target, point.base.nanostructure)?;
-    let a = point.area_scale();
-    let sqrt_a = a.sqrt();
-    let sqrt_m = f64::from(point.oversampling).sqrt();
-    let drift = nb.drift / sqrt_a;
-    let stochastic = nb.stochastic / (sqrt_a * sqrt_m);
-    let amp_flicker = nb.amp_flicker;
-    let quantization = nb.quantization / (a * sqrt_m);
-    let total =
-        (drift.powi(2) + stochastic.powi(2) + amp_flicker.powi(2) + quantization.powi(2)).sqrt();
-    Ok(3.0 * total / s_eff)
+    Ok(LodTerms::new(target, &point.base)?.lod(point.oversampling, point.area_scale()))
 }
 
-/// Worst-case LOD margin over the panel: `min(required / predicted)`.
-/// `≥ 1` means every target's requirement is met.
-// advdiag::hot — per-class surrogate; runs ~10⁴–10⁵ times per pass sweep
-pub fn worst_margin(panel: &PanelSpec, point: &ExplorePoint) -> Result<f64, ExploreError> {
+/// One panel target's axis-invariant LOD terms and its requirement.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TargetLod {
+    analyte: Analyte,
+    terms: LodTerms,
+    required: f64,
+}
+
+impl TargetLod {
+    pub(crate) fn new(spec: &TargetSpec, base: &DesignPoint) -> Result<Self, ExploreError> {
+        let terms = LodTerms::new(spec.analyte, base)?;
+        Ok(Self {
+            analyte: spec.analyte,
+            terms,
+            required: required_lod(spec)?.value(),
+        })
+    }
+
+    /// `required / predicted` at `(oversampling, a)`; `≥ 1` meets the spec.
+    fn ratio(&self, oversampling: u16, a: f64) -> f64 {
+        self.required / self.terms.lod(oversampling, a)
+    }
+}
+
+/// Folds per-target LOD ratios, in panel order, into the worst margin and
+/// the first target whose requirement is missed (`None` iff the margin is
+/// `≥ 1`).
+fn worst_of(
+    targets: impl Iterator<Item = Result<TargetLod, ExploreError>>,
+    oversampling: u16,
+    a: f64,
+) -> Result<(f64, Option<Analyte>), ExploreError> {
     let mut worst = f64::INFINITY;
-    for spec in panel.targets() {
-        let lod = surrogate_lod(spec.analyte, point)?;
-        let required = required_lod(spec)?.value();
-        worst = worst.min(required / lod);
+    let mut culprit = None;
+    for target in targets {
+        let target = target?;
+        let ratio = target.ratio(oversampling, a);
+        worst = worst.min(ratio);
+        if culprit.is_none() && ratio < 1.0 {
+            culprit = Some(target.analyte);
+        }
     }
     if worst.is_nan() {
         return Err(ExploreError::NonFinite {
             what: "worst LOD margin",
         });
     }
-    Ok(worst)
+    Ok((worst, culprit))
+}
+
+/// The `(oversampling, area)` tail of [`worst_margin`] over targets whose
+/// axis-invariant terms are already built.
+pub(crate) fn margin_tail(
+    targets: &[TargetLod],
+    oversampling: u16,
+    a: f64,
+) -> Result<(f64, Option<Analyte>), ExploreError> {
+    worst_of(targets.iter().copied().map(Ok), oversampling, a)
+}
+
+/// Worst margin and first failing target at one point, building each
+/// target's terms on the way.
+fn margin_at(
+    panel: &PanelSpec,
+    point: &ExplorePoint,
+) -> Result<(f64, Option<Analyte>), ExploreError> {
+    worst_of(
+        panel
+            .targets()
+            .iter()
+            .map(|spec| TargetLod::new(spec, &point.base)),
+        point.oversampling,
+        point.area_scale(),
+    )
+}
+
+/// Worst-case LOD margin over the panel: `min(required / predicted)`.
+/// `≥ 1` means every target's requirement is met.
+// advdiag::hot — per-point surrogate in the band scoring loop
+pub fn worst_margin(panel: &PanelSpec, point: &ExplorePoint) -> Result<f64, ExploreError> {
+    Ok(margin_at(panel, point)?.0)
 }
 
 /// The dynamic range the builder-derived current range demands of a
@@ -133,26 +221,61 @@ pub(crate) fn session_time_s(skeleton: &Skeleton, oversampling: u16) -> f64 {
     skeleton.schedule_s * f64::from(oversampling)
 }
 
+/// The electronics half of the cost surrogate: the totals of the core
+/// electronics bill, which read only `(sharing, chopper, cds, adc_bits)`
+/// and the skeleton's working-electrode count. [`Electronics::cost_scalar`]
+/// is the area/session tail.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Electronics {
+    power: Watts,
+    area_mm2: f64,
+}
+
+impl Electronics {
+    pub(crate) fn new(skeleton: &Skeleton, base: &DesignPoint) -> Self {
+        let budget = electronics_budget(
+            skeleton.n_we,
+            base.sharing,
+            base.adc_bits,
+            base.chopper,
+            base.cds,
+        );
+        Self {
+            power: budget.total_power(),
+            area_mm2: budget.total_area_mm2(),
+        }
+    }
+
+    /// The scalar cost with the area-scaled electrode estate and the
+    /// oversampled session time added, collapsed through
+    /// [`PlatformCost::scalar`].
+    pub(crate) fn cost_scalar(&self, skeleton: &Skeleton, oversampling: u16, a: f64) -> f64 {
+        // Assemble the non-electronics parts from an empty bill, then put
+        // in the bill's totals: the same fields `assemble` would fill.
+        let cost = PlatformCost {
+            power: self.power,
+            electronics_area_mm2: self.area_mm2,
+            ..PlatformCost::assemble(
+                &CostBudget::new(),
+                SquareCentimeters::new(skeleton.we_area_cm2 * a),
+                skeleton.total_electrodes,
+                skeleton.chambers,
+                Seconds::new(session_time_s(skeleton, oversampling)),
+            )
+        };
+        cost.scalar()
+    }
+}
+
 /// The scalar cost of a point, from its skeleton and surrogate axes: the
 /// core electronics bill at the point's ADC/chopper/CDS settings plus
-/// the area-scaled electrode estate and the oversampled session time,
-/// collapsed through [`PlatformCost::scalar`].
+/// the area-scaled electrode estate and the oversampled session time.
 pub(crate) fn cost_scalar(skeleton: &Skeleton, point: &ExplorePoint) -> f64 {
-    let budget = electronics_budget(
-        skeleton.n_we,
-        point.base.sharing,
-        point.base.adc_bits,
-        point.base.chopper,
-        point.base.cds,
-    );
-    let cost = PlatformCost::assemble(
-        &budget,
-        SquareCentimeters::new(skeleton.we_area_cm2 * point.area_scale()),
-        skeleton.total_electrodes,
-        skeleton.chambers,
-        Seconds::new(session_time_s(skeleton, point.oversampling)),
-    );
-    cost.scalar()
+    Electronics::new(skeleton, &point.base).cost_scalar(
+        skeleton,
+        point.oversampling,
+        point.area_scale(),
+    )
 }
 
 /// Why a point is statically excluded from simulation.
@@ -204,7 +327,7 @@ pub(crate) fn evaluate_static(
     session_budget_s: f64,
     point: &ExplorePoint,
 ) -> Result<StaticEval, ExploreError> {
-    let margin = worst_margin(panel, point)?;
+    let (margin, culprit) = margin_at(panel, point)?;
     let cost = cost_scalar(skeleton, point);
     let session_s = session_time_s(skeleton, point.oversampling);
     if !cost.is_finite() || !session_s.is_finite() {
@@ -213,18 +336,7 @@ pub(crate) fn evaluate_static(
         });
     }
 
-    let mut reject = None;
-    if margin < 1.0 {
-        let mut culprit = None;
-        for spec in panel.targets() {
-            let lod = surrogate_lod(spec.analyte, point)?;
-            if required_lod(spec)?.value() / lod < 1.0 {
-                culprit = Some(spec.analyte);
-                break;
-            }
-        }
-        reject = culprit.map(|analyte| RejectReason::LodAboveRequirement { analyte });
-    }
+    let mut reject = culprit.map(|analyte| RejectReason::LodAboveRequirement { analyte });
     if reject.is_none() {
         reject = afe_incompatibility(panel, point.base.nanostructure, point.base.adc_bits)?
             .map(|analyte| RejectReason::AfeRangeNoiseIncompatible { analyte });

@@ -14,23 +14,29 @@
 //!    space onto the axes its model actually reads, evaluates one
 //!    representative per projected class, and extends the verdict over the
 //!    class's whole fiber. That is why a ≥10⁶-point space needs ~10⁴–10⁵
-//!    closed-form evaluations, not 10⁶ simulations.
+//!    closed-form evaluations, not 10⁶ simulations. Inside a class table
+//!    the expensive half of each model (the per-target noise terms, the
+//!    electronics bill) is built once per class of the axes it reads, and
+//!    only a cheap `(oversampling, area)` tail runs per cell. Each table is
+//!    built once per run, on first use, and shared by every pass that
+//!    reads it.
 //! 3. **Every refutation carries a [`RejectReason`].** Reports bucket
 //!    rejections by reason with class and point counts, so a run reads
 //!    like a lint report: what was proven, about how much, from how few
 //!    premises.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use bios_biochem::Analyte;
-use bios_platform::required_lod;
+use bios_platform::DesignPoint;
 
 use crate::context::PanelContext;
 use crate::error::ExploreError;
 use crate::model::{
-    afe_incompatibility, cost_scalar, session_time_s, surrogate_lod, worst_margin, RejectReason,
+    afe_incompatibility, margin_tail, session_time_s, Electronics, RejectReason, TargetLod,
 };
-use crate::space::{AxisSizes, ExplorePoint, ExploreSpec};
+use crate::space::{area_scale, AxisSizes, ExploreSpec};
 
 /// A fixed-size bitmap over ranks; bit set = point still alive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,93 +148,127 @@ pub struct PassReport {
     pub points_in: u64,
     /// Alive points after the pass, in this run order.
     pub points_out: u64,
-    /// Closed-form class evaluations the pass actually performed.
+    /// Entries of the class tables the pass's verdicts rest on. A table
+    /// an earlier pass of the same run built is counted again, not rebuilt.
     pub classes_evaluated: u64,
     /// Refutations, bucketed by reason.
     pub rejects: Vec<RejectBucket>,
 }
 
-/// Everything a pass needs, borrowed once per run.
+/// The LOD-feasibility table: worst margin and first failing target per
+/// `(nanostructure, chopper, cds, adc_bits, oversampling, area)` class.
+struct MarginTable {
+    margins: Vec<f64>,
+    culprits: Vec<Option<Analyte>>,
+}
+
+/// Everything a pass needs, borrowed once per run, plus the run's class
+/// tables. Each table is built on first use and shared by every pass that
+/// reads it; it lives only as long as the run.
 pub(crate) struct RunCtx<'a> {
-    pub(crate) spec: &'a ExploreSpec,
-    pub(crate) cx: &'a PanelContext,
-    pub(crate) sizes: AxisSizes,
+    spec: &'a ExploreSpec,
+    cx: &'a PanelContext,
+    sizes: AxisSizes,
+    margins: OnceCell<MarginTable>,
+    afe: OnceCell<Vec<Option<Analyte>>>,
+    times: OnceCell<Vec<f64>>,
+    costs: OnceCell<Vec<f64>>,
+}
+
+/// The table in `cell`, built by `build` on first use.
+fn lazy<T>(
+    cell: &OnceCell<T>,
+    build: impl FnOnce() -> Result<T, ExploreError>,
+) -> Result<&T, ExploreError> {
+    if let Some(table) = cell.get() {
+        return Ok(table);
+    }
+    let table = build()?;
+    Ok(cell.get_or_init(|| table))
 }
 
 impl<'a> RunCtx<'a> {
-    /// A representative point for a margin class: sharing and preference
-    /// are fibered out (the LOD surrogate never reads them), so the first
-    /// axis value stands in for all.
-    fn margin_rep(
-        &self,
-        n: usize,
-        ch: usize,
-        cd: usize,
-        ab: usize,
-        os: usize,
-        ar: usize,
-    ) -> ExplorePoint {
-        let space = &self.spec.space;
-        ExplorePoint {
-            base: bios_platform::DesignPoint {
-                nanostructure: space.nanostructures[n],
-                sharing: space.sharing[0],
-                chopper: space.chopper[ch],
-                cds: space.cds[cd],
-                adc_bits: space.adc_bits[ab],
-                preference: space.preferences[0],
-            },
-            oversampling: space.oversampling[os],
-            area_pct: space.area_pct[ar],
+    pub(crate) fn new(spec: &'a ExploreSpec, cx: &'a PanelContext, sizes: AxisSizes) -> Self {
+        Self {
+            spec,
+            cx,
+            sizes,
+            margins: OnceCell::new(),
+            afe: OnceCell::new(),
+            times: OnceCell::new(),
+            costs: OnceCell::new(),
         }
     }
 
-    /// Fills the margin table and per-class first-failing analyte.
-    pub(crate) fn fill_margin_classes(
-        &self,
-        margins: &mut [f64],
-        culprits: &mut [Option<Analyte>],
-    ) -> Result<(), ExploreError> {
+    fn margins(&self) -> Result<&MarginTable, ExploreError> {
+        lazy(&self.margins, || self.build_margins())
+    }
+
+    fn afe(&self) -> Result<&[Option<Analyte>], ExploreError> {
+        lazy(&self.afe, || self.build_afe()).map(Vec::as_slice)
+    }
+
+    fn times(&self) -> Result<&[f64], ExploreError> {
+        lazy(&self.times, || self.build_times()).map(Vec::as_slice)
+    }
+
+    fn costs(&self) -> Result<&[f64], ExploreError> {
+        lazy(&self.costs, || self.build_costs()).map(Vec::as_slice)
+    }
+
+    /// Builds the margin table. The per-target noise terms read only
+    /// `(nanostructure, chopper, cds, adc_bits)`, so they are built once per
+    /// such class; only the `(oversampling, area)` tail runs per cell.
+    /// Sharing and preference are fibered out: the first axis value stands
+    /// in for all.
+    fn build_margins(&self) -> Result<MarginTable, ExploreError> {
         let sz = self.sizes;
+        let space = &self.spec.space;
         let panel = &self.spec.panel;
+        let mut margins = vec![0.0f64; sz.margin_classes()];
+        let mut culprits = vec![None; sz.margin_classes()];
+        let mut targets = Vec::with_capacity(panel.targets().len());
         for n in 0..sz.n {
             for ch in 0..sz.ch {
                 for cd in 0..sz.cd {
                     for ab in 0..sz.ab {
+                        let base = DesignPoint {
+                            nanostructure: space.nanostructures[n],
+                            sharing: space.sharing[0],
+                            chopper: space.chopper[ch],
+                            cds: space.cds[cd],
+                            adc_bits: space.adc_bits[ab],
+                            preference: space.preferences[0],
+                        };
+                        targets.clear();
+                        for spec in panel.targets() {
+                            targets.push(TargetLod::new(spec, &base)?);
+                        }
                         for os in 0..sz.os {
                             for ar in 0..sz.ar {
                                 let mc = sz.margin_class(n, ch, cd, ab, os, ar);
-                                let p = self.margin_rep(n, ch, cd, ab, os, ar);
-                                let margin = worst_margin(panel, &p)?;
+                                let (margin, culprit) = margin_tail(
+                                    &targets,
+                                    space.oversampling[os],
+                                    area_scale(space.area_pct[ar]),
+                                )?;
                                 margins[mc] = margin;
-                                if margin < 1.0 {
-                                    // Panel-order first failure, matching
-                                    // `evaluate_static`'s attribution.
-                                    for spec in panel.targets() {
-                                        let lod = surrogate_lod(spec.analyte, &p)?;
-                                        if required_lod(spec)?.value() / lod < 1.0 {
-                                            culprits[mc] = Some(spec.analyte);
-                                            break;
-                                        }
-                                    }
-                                }
+                                culprits[mc] = culprit;
                             }
                         }
                     }
                 }
             }
         }
-        Ok(())
+        Ok(MarginTable { margins, culprits })
     }
 
-    /// Fills the AFE-compatibility table: first unrealizable target per
+    /// Builds the AFE-compatibility table: first unrealizable target per
     /// `(nanostructure, adc_bits)` class.
-    pub(crate) fn fill_afe_classes(
-        &self,
-        culprits: &mut [Option<Analyte>],
-    ) -> Result<(), ExploreError> {
+    fn build_afe(&self) -> Result<Vec<Option<Analyte>>, ExploreError> {
         let sz = self.sizes;
         let space = &self.spec.space;
+        let mut culprits = vec![None; sz.afe_classes()];
         for n in 0..sz.n {
             for ab in 0..sz.ab {
                 culprits[sz.afe_class(n, ab)] = afe_incompatibility(
@@ -238,14 +278,15 @@ impl<'a> RunCtx<'a> {
                 )?;
             }
         }
-        Ok(())
+        Ok(culprits)
     }
 
-    /// Fills the session-time table per `(sharing, cds, preference,
+    /// Builds the session-time table per `(sharing, cds, preference,
     /// oversampling)` class.
-    pub(crate) fn fill_time_classes(&self, times: &mut [f64]) -> Result<(), ExploreError> {
+    fn build_times(&self) -> Result<Vec<f64>, ExploreError> {
         let sz = self.sizes;
         let space = &self.spec.space;
+        let mut times = vec![0.0f64; sz.time_classes()];
         for s in 0..sz.s {
             for cd in 0..sz.cd {
                 for pf in 0..sz.pf {
@@ -259,15 +300,19 @@ impl<'a> RunCtx<'a> {
                 }
             }
         }
-        Ok(())
+        Ok(times)
     }
 
-    /// Fills the cost table per `(sharing, chopper, cds, adc_bits,
+    /// Builds the cost table per `(sharing, chopper, cds, adc_bits,
     /// preference, oversampling, area)` class. Nanostructure is the only
-    /// fibered axis: the cost model never reads it.
-    pub(crate) fn fill_cost_classes(&self, costs: &mut [f64]) -> Result<(), ExploreError> {
+    /// fibered axis: the cost model never reads it. The electronics bill
+    /// reads only `(sharing, chopper, cds, adc_bits)` and the skeleton, so
+    /// it is built once per such class; only the area/session tail runs
+    /// per cell.
+    fn build_costs(&self) -> Result<Vec<f64>, ExploreError> {
         let sz = self.sizes;
         let space = &self.spec.space;
+        let mut costs = vec![0.0f64; sz.cost_classes()];
         for s in 0..sz.s {
             for ch in 0..sz.ch {
                 for cd in 0..sz.cd {
@@ -278,21 +323,22 @@ impl<'a> RunCtx<'a> {
                                 space.sharing[s],
                                 space.cds[cd],
                             )?;
+                            let base = DesignPoint {
+                                nanostructure: space.nanostructures[0],
+                                sharing: space.sharing[s],
+                                chopper: space.chopper[ch],
+                                cds: space.cds[cd],
+                                adc_bits: space.adc_bits[ab],
+                                preference: space.preferences[pf],
+                            };
+                            let electronics = Electronics::new(&sk, &base);
                             for os in 0..sz.os {
                                 for ar in 0..sz.ar {
-                                    let p = ExplorePoint {
-                                        base: bios_platform::DesignPoint {
-                                            nanostructure: space.nanostructures[0],
-                                            sharing: space.sharing[s],
-                                            chopper: space.chopper[ch],
-                                            cds: space.cds[cd],
-                                            adc_bits: space.adc_bits[ab],
-                                            preference: space.preferences[pf],
-                                        },
-                                        oversampling: space.oversampling[os],
-                                        area_pct: space.area_pct[ar],
-                                    };
-                                    let cost = cost_scalar(&sk, &p);
+                                    let cost = electronics.cost_scalar(
+                                        &sk,
+                                        space.oversampling[os],
+                                        area_scale(space.area_pct[ar]),
+                                    );
                                     if !cost.is_finite() {
                                         return Err(ExploreError::NonFinite {
                                             what: "surrogate cost",
@@ -306,7 +352,7 @@ impl<'a> RunCtx<'a> {
                 }
             }
         }
-        Ok(())
+        Ok(costs)
     }
 }
 
@@ -489,10 +535,8 @@ impl<'a> RunCtx<'a> {
         let budget_s = self.spec.session_budget.value();
         let (classes_evaluated, rejects) = match pass {
             PassId::LodFeasibility => {
-                let mut margins = vec![0.0f64; sz.margin_classes()];
-                let mut culprits = vec![None; sz.margin_classes()];
-                self.fill_margin_classes(&mut margins, &mut culprits)?;
-                sweep_and_mark(&sz, Some(&margins), None, None, budget_s, &mut state.alive);
+                let MarginTable { margins, culprits } = self.margins()?;
+                sweep_and_mark(&sz, Some(margins), None, None, budget_s, &mut state.alive);
                 let fiber = (sz.s * sz.pf) as u64;
                 let mut buckets = BTreeMap::new();
                 for (mc, m) in margins.iter().enumerate() {
@@ -510,9 +554,8 @@ impl<'a> RunCtx<'a> {
                 (sz.margin_classes() as u64, bucketize(buckets))
             }
             PassId::AfeRange => {
-                let mut culprits = vec![None; sz.afe_classes()];
-                self.fill_afe_classes(&mut culprits)?;
-                sweep_and_mark(&sz, None, Some(&culprits), None, budget_s, &mut state.alive);
+                let culprits = self.afe()?;
+                sweep_and_mark(&sz, None, Some(culprits), None, budget_s, &mut state.alive);
                 let fiber = (sz.s * sz.ch * sz.cd * sz.pf * sz.os * sz.ar) as u64;
                 let mut buckets = BTreeMap::new();
                 for c in culprits.iter().flatten() {
@@ -525,9 +568,8 @@ impl<'a> RunCtx<'a> {
                 (sz.afe_classes() as u64, bucketize(buckets))
             }
             PassId::SessionSchedule => {
-                let mut times = vec![0.0f64; sz.time_classes()];
-                self.fill_time_classes(&mut times)?;
-                sweep_and_mark(&sz, None, None, Some(&times), budget_s, &mut state.alive);
+                let times = self.times()?;
+                sweep_and_mark(&sz, None, None, Some(times), budget_s, &mut state.alive);
                 let fiber = (sz.n * sz.ch * sz.ab * sz.ar) as u64;
                 let mut buckets = BTreeMap::new();
                 for s in 0..sz.s {
@@ -554,22 +596,17 @@ impl<'a> RunCtx<'a> {
                 (sz.time_classes() as u64, bucketize(buckets))
             }
             PassId::Dominance => {
-                // Dominance re-derives feasibility from its own tables so
-                // its verdicts never depend on which passes ran before it.
-                let mut margins = vec![0.0f64; sz.margin_classes()];
-                let mut culprits = vec![None; sz.margin_classes()];
-                self.fill_margin_classes(&mut margins, &mut culprits)?;
-                let mut afe = vec![None; sz.afe_classes()];
-                self.fill_afe_classes(&mut afe)?;
-                let mut times = vec![0.0f64; sz.time_classes()];
-                self.fill_time_classes(&mut times)?;
-                let mut costs = vec![0.0f64; sz.cost_classes()];
-                self.fill_cost_classes(&mut costs)?;
+                // Dominance re-derives feasibility from the full tables,
+                // not from the alive set, so its verdicts never depend on
+                // which passes ran before it.
+                let margins = &self.margins()?.margins;
+                let afe = self.afe()?;
+                let times = self.times()?;
+                let costs = self.costs()?;
 
-                let feasible = count_feasible(&sz, &margins, &afe, &times, budget_s);
+                let feasible = count_feasible(&sz, margins, afe, times, budget_s);
                 let mut rows = vec![(0.0f64, 0.0f64, 0u64); feasible];
-                let cursor =
-                    fill_feasible(&sz, &margins, &afe, &times, &costs, budget_s, &mut rows);
+                let cursor = fill_feasible(&sz, margins, afe, times, costs, budget_s, &mut rows);
                 if cursor != rows.len() {
                     return Err(ExploreError::Internal {
                         what: "feasible count and fill cursor disagree",

@@ -37,8 +37,13 @@ pub struct ExplorePoint {
 impl ExplorePoint {
     /// Area scale factor `a` relative to the paper's WE geometry.
     pub(crate) fn area_scale(&self) -> f64 {
-        f64::from(self.area_pct) / 100.0
+        area_scale(self.area_pct)
     }
+}
+
+/// Area scale factor `a` of an `area_pct` axis value.
+pub(crate) fn area_scale(area_pct: u32) -> f64 {
+    f64::from(area_pct) / 100.0
 }
 
 /// Axis cardinalities and row-major strides, precomputed once per run so

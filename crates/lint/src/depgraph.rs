@@ -67,6 +67,8 @@ const A2_CRATES: &[&str] = &[
     "bios-instrument",
     "bios-platform",
     "bios-explore",
+    "bios-server",
+    "bios-model",
 ];
 
 /// The layer index of a crate, or `None` when unconstrained.

@@ -118,7 +118,7 @@ impl<T: CanonEncode> CanonEncode for std::collections::BTreeSet<T> {
 }
 
 /// The canonical byte encoding of a value.
-pub fn canon_bytes<T: CanonEncode + ?Sized>(value: &T) -> Vec<u8> {
+pub(crate) fn canon_bytes<T: CanonEncode + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::with_capacity(128);
     value.encode(&mut out);
     out
@@ -130,7 +130,7 @@ const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
 /// 128-bit FNV-1a hash of a byte string.
-pub fn fnv128(bytes: &[u8]) -> u128 {
+pub(crate) fn fnv128(bytes: &[u8]) -> u128 {
     let mut h = FNV128_OFFSET;
     for &b in bytes {
         h ^= u128::from(b);
@@ -140,7 +140,7 @@ pub fn fnv128(bytes: &[u8]) -> u128 {
 }
 
 /// The 128-bit canonical hash of a state: `fnv128(canon_bytes(value))`.
-pub fn canon_hash<T: CanonEncode + ?Sized>(value: &T) -> u128 {
+pub(crate) fn canon_hash<T: CanonEncode + ?Sized>(value: &T) -> u128 {
     fnv128(&canon_bytes(value))
 }
 

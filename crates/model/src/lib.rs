@@ -72,7 +72,7 @@ mod server_model;
 mod session_model;
 mod trace;
 
-pub use canon::{canon_bytes, canon_hash, fnv128, CanonEncode};
+pub use canon::CanonEncode;
 pub use config::{Interleave, MRequest, MVerdict, Mutation, ServerModelConfig, SessionModelConfig};
 pub use dot::render_dot;
 pub use error::ModelError;

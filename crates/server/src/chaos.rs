@@ -71,11 +71,6 @@ impl ChaosPlan {
         }
     }
 
-    /// The plan seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Stalls each device with probability `rate` for `ticks` ticks after
     /// admission. Rates clamp to `[0, 1]`.
     #[must_use]
