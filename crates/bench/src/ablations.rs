@@ -6,9 +6,10 @@ use bios_electrochem::{
     microdisk_settling_time, sweep_charging_current, Cell, Electrode, ElectrodeMaterial,
     Nanostructure, RedoxCouple,
 };
+use bios_explore::{explore, ExploreSpace, ExploreSpec};
 use bios_platform::{
-    explore_with, predict_lod, DesignPoint, DesignSpace, EvaluatedDesign, ExecPolicy, PanelSpec,
-    ProbePreference, ReadoutSharing,
+    evaluate, predict_lod, DesignPoint, EvaluatedDesign, ExecPolicy, PanelSpec, ProbePreference,
+    ReadoutSharing,
 };
 use bios_units::{Centimeters, SquareCentimeters, VoltsPerSecond, T_ROOM};
 
@@ -328,14 +329,27 @@ pub fn grid_ablation() -> Vec<GridRow> {
 
 // --- A5: design-space exploration (§I) ---
 
-/// Runs the full design-space exploration on the paper panel.
-pub fn design_space() -> Vec<EvaluatedDesign> {
-    explore_with(
-        &PanelSpec::paper_fig4(),
-        &DesignSpace::paper_default(),
-        ExecPolicy::Auto,
-    )
-    .expect("the paper panel explores")
+/// Evaluates every point of the paper's 96-point space on the paper
+/// panel, in rank order, each paired with whether the exploration
+/// pipeline keeps it on the Pareto front.
+pub fn design_space() -> Vec<(EvaluatedDesign, bool)> {
+    let spec = ExploreSpec {
+        space: ExploreSpace::paper_default(),
+        ..ExploreSpec::standard(PanelSpec::paper_fig4())
+    };
+    let front: Vec<u64> = explore(&spec, ExecPolicy::Auto)
+        .expect("the paper panel explores")
+        .band
+        .iter()
+        .map(|d| d.rank)
+        .collect();
+    (0u64..)
+        .zip(spec.space.iter())
+        .map(|(rank, point)| {
+            let design = evaluate(&spec.panel, &point.base).expect("the paper panel evaluates");
+            (design, front.contains(&rank))
+        })
+        .collect()
 }
 
 /// Renders all ablations.
@@ -533,7 +547,11 @@ mod tests {
     #[test]
     fn a5_front_contains_a_shared_cnt_design() {
         let designs = design_space();
-        let front: Vec<_> = designs.iter().filter(|d| d.pareto).collect();
+        let front: Vec<_> = designs
+            .iter()
+            .filter(|(_, on_front)| *on_front)
+            .map(|(d, _)| d)
+            .collect();
         assert!(!front.is_empty());
         // The paper's own choice — shared readout on CNT electrodes — is
         // Pareto-efficient (the cheapest feasible family).

@@ -21,14 +21,13 @@
 //! they are the single-thread speedup a serving host actually gets.
 //! `batched_standard_steps_per_s` isolates the SoA share.
 
-use crate::perf::digest_debug;
+use crate::perf::{digest_debug, measure};
 use bios_electrochem::{
     simulate_chrono_fleet, simulate_chrono_with, Cell, Electrode, ElectrodeMaterial, Grid,
     PotentialProgram, RedoxCouple, SimOptions, Transient,
 };
 use bios_platform::{par_map_chunks, ExecPolicy};
 use bios_units::{DiffusionCoefficient, Molar, Seconds, SquareCentimeters, Volts};
-use criterion::measure;
 
 /// Electrode lanes in the fleet workload.
 pub const LANES: usize = 32;
@@ -214,14 +213,10 @@ pub fn run(policy: ExecPolicy) -> BatchKernelReport {
 
     // Timings: every variant factorizes its own systems at construction,
     // one per scalar sim and one per species for a whole fleet.
-    let scalar_t = measure(SAMPLES, || criterion::black_box(scalar(None)));
-    let fleet_std_t = measure(SAMPLES, || criterion::black_box(fleet_once(None)));
-    let fleet_t = measure(SAMPLES, || {
-        criterion::black_box(fleet_once(Some(COARSE_GAMMA)))
-    });
-    let fleet_mt_t = measure(SAMPLES, || {
-        criterion::black_box(fleet_chunked(Some(COARSE_GAMMA)))
-    });
+    let scalar_t = measure(SAMPLES, || scalar(None));
+    let fleet_std_t = measure(SAMPLES, || fleet_once(None));
+    let fleet_t = measure(SAMPLES, || fleet_once(Some(COARSE_GAMMA)));
+    let fleet_mt_t = measure(SAMPLES, || fleet_chunked(Some(COARSE_GAMMA)));
 
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -234,10 +229,10 @@ pub fn run(policy: ExecPolicy) -> BatchKernelReport {
         steps,
         grid_nodes_standard: grid_nodes(Grid::DEFAULT_GAMMA),
         grid_nodes_coarse: grid_nodes(COARSE_GAMMA),
-        scalar_steps_per_s: steps as f64 / scalar_t.min_s(),
-        batched_standard_steps_per_s: steps as f64 / fleet_std_t.min_s(),
-        batched_steps_per_s: steps as f64 / fleet_t.min_s(),
-        batched_mt_steps_per_s: steps as f64 / fleet_mt_t.min_s(),
+        scalar_steps_per_s: steps as f64 / scalar_t,
+        batched_standard_steps_per_s: steps as f64 / fleet_std_t,
+        batched_steps_per_s: steps as f64 / fleet_t,
+        batched_mt_steps_per_s: steps as f64 / fleet_mt_t,
         digest_scalar_standard,
         digest_fleet_standard,
         digest_scalar_coarse,

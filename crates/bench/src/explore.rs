@@ -16,64 +16,22 @@
 //!    electrode area dropped) and explored right after the sweeps; the
 //!    digest must equal a second run of the same edited spec, so the
 //!    answer cannot depend on what ran before it.
-//! 4. **Ground truth** — on a brute-force-sized subspace the pipeline's
-//!    band is checked rank-for-rank, bit-for-bit against the O(n²)
-//!    per-point oracle ([`brute_force_band`]).
+//! 4. **Ground truth** — on every panel, over all 1 182 720 points, the
+//!    pipeline's band is checked rank-for-rank, bit-for-bit against the
+//!    per-point oracle ([`brute_force_band`]). This is a check of the
+//!    whole shipped space, not of a sample.
 //!
 //! [`brute_force_band`]: bios_explore::brute_force_band
 
-use bios_biochem::Analyte;
-use bios_explore::{brute_force_band, explore, ExploreSpace, ExploreSpec};
-use bios_platform::{ExecPolicy, PanelSpec, TargetSpec};
+use bios_explore::{brute_force_band, explore, ExploreSpec, ScoredDesign};
+use bios_platform::{ExecPolicy, PanelSpec};
+
+pub use bios_explore::standard_panels as panels;
 
 /// Minimum fraction of the space that must be statically rejected for
 /// the run to count as "compiler-style": simulating more than 1% of a
 /// million-point space is no longer static pruning.
 pub const REJECTION_FLOOR: f64 = 0.99;
-
-/// The seven benchmark panels. Together with the standard 168 960-point
-/// box they span 1 182 720 candidate designs.
-pub fn panels() -> Vec<(&'static str, PanelSpec)> {
-    let of = |analytes: &[Analyte]| {
-        analytes
-            .iter()
-            .map(|&a| TargetSpec::typical(a))
-            .collect::<PanelSpec>()
-    };
-    vec![
-        ("fig4-biointerface", PanelSpec::paper_fig4()),
-        (
-            "metabolic-trio",
-            of(&[Analyte::Glucose, Analyte::Lactate, Analyte::Cholesterol]),
-        ),
-        ("neuro-pair", of(&[Analyte::Glutamate, Analyte::Lactate])),
-        (
-            "p450-pair",
-            of(&[Analyte::Benzphetamine, Analyte::Aminopyrine]),
-        ),
-        ("tight-lod-fig4", {
-            // The fig4 panel with the glucose LOD requirement tightened
-            // to half its typical value: same analytes, harder
-            // constraints, a different calibration fingerprint.
-            let mut p = PanelSpec::paper_fig4();
-            p.push(
-                TargetSpec::typical(Analyte::Glucose)
-                    .with_lod(bios_units::Molar::from_micromolar(290.0)),
-            );
-            p
-        }),
-        ("glucose-only", of(&[Analyte::Glucose])),
-        (
-            "oxidase-quartet",
-            of(&[
-                Analyte::Glucose,
-                Analyte::Lactate,
-                Analyte::Glutamate,
-                Analyte::Cholesterol,
-            ]),
-        ),
-    ]
-}
 
 /// One panel's run-then-rerun exploration evidence.
 #[derive(Debug, Clone)]
@@ -145,11 +103,12 @@ pub struct ExploreBenchReport {
     pub warm_sweep_s: f64,
     /// Incremental re-exploration evidence.
     pub incremental: IncrementalRun,
-    /// Points in the brute-force spot-check subspace.
+    /// Points the per-point oracle checked: every point of every panel.
     pub brute_points: u64,
-    /// Band size of the spot check.
+    /// Band size across all panels, as the oracle computed it.
     pub brute_band: usize,
-    /// True when the pipeline matched the O(n²) oracle bit for bit.
+    /// True when the pipeline matched the oracle bit for bit on every
+    /// panel.
     pub brute_matches: bool,
 }
 
@@ -168,26 +127,25 @@ fn edited_fig4_spec() -> ExploreSpec {
     spec
 }
 
-/// A brute-force-sized subspace (3 456 points, well under
-/// [`bios_explore::BRUTE_FORCE_CAP`]) for the ground-truth spot check.
-fn spot_check_spec() -> ExploreSpec {
-    let mut spec = ExploreSpec::standard(PanelSpec::paper_fig4());
-    spec.space = ExploreSpace {
-        adc_bits: vec![8, 12, 16],
-        oversampling: vec![1, 16, 256],
-        area_pct: vec![50, 100, 200, 400],
-        ..ExploreSpace::standard_box()
-    };
-    spec
+/// Whether a pipeline band equals the oracle's `(rank, cost, margin)`
+/// rows, bit for bit.
+fn band_matches(band: &[ScoredDesign], oracle: &[(u64, f64, f64)]) -> bool {
+    band.len() == oracle.len()
+        && band.iter().zip(oracle).all(|(d, &(rank, cost, margin))| {
+            d.rank == rank
+                && d.surrogate_cost.to_bits() == cost.to_bits()
+                && d.surrogate_margin.to_bits() == margin.to_bits()
+        })
 }
 
 /// Runs the whole BENCH_10 workload: sweep, rerun, incremental edit,
-/// brute-force spot check.
+/// and the per-point oracle over every panel.
 pub fn run(policy: ExecPolicy) -> Result<ExploreBenchReport, Box<dyn std::error::Error>> {
     let panel_set = panels();
 
     let cold_start = std::time::Instant::now();
     let mut runs: Vec<PanelRun> = Vec::with_capacity(panel_set.len());
+    let mut bands: Vec<Vec<ScoredDesign>> = Vec::with_capacity(panel_set.len());
     for (name, panel) in &panel_set {
         let spec = ExploreSpec::standard(panel.clone());
         let outcome = explore(&spec, policy)?;
@@ -202,6 +160,7 @@ pub fn run(policy: ExecPolicy) -> Result<ExploreBenchReport, Box<dyn std::error:
             digest: outcome.frontier_digest,
             warm_digest: 0,
         });
+        bands.push(outcome.band);
     }
     let cold_sweep_s = cold_start.elapsed().as_secs_f64();
 
@@ -225,21 +184,19 @@ pub fn run(policy: ExecPolicy) -> Result<ExploreBenchReport, Box<dyn std::error:
         cold_digest: cold_edited.frontier_digest,
     };
 
-    // Ground truth: pipeline band vs the O(n²) per-point oracle, bit for
-    // bit on ranks, costs and margins.
-    let spot = spot_check_spec();
-    let spot_outcome = explore(&spot, policy)?;
-    let oracle = brute_force_band(&spot)?;
-    let brute_matches = spot_outcome.band.len() == oracle.len()
-        && spot_outcome
-            .band
-            .iter()
-            .zip(oracle.iter())
-            .all(|(d, &(rank, cost, margin))| {
-                d.rank == rank
-                    && d.surrogate_cost.to_bits() == cost.to_bits()
-                    && d.surrogate_margin.to_bits() == margin.to_bits()
-            });
+    // Ground truth, outside the timed sweeps: each panel's first-sweep
+    // band vs the per-point oracle over the same space, bit for bit on
+    // ranks, costs and margins.
+    let mut brute_points = 0u64;
+    let mut brute_band = 0usize;
+    let mut brute_matches = true;
+    for ((_, panel), band) in panel_set.iter().zip(&bands) {
+        let spec = ExploreSpec::standard(panel.clone());
+        let oracle = brute_force_band(&spec)?;
+        brute_points += spec.space.len();
+        brute_band += oracle.len();
+        brute_matches &= band_matches(band, &oracle);
+    }
 
     let total_points: u64 = runs.iter().map(|r| r.points).sum();
     let total_rejected: u64 = runs.iter().map(|r| r.statically_rejected).sum();
@@ -256,8 +213,8 @@ pub fn run(policy: ExecPolicy) -> Result<ExploreBenchReport, Box<dyn std::error:
         cold_sweep_s,
         warm_sweep_s,
         incremental,
-        brute_points: spot.space.len(),
-        brute_band: oracle.len(),
+        brute_points,
+        brute_band,
         brute_matches,
     })
 }
@@ -324,11 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn spot_check_space_is_under_the_oracle_cap() {
-        assert!(spot_check_spec().space.len() <= bios_explore::BRUTE_FORCE_CAP);
-    }
-
-    #[test]
     fn json_rendering_is_valid_shape() {
         let report = ExploreBenchReport {
             exec_policy: String::from("Auto"),
@@ -354,8 +306,8 @@ mod tests {
                 incremental_digest: 9,
                 cold_digest: 9,
             },
-            brute_points: 3_456,
-            brute_band: 12,
+            brute_points: 1_182_720,
+            brute_band: 4_213,
             brute_matches: true,
         };
         assert!(report.all_reruns_identical());

@@ -2,7 +2,7 @@
 //!
 //! Each module implements one experiment as a pure function returning
 //! structured rows; the `repro_*` binaries print them in the paper's
-//! format and the Criterion benches time the same kernels. See
+//! format, and the perf binaries write their timings to `BENCH_*.json`. See
 //! `EXPERIMENTS.md` at the workspace root for paper-vs-measured numbers.
 
 #![forbid(unsafe_code)]

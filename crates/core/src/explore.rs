@@ -1,21 +1,21 @@
-//! Design-space exploration — the paper's thesis (§I): "the proliferation
+//! Design-point evaluation — the paper's thesis (§I): "the proliferation
 //! of electronic monitoring techniques would benefit from a systematic
 //! design space exploration, in the search of the most cost-effective
 //! solution (e.g., small, low energy consumption, low-cost) to a given
 //! problem."
 //!
-//! The explorer enumerates parameterized-component choices, predicts each
-//! design's per-target LOD analytically (fast — no transient simulation),
-//! checks feasibility against the panel requirements and computes the cost
-//! model, then marks the Pareto-efficient designs.
+//! This module predicts a design's per-target LOD analytically (fast — no
+//! transient simulation), checks feasibility against the panel
+//! requirements and computes the cost model, one [`DesignPoint`] at a
+//! time. The exploration itself — enumerating a space, pruning it and
+//! keeping the Pareto front — is `bios-explore`'s job.
 
 use crate::builder::{PlatformBuilder, ProbePreference};
 use crate::cost::{electronics_budget, PlatformCost, ReadoutSharing};
 use crate::error::PlatformError;
-use crate::exec::{try_par_map, ExecPolicy};
 use crate::requirements::PanelSpec;
 use bios_afe::{CurrentRange, MatchingQuality, CHOPPER_SUPPRESSION};
-use bios_biochem::{tables::performance_of, Analyte, Technique};
+use bios_biochem::{tables::performance_of, Analyte};
 use bios_electrochem::Nanostructure;
 use bios_units::Molar;
 
@@ -41,87 +41,6 @@ pub struct DesignPoint {
     pub preference: ProbePreference,
 }
 
-/// The enumerable design space (cartesian product of the axes).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DesignSpace {
-    /// Nanostructure options.
-    pub nanostructures: Vec<Nanostructure>,
-    /// Sharing options.
-    pub sharing: Vec<ReadoutSharing>,
-    /// Chopper on/off options.
-    pub chopper: Vec<bool>,
-    /// CDS on/off options.
-    pub cds: Vec<bool>,
-    /// ADC bit options.
-    pub adc_bits: Vec<u8>,
-    /// Probe preferences.
-    pub preferences: Vec<ProbePreference>,
-}
-
-impl DesignSpace {
-    /// The default exploration grid: {bare, CNT} × {shared, dedicated} ×
-    /// {chopper on/off} × {CDS on/off} × {10, 12, 14 bits} × {minimize
-    /// electrodes, prefer oxidase} = 96 designs.
-    pub fn paper_default() -> Self {
-        Self {
-            nanostructures: vec![Nanostructure::None, Nanostructure::CarbonNanotubes],
-            sharing: vec![ReadoutSharing::Shared, ReadoutSharing::Dedicated],
-            chopper: vec![false, true],
-            cds: vec![false, true],
-            adc_bits: vec![10, 12, 14],
-            preferences: vec![
-                ProbePreference::MinimizeElectrodes,
-                ProbePreference::PreferOxidase,
-            ],
-        }
-    }
-
-    /// Lazily enumerates all design points in row-major order (the last
-    /// axis varies fastest). Nothing is materialized until the
-    /// iterator is driven, so callers that stop early (feasibility probes,
-    /// `take(n)` sampling) pay only for what they consume.
-    pub(crate) fn points_iter(&self) -> impl Iterator<Item = DesignPoint> + '_ {
-        self.nanostructures
-            .iter()
-            .copied()
-            .flat_map(move |nanostructure| {
-                self.sharing.iter().copied().flat_map(move |sharing| {
-                    self.chopper.iter().copied().flat_map(move |chopper| {
-                        self.cds.iter().copied().flat_map(move |cds| {
-                            self.adc_bits.iter().copied().flat_map(move |adc_bits| {
-                                self.preferences.iter().copied().map(move |preference| {
-                                    DesignPoint {
-                                        nanostructure,
-                                        sharing,
-                                        chopper,
-                                        cds,
-                                        adc_bits,
-                                        preference,
-                                    }
-                                })
-                            })
-                        })
-                    })
-                })
-            })
-    }
-
-    /// Number of design points.
-    pub fn len(&self) -> usize {
-        self.nanostructures.len()
-            * self.sharing.len()
-            * self.chopper.len()
-            * self.cds.len()
-            * self.adc_bits.len()
-            * self.preferences.len()
-    }
-
-    /// Whether the space is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// An evaluated design.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EvaluatedDesign {
@@ -136,9 +55,6 @@ pub struct EvaluatedDesign {
     pub worst_lod_margin: f64,
     /// The cost summary.
     pub cost: PlatformCost,
-    /// Marked by [`pareto_front`]: no other *feasible* design is both
-    /// cheaper and higher-margin.
-    pub pareto: bool,
 }
 
 /// Fraction of the registry blank noise that is slow/drift-like (removable
@@ -282,39 +198,6 @@ pub fn predict_lod(target: Analyte, point: &DesignPoint) -> Result<Molar, Platfo
     Ok(Molar::new(3.0 * breakdown.total() / s_eff))
 }
 
-/// Brute-force reference exploration: evaluates *every* point of the space
-/// with an explicit [`ExecPolicy`]. Design points are independent, so they
-/// fan out across the execution engine; results are merged by point index,
-/// making the output bit-identical to [`ExecPolicy::Sequential`] for any
-/// thread count.
-///
-/// This is the O(|space|) baseline the `bios-explore` pass pipeline is
-/// verified against on subsampled spaces; for production-scale spaces
-/// (10⁶–10⁷ points) use the pipeline, which statically rejects almost the
-/// whole space before any evaluation. (The old unparameterized `explore`
-/// wrapper and the eager `DesignSpace::points` materializer were removed
-/// when the pipeline subsumed them.)
-///
-/// # Errors
-///
-/// Returns [`PlatformError`] for invalid panels or an empty design space;
-/// with multiple failing points, the error is the one the sequential loop
-/// would have hit first.
-pub fn explore_with(
-    panel: &PanelSpec,
-    space: &DesignSpace,
-    policy: ExecPolicy,
-) -> Result<Vec<EvaluatedDesign>, PlatformError> {
-    panel.validate()?;
-    if space.is_empty() {
-        return Err(PlatformError::invalid("space", "design space is empty"));
-    }
-    let points: Vec<DesignPoint> = space.points_iter().collect();
-    let mut out = try_par_map(policy, &points, |_, point| evaluate(panel, point))?;
-    pareto_front(&mut out);
-    Ok(out)
-}
-
 /// Evaluates one design point.
 ///
 /// # Errors
@@ -365,48 +248,13 @@ pub fn evaluate(panel: &PanelSpec, point: &DesignPoint) -> Result<EvaluatedDesig
         platform.structure().chambers(),
         platform.schedule().total_duration(),
     );
-    // CV-only panels don't pay the chrono protocol's dwell; the schedule
-    // above already accounts for techniques per WE.
-    let _ = platform
-        .assignments()
-        .iter()
-        .filter(|a| a.technique() == Technique::CyclicVoltammetry)
-        .count();
-
     Ok(EvaluatedDesign {
         point: *point,
         predicted_lods,
         feasible,
         worst_lod_margin: worst_margin,
         cost,
-        pareto: false,
     })
-}
-
-/// Marks the Pareto-efficient designs among the *feasible* ones:
-/// minimize [`PlatformCost::scalar`], maximize `worst_lod_margin`.
-pub fn pareto_front(designs: &mut [EvaluatedDesign]) {
-    let snapshot: Vec<(bool, f64, f64)> = designs
-        .iter()
-        .map(|d| (d.feasible, d.cost.scalar(), d.worst_lod_margin))
-        .collect();
-    for (k, d) in designs.iter_mut().enumerate() {
-        if !d.feasible {
-            d.pareto = false;
-            continue;
-        }
-        let (_, my_cost, my_margin) = snapshot[k];
-        d.pareto = !snapshot
-            .iter()
-            .enumerate()
-            .any(|(j, (feas, cost, margin))| {
-                j != k
-                    && *feas
-                    && *cost <= my_cost
-                    && *margin >= my_margin
-                    && (*cost < my_cost || *margin > my_margin)
-            });
-    }
 }
 
 #[cfg(test)]
@@ -422,38 +270,6 @@ mod tests {
             cds: false,
             adc_bits: 12,
             preference: ProbePreference::MinimizeElectrodes,
-        }
-    }
-
-    #[test]
-    fn default_space_has_96_points() {
-        let s = DesignSpace::paper_default();
-        assert_eq!(s.len(), 96);
-        assert_eq!(s.points_iter().count(), 96);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn points_iter_is_row_major_and_stable() {
-        let s = DesignSpace::paper_default();
-        let all: Vec<DesignPoint> = s.points_iter().collect();
-        assert_eq!(all.len(), s.len());
-        // The outermost axis varies slowest.
-        assert_eq!(all[0].nanostructure, s.nanostructures[0]);
-        assert_eq!(all[s.len() - 1].nanostructure, s.nanostructures[1]);
-        // Partial consumption sees the same prefix.
-        let head: Vec<DesignPoint> = s.points_iter().take(5).collect();
-        assert_eq!(head, &all[..5]);
-    }
-
-    #[test]
-    fn parallel_explore_bit_identical_to_sequential() {
-        let panel = PanelSpec::paper_fig4();
-        let space = DesignSpace::paper_default();
-        let seq = explore_with(&panel, &space, ExecPolicy::Sequential).expect("sequential");
-        for threads in [2, 4] {
-            let par = explore_with(&panel, &space, ExecPolicy::Threads(threads)).expect("parallel");
-            assert_eq!(par, seq, "threads = {threads}");
         }
     }
 
@@ -503,51 +319,6 @@ mod tests {
             with_cds.value(),
             plain.value()
         );
-    }
-
-    #[test]
-    fn explore_paper_panel_produces_pareto_front() {
-        let panel = PanelSpec::paper_fig4();
-        let designs =
-            explore_with(&panel, &DesignSpace::paper_default(), ExecPolicy::Auto).expect("explore");
-        assert_eq!(designs.len(), 96);
-        let feasible = designs.iter().filter(|d| d.feasible).count();
-        assert!(feasible > 0, "some designs must be feasible");
-        let pareto: Vec<_> = designs.iter().filter(|d| d.pareto).collect();
-        assert!(!pareto.is_empty());
-        // Every pareto design is feasible and undominated.
-        for p in &pareto {
-            assert!(p.feasible);
-            for other in &designs {
-                if other.feasible {
-                    let dominates = other.cost.scalar() <= p.cost.scalar()
-                        && other.worst_lod_margin >= p.worst_lod_margin
-                        && (other.cost.scalar() < p.cost.scalar()
-                            || other.worst_lod_margin > p.worst_lod_margin);
-                    assert!(!dominates, "pareto design dominated");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shared_cheaper_dedicated_faster_both_on_front() {
-        // The paper's central trade-off should appear on the Pareto front
-        // through the cost scalar: shared designs are cheaper.
-        let panel = PanelSpec::paper_fig4();
-        let designs =
-            explore_with(&panel, &DesignSpace::paper_default(), ExecPolicy::Auto).expect("explore");
-        let cheapest_shared = designs
-            .iter()
-            .filter(|d| d.feasible && d.point.sharing == ReadoutSharing::Shared)
-            .map(|d| d.cost.scalar())
-            .fold(f64::INFINITY, f64::min);
-        let cheapest_dedicated = designs
-            .iter()
-            .filter(|d| d.feasible && d.point.sharing == ReadoutSharing::Dedicated)
-            .map(|d| d.cost.scalar())
-            .fold(f64::INFINITY, f64::min);
-        assert!(cheapest_shared < cheapest_dedicated);
     }
 
     #[test]

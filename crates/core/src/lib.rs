@@ -19,9 +19,9 @@
 //!   ([`FaultPlan`](bios_afe::FaultPlan)), per-acquisition QC gating,
 //!   bounded retries with quarantine, and a [`DegradationSummary`] so
 //!   faulted sessions return partial results with provenance;
-//! * [`explore_with`] / [`DesignSpace`] — design-space exploration with
-//!   analytic LOD prediction ([`predict_lod`]) and Pareto filtering
-//!   ([`pareto_front`]).
+//! * [`evaluate`] — one [`DesignPoint`]'s analytic LOD prediction
+//!   ([`predict_lod`]), feasibility and cost, the per-point model the
+//!   `bios-explore` pipeline explores design spaces with.
 //!
 //! # Example: the paper's Fig. 4 platform in four lines
 //!
@@ -63,8 +63,8 @@ pub use cost::{electronics_budget, PlatformCost, ReadoutSharing};
 pub use error::PlatformError;
 pub use exec::{par_map, par_map_chunks, par_map_mut, try_par_map, ExecPolicy};
 pub use explore::{
-    effective_sensitivity, evaluate, explore_with, noise_breakdown, pareto_front, predict_lod,
-    required_lod, DesignPoint, DesignSpace, EvaluatedDesign, NoiseBreakdown,
+    effective_sensitivity, evaluate, noise_breakdown, predict_lod, required_lod, DesignPoint,
+    EvaluatedDesign, NoiseBreakdown,
 };
 pub use platform::{Platform, SensorModel, SessionReport, TargetReading, WeAssignment};
 pub use requirements::{PanelSpec, TargetSpec};

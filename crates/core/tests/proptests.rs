@@ -1,10 +1,8 @@
 //! Property-based tests for the platform layer.
 
 use bios_biochem::Analyte;
-use bios_electrochem::Nanostructure;
 use bios_platform::{
-    crosstalk_fraction, explore_with, minimum_pitch, pareto_front, DesignPoint, DesignSpace,
-    ExecPolicy, PanelSpec, PlatformBuilder, ProbePreference, ReadoutSharing, Schedule, TargetSpec,
+    crosstalk_fraction, minimum_pitch, PanelSpec, PlatformBuilder, Schedule, TargetSpec,
 };
 use bios_units::{Centimeters, Seconds};
 use proptest::prelude::*;
@@ -69,60 +67,6 @@ proptest! {
             let at_boundary = crosstalk_fraction(pmin, t);
             prop_assert!((at_boundary - tol).abs() < tol * 1e-6);
         }
-    }
-
-    /// Pareto marking is sound: no marked design is dominated by another
-    /// feasible design, and at least one feasible design is marked.
-    #[test]
-    fn pareto_soundness(seed in 0u64..50) {
-        // A small deterministic space (vary by seed through bit choices).
-        let bits = 10 + (seed % 3) as u8 * 2;
-        let space = DesignSpace {
-            nanostructures: vec![Nanostructure::None, Nanostructure::CarbonNanotubes],
-            sharing: vec![ReadoutSharing::Shared, ReadoutSharing::Dedicated],
-            chopper: vec![false, true],
-            cds: vec![false],
-            adc_bits: vec![bits],
-            preferences: vec![ProbePreference::MinimizeElectrodes],
-        };
-        let designs = explore_with(&PanelSpec::paper_fig4(), &space, ExecPolicy::Auto)
-            .expect("explore");
-        let feasible: Vec<_> = designs.iter().filter(|d| d.feasible).collect();
-        if !feasible.is_empty() {
-            prop_assert!(designs.iter().any(|d| d.pareto));
-        }
-        for d in designs.iter().filter(|d| d.pareto) {
-            for other in &designs {
-                if other.feasible && !std::ptr::eq(d, other) {
-                    let dominates = other.cost.scalar() <= d.cost.scalar()
-                        && other.worst_lod_margin >= d.worst_lod_margin
-                        && (other.cost.scalar() < d.cost.scalar()
-                            || other.worst_lod_margin > d.worst_lod_margin);
-                    prop_assert!(!dominates);
-                }
-            }
-        }
-    }
-
-    /// Re-running pareto_front is idempotent.
-    #[test]
-    fn pareto_idempotent(_x in 0..5) {
-        let point = DesignPoint {
-            nanostructure: Nanostructure::CarbonNanotubes,
-            sharing: ReadoutSharing::Shared,
-            chopper: false,
-            cds: false,
-            adc_bits: 12,
-            preference: ProbePreference::MinimizeElectrodes,
-        };
-        let mut designs = vec![
-            bios_platform::evaluate(&PanelSpec::paper_fig4(), &point).expect("evaluate"),
-        ];
-        pareto_front(&mut designs);
-        let once: Vec<bool> = designs.iter().map(|d| d.pareto).collect();
-        pareto_front(&mut designs);
-        let twice: Vec<bool> = designs.iter().map(|d| d.pareto).collect();
-        prop_assert_eq!(once, twice);
     }
 
     /// Sequential schedules conserve total time; parallel ones take the max.

@@ -6,7 +6,9 @@ use crate::context::PanelContext;
 use crate::error::ExploreError;
 use crate::hash::Fnv;
 use crate::model::evaluate_static;
-use crate::passes::{BitSet, PassManager, PassReport, RunCtx, SpaceState};
+use crate::passes::{
+    mark_dominated, sort_rows, BitSet, PassManager, PassReport, RunCtx, SpaceState,
+};
 use crate::shard::{partition, score_band, ScoredDesign};
 use crate::space::ExploreSpec;
 
@@ -102,51 +104,48 @@ pub fn explore(spec: &ExploreSpec, policy: ExecPolicy) -> Result<ExploreOutcome,
     explore_with_manager(spec, &PassManager::standard(), policy)
 }
 
-/// Largest space the brute-force oracle accepts (it is O(n²)).
-pub const BRUTE_FORCE_CAP: u64 = 65_536;
-
 /// The reference semantics, computed the slow way: evaluate the full
-/// static predicate at *every* point, then O(n²) Pareto filtering with
-/// the same tie rules as [`bios_platform::pareto_front`]. Returns
+/// static predicate at *every* point, then keep the feasible points no
+/// other feasible point dominates on `(cost, margin)`. The dominance step
+/// is the pipeline's own sweep (`mark_dominated` over rows sorted by
+/// cost ascending, margin descending, rank ascending); only the
+/// per-point evaluation differs from the class-factored passes. Returns
 /// `(rank, cost, margin)` of every survivor, rank-ascending. Exists so
-/// proptests can pin the pipeline's class-factored answer to a
-/// per-point ground truth; refuses spaces above [`BRUTE_FORCE_CAP`].
+/// tests and the BENCH_10 gate can pin the pipeline's answer to a
+/// per-point ground truth. It has no size cap: it visits each point once,
+/// so the BENCH_10 gate runs it over all 1,182,720 points of the seven
+/// standard panels.
 pub fn brute_force_band(spec: &ExploreSpec) -> Result<Vec<(u64, f64, f64)>, ExploreError> {
     spec.validate()?;
-    if spec.space.len() > BRUTE_FORCE_CAP {
-        return Err(ExploreError::invalid(
-            "space",
-            format!("brute-force oracle is capped at {BRUTE_FORCE_CAP} points"),
-        ));
-    }
     let cx = PanelContext::for_spec(spec)?;
     let budget_s = spec.session_budget.value();
-    let mut feasible = Vec::new();
+    let mut rows = Vec::new();
     for (rank, point) in spec.space.iter().enumerate() {
         let sk = cx.skeleton(point.base.preference, point.base.sharing, point.base.cds)?;
         let eval = evaluate_static(&spec.panel, &sk, budget_s, &point)?;
         if eval.reject.is_none() {
-            feasible.push((rank as u64, eval.cost, eval.margin));
+            rows.push((eval.cost, eval.margin, rank as u64));
         }
     }
-    let mut band = Vec::new();
-    for (k, &(rank, cost, margin)) in feasible.iter().enumerate() {
-        let dominated = feasible
-            .iter()
-            .enumerate()
-            .any(|(j, &(_, c, m))| j != k && c <= cost && m >= margin && (c < cost || m > margin));
-        if !dominated {
-            band.push((rank, cost, margin));
-        }
-    }
+    sort_rows(&mut rows);
+    let mut dominated = vec![false; rows.len()];
+    mark_dominated(&rows, &mut dominated);
+    let mut band: Vec<(u64, f64, f64)> = rows
+        .iter()
+        .zip(&dominated)
+        .filter(|(_, dom)| !**dom)
+        .map(|(&(cost, margin, rank), _)| (rank, cost, margin))
+        .collect();
+    band.sort_unstable_by_key(|&(rank, _, _)| rank);
     Ok(band)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::ExploreSpace;
-    use bios_platform::PanelSpec;
+    use crate::passes::PassId;
+    use crate::space::{standard_panels, ExploreSpace};
+    use bios_platform::{evaluate, PanelSpec, ReadoutSharing};
 
     fn small_spec() -> ExploreSpec {
         let mut spec = ExploreSpec::standard(PanelSpec::paper_fig4());
@@ -201,7 +200,6 @@ mod tests {
 
     #[test]
     fn pass_order_does_not_change_the_band() {
-        use crate::passes::PassId;
         let spec = small_spec();
         let standard = explore(&spec, ExecPolicy::Sequential).expect("standard");
         let reversed = explore_with_manager(
@@ -218,5 +216,126 @@ mod tests {
         .expect("reversed");
         assert_eq!(standard.frontier_digest, reversed.frontier_digest);
         assert_eq!(standard.band, reversed.band);
+    }
+
+    /// `panel` over the paper's 96-point sub-box.
+    fn paper_spec(panel: PanelSpec) -> ExploreSpec {
+        ExploreSpec {
+            space: ExploreSpace::paper_default(),
+            ..ExploreSpec::standard(panel)
+        }
+    }
+
+    /// The scored points the pipeline keeps after running only `passes`.
+    fn survivors(spec: &ExploreSpec, passes: &[PassId]) -> Vec<ScoredDesign> {
+        let manager = PassManager::with_order(passes).expect("order");
+        explore_with_manager(spec, &manager, ExecPolicy::Sequential)
+            .expect("pipeline")
+            .band
+    }
+
+    const FEASIBILITY: [PassId; 3] = [
+        PassId::LodFeasibility,
+        PassId::AfeRange,
+        PassId::SessionSchedule,
+    ];
+
+    #[test]
+    fn paper_sub_box_has_a_front_and_shared_readout_is_cheapest() {
+        let spec = paper_spec(PanelSpec::paper_fig4());
+        assert!(!survivors(&spec, &PassId::STANDARD).is_empty());
+        // The paper's central trade-off: a shared (muxed) readout is
+        // cheaper than dedicated chains among feasible designs.
+        let feasible = survivors(&spec, &FEASIBILITY);
+        let cheapest = |sharing| {
+            feasible
+                .iter()
+                .filter(|d| d.point.base.sharing == sharing)
+                .map(|d| d.surrogate_cost)
+                .fold(f64::INFINITY, f64::min)
+        };
+        let shared = cheapest(ReadoutSharing::Shared);
+        let dedicated = cheapest(ReadoutSharing::Dedicated);
+        assert!(dedicated.is_finite(), "no dedicated design is feasible");
+        assert!(
+            shared < dedicated,
+            "shared {shared} vs dedicated {dedicated}"
+        );
+    }
+
+    /// Static rejection checked against the simulated evaluator
+    /// ([`bios_platform::evaluate`]) on the paper sub-box of every
+    /// standard panel, reason by reason:
+    ///
+    /// * a point fails the LOD pass iff `evaluate` calls it infeasible;
+    /// * on every LOD survivor, the surrogate cost and margin equal
+    ///   `evaluate`'s bit for bit;
+    /// * every point the dominance pass rejects is dominated, under
+    ///   `evaluate`'s `(cost, margin)`, by a point the feasibility passes
+    ///   keep.
+    ///
+    /// AFE-range and session-budget rejects are exempt, because `evaluate`
+    /// models neither the AFE range nor the session budget. Their count
+    /// per panel is pinned.
+    #[test]
+    fn static_rejection_agrees_with_evaluate_on_the_paper_sub_box() {
+        let mut exempt = Vec::new();
+        for (name, panel) in standard_panels() {
+            let spec = paper_spec(panel);
+            let lod_kept = survivors(&spec, &[PassId::LodFeasibility]);
+            let feasible = survivors(&spec, &FEASIBILITY);
+            let front = survivors(&spec, &PassId::STANDARD);
+            for (rank, point) in (0u64..).zip(spec.space.iter()) {
+                let simulated = evaluate(&spec.panel, &point.base).expect("evaluate");
+                assert_eq!(
+                    lod_kept.iter().any(|d| d.rank == rank),
+                    simulated.feasible,
+                    "{name} rank {rank}: LOD verdict vs evaluate"
+                );
+            }
+            for d in &lod_kept {
+                assert_eq!(
+                    (d.surrogate_cost.to_bits(), d.surrogate_margin.to_bits()),
+                    (
+                        d.simulated.cost.scalar().to_bits(),
+                        d.simulated.worst_lod_margin.to_bits()
+                    ),
+                    "{name} rank {}: surrogate vs evaluate",
+                    d.rank
+                );
+            }
+            let simulated =
+                |d: &ScoredDesign| (d.simulated.cost.scalar(), d.simulated.worst_lod_margin);
+            for d in feasible
+                .iter()
+                .filter(|d| !front.iter().any(|f| f.rank == d.rank))
+            {
+                let (cost, margin) = simulated(d);
+                assert!(
+                    feasible.iter().any(|o| {
+                        let (c, m) = simulated(o);
+                        c <= cost && m >= margin && (c < cost || m > margin)
+                    }),
+                    "{name} rank {}: dominated reject not dominated under evaluate",
+                    d.rank
+                );
+            }
+            exempt.push((name, lod_kept.len() - feasible.len()));
+        }
+        // The AFE-range pass rejects 16 points of two panels that
+        // `evaluate` calls feasible (cholesterol's derived range needs
+        // more ADC codes than those points have).
+        assert_eq!(
+            exempt,
+            vec![
+                ("fig4-biointerface", 0),
+                ("metabolic-trio", 16),
+                ("neuro-pair", 0),
+                ("p450-pair", 0),
+                ("tight-lod-fig4", 0),
+                ("glucose-only", 0),
+                ("oxidase-quartet", 16),
+            ]
+        );
     }
 }

@@ -13,8 +13,9 @@
 //! * [`explore`] — prune → partition → score: the surviving exact Pareto
 //!   band is sharded for [`bios_platform::try_par_map`], scored by the
 //!   surrogate and fully simulated via [`bios_platform::evaluate`];
-//! * [`brute_force_band`] — the O(n²) per-point oracle the proptests pin
-//!   the class-factored pipeline against, bit for bit.
+//! * [`brute_force_band`] — the per-point oracle the proptests and the
+//!   BENCH_10 gate pin the class-factored pipeline against, bit for bit,
+//!   over every point of the standard panels.
 //!
 //! # Example
 //!
@@ -53,10 +54,8 @@ mod shard;
 mod space;
 
 pub use error::ExploreError;
-pub use frontier::{
-    brute_force_band, explore, explore_with_manager, ExploreOutcome, BRUTE_FORCE_CAP,
-};
+pub use frontier::{brute_force_band, explore, explore_with_manager, ExploreOutcome};
 pub use model::{surrogate_lod, worst_margin, RejectReason};
 pub use passes::{PassId, PassManager, PassReport, RejectBucket};
 pub use shard::{ScoredDesign, Shard};
-pub use space::{ExplorePoint, ExploreSpace, ExploreSpec};
+pub use space::{standard_panels, ExplorePoint, ExploreSpace, ExploreSpec};

@@ -483,14 +483,25 @@ fn fill_feasible(
     cursor
 }
 
+/// Sorts `(cost, margin, rank)` rows by `(cost asc, margin desc, rank
+/// asc)`, the order [`mark_dominated`] reads them in.
+pub(crate) fn sort_rows(rows: &mut [(f64, f64, u64)]) {
+    rows.sort_unstable_by(|a, b| {
+        a.0.total_cmp(&b.0)
+            .then(b.1.total_cmp(&a.1))
+            .then(a.2.cmp(&b.2))
+    });
+}
+
 /// Marks dominated rows in the sorted feasible table.
 ///
 /// Input rows are sorted by `(cost asc, margin desc, rank asc)`. A row is
 /// dominated iff a strictly cheaper row has margin ≥ its margin, or an
 /// equal-cost row has strictly greater margin. Exact `(cost, margin)` ties
-/// all survive — the same tie semantics as [`bios_platform::pareto_front`].
+/// all survive. The dominance pass and the brute-force oracle both run
+/// this one sweep; a unit test checks it against the O(n²) definition.
 // advdiag::hot — single scan over the sorted feasible table
-fn mark_dominated(rows: &[(f64, f64, u64)], dominated: &mut [bool]) {
+pub(crate) fn mark_dominated(rows: &[(f64, f64, u64)], dominated: &mut [bool]) {
     let mut best_prev = f64::NEG_INFINITY; // best margin among strictly cheaper rows
     let mut g = 0usize; // group start
     while g < rows.len() {
@@ -612,11 +623,7 @@ impl<'a> RunCtx<'a> {
                         what: "feasible count and fill cursor disagree",
                     });
                 }
-                rows.sort_unstable_by(|a, b| {
-                    a.0.total_cmp(&b.0)
-                        .then(b.1.total_cmp(&a.1))
-                        .then(a.2.cmp(&b.2))
-                });
+                sort_rows(&mut rows);
                 let mut dominated = vec![false; rows.len()];
                 mark_dominated(&rows, &mut dominated);
 
@@ -741,6 +748,50 @@ mod tests {
             .map(|(r, _)| r.2)
             .collect();
         assert_eq!(surviving, vec![0, 1, 4]);
+    }
+
+    /// Dominance by definition, pair by pair: a row is dominated iff
+    /// another row is no costlier, has no lower margin and is strictly
+    /// better on one of the two.
+    fn dominated_by_definition(rows: &[(f64, f64, u64)]) -> Vec<bool> {
+        rows.iter()
+            .map(|&(cost, margin, rank)| {
+                rows.iter().any(|&(c, m, r)| {
+                    r != rank && c <= cost && m >= margin && (c < cost || m > margin)
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn mark_dominated_matches_the_quadratic_definition_on_random_rows() {
+        // A seeded LCG. Eight values per axis over up to 40 rows make exact
+        // cost ties, margin ties and (cost, margin) ties common.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |k: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % k
+        };
+        let mut exact_ties = 0usize;
+        for case in 0..500 {
+            let n = 1 + draw(40) as usize;
+            let mut rows: Vec<(f64, f64, u64)> = (0..n as u64)
+                .map(|rank| (draw(8) as f64 * 0.5, draw(8) as f64 * 0.25, rank))
+                .collect();
+            sort_rows(&mut rows);
+            exact_ties += rows
+                .windows(2)
+                .filter(|w| {
+                    w[0].0.to_bits() == w[1].0.to_bits() && w[0].1.to_bits() == w[1].1.to_bits()
+                })
+                .count();
+            let mut dominated = vec![false; n];
+            mark_dominated(&rows, &mut dominated);
+            assert_eq!(dominated, dominated_by_definition(&rows), "case {case}");
+        }
+        assert!(exact_ties > 0, "the rows must exercise exact ties");
     }
 
     #[test]

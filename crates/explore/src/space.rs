@@ -1,21 +1,21 @@
 //! The extended, lazily-enumerated design space.
 //!
-//! [`bios_platform::DesignSpace`] enumerates the paper's six architectural
-//! axes (~10² points). The real methodology question — §I of the paper —
-//! is what happens when the space is *large*: this module adds two readout
-//! axes (oversampling factor and working-electrode area scale) and swaps
-//! eager materialization for **mixed-radix rank decoding**, so a ≥10⁶-point
-//! space is a handful of `Vec`s of axis values plus arithmetic. Passes walk
-//! ranks; nothing allocates per point.
+//! The paper's six architectural axes span ~10² points
+//! ([`ExploreSpace::paper_default`]). The real methodology question — §I
+//! of the paper — is what happens when the space is *large*: this module
+//! adds two readout axes (oversampling factor and working-electrode area
+//! scale) and enumerates by **mixed-radix rank decoding**, so a
+//! ≥10⁶-point space is a handful of `Vec`s of axis values plus
+//! arithmetic. Passes walk ranks; nothing allocates per point.
 //!
 //! Rank layout is row-major with the axis order
 //! `nanostructure → sharing → chopper → cds → adc_bits → preference →
-//! oversampling → area_pct` (outermost first), matching the core
-//! `DesignSpace::points_iter` convention on the shared prefix.
+//! oversampling → area_pct` (outermost first).
 
+use bios_biochem::Analyte;
 use bios_electrochem::Nanostructure;
-use bios_platform::{DesignPoint, PanelSpec, ProbePreference, ReadoutSharing};
-use bios_units::Seconds;
+use bios_platform::{DesignPoint, PanelSpec, ProbePreference, ReadoutSharing, TargetSpec};
+use bios_units::{Molar, Seconds};
 
 use crate::error::ExploreError;
 
@@ -207,6 +207,28 @@ impl ExploreSpace {
         }
     }
 
+    /// The paper's own six-axis space at the reference readout (no
+    /// oversampling, paper electrode area): {bare, CNT} × {shared,
+    /// dedicated} × {chopper off/on} × {CDS off/on} × {10, 12, 14 bits} ×
+    /// {minimize electrodes, prefer oxidase} = 96 points. Every point sits
+    /// at the coordinates where the surrogate is bit-identical to
+    /// [`bios_platform::evaluate`].
+    pub fn paper_default() -> Self {
+        Self {
+            nanostructures: vec![Nanostructure::None, Nanostructure::CarbonNanotubes],
+            sharing: vec![ReadoutSharing::Shared, ReadoutSharing::Dedicated],
+            chopper: vec![false, true],
+            cds: vec![false, true],
+            adc_bits: vec![10, 12, 14],
+            preferences: vec![
+                ProbePreference::MinimizeElectrodes,
+                ProbePreference::PreferOxidase,
+            ],
+            oversampling: vec![1],
+            area_pct: vec![100],
+        }
+    }
+
     /// Checks every axis is non-empty, duplicate-free and in-domain.
     pub fn validate(&self) -> Result<(), ExploreError> {
         fn unique<T: PartialEq>(axis: &[T]) -> bool {
@@ -352,6 +374,47 @@ impl ExploreSpec {
     }
 }
 
+/// The seven standard panels the BENCH_10 sweep explores. Over
+/// [`ExploreSpace::standard_box`] they span 1,182,720 candidate designs.
+pub fn standard_panels() -> Vec<(&'static str, PanelSpec)> {
+    let of = |analytes: &[Analyte]| {
+        analytes
+            .iter()
+            .map(|&a| TargetSpec::typical(a))
+            .collect::<PanelSpec>()
+    };
+    vec![
+        ("fig4-biointerface", PanelSpec::paper_fig4()),
+        (
+            "metabolic-trio",
+            of(&[Analyte::Glucose, Analyte::Lactate, Analyte::Cholesterol]),
+        ),
+        ("neuro-pair", of(&[Analyte::Glutamate, Analyte::Lactate])),
+        (
+            "p450-pair",
+            of(&[Analyte::Benzphetamine, Analyte::Aminopyrine]),
+        ),
+        ("tight-lod-fig4", {
+            // The fig4 panel with the glucose LOD requirement tightened
+            // to half its typical value: same analytes, harder
+            // constraints, a different calibration fingerprint.
+            let mut p = PanelSpec::paper_fig4();
+            p.push(TargetSpec::typical(Analyte::Glucose).with_lod(Molar::from_micromolar(290.0)));
+            p
+        }),
+        ("glucose-only", of(&[Analyte::Glucose])),
+        (
+            "oxidase-quartet",
+            of(&[
+                Analyte::Glucose,
+                Analyte::Lactate,
+                Analyte::Glutamate,
+                Analyte::Cholesterol,
+            ]),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,6 +483,28 @@ mod tests {
         }
         assert_eq!(seen.len() as u64, space.len());
         assert!(space.point_at(space.len()).is_none());
+    }
+
+    #[test]
+    fn paper_default_is_a_96_point_row_major_sub_box() {
+        let paper = ExploreSpace::paper_default();
+        paper.validate().expect("valid");
+        assert_eq!(paper.len(), 96);
+        let all: Vec<ExplorePoint> = paper.iter().collect();
+        assert_eq!(all.len(), 96);
+        // Row-major: the outermost axis varies slowest, preference fastest.
+        assert_eq!(all[0].base.nanostructure, Nanostructure::None);
+        assert_eq!(all[95].base.nanostructure, Nanostructure::CarbonNanotubes);
+        assert_eq!(all[1].base.preference, ProbePreference::PreferOxidase);
+        assert_eq!(all[2].base.adc_bits, 12);
+        // A sub-box of the standard box, at the reference readout.
+        let standard = ExploreSpace::standard_box();
+        for p in &all {
+            assert!(standard.nanostructures.contains(&p.base.nanostructure));
+            assert!(standard.adc_bits.contains(&p.base.adc_bits));
+            assert!(standard.preferences.contains(&p.base.preference));
+            assert_eq!((p.oversampling, p.area_pct), (1, 100));
+        }
     }
 
     #[test]

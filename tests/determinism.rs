@@ -8,10 +8,9 @@ use std::sync::OnceLock;
 use advdiag::afe::FaultPlan;
 use advdiag::biochem::Analyte;
 use advdiag::electrochem::Tridiagonal;
+use advdiag::explore::{explore, ExploreSpace, ExploreSpec};
 use advdiag::instrument::QcGate;
-use advdiag::platform::{
-    explore_with, DesignSpace, ExecPolicy, PanelSpec, Platform, PlatformBuilder, SessionOptions,
-};
+use advdiag::platform::{ExecPolicy, PanelSpec, Platform, PlatformBuilder, SessionOptions};
 use advdiag::units::Molar;
 use proptest::prelude::*;
 
@@ -125,14 +124,16 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
-    /// Random thread counts: parallel `explore` is bit-identical to
-    /// sequential (the explorer is deterministic, so only the fan-out can
-    /// vary).
+    /// Random thread counts: parallel `explore` over the paper's 96-point
+    /// space is bit-identical to sequential (the explorer is
+    /// deterministic, so only the fan-out can vary).
     fn parallel_explore_matches_sequential(threads in 2usize..9) {
-        let panel = PanelSpec::paper_fig4();
-        let space = DesignSpace::paper_default();
-        let seq = explore_with(&panel, &space, ExecPolicy::Sequential).expect("sequential");
-        let par = explore_with(&panel, &space, ExecPolicy::Threads(threads)).expect("parallel");
+        let spec = ExploreSpec {
+            space: ExploreSpace::paper_default(),
+            ..ExploreSpec::standard(PanelSpec::paper_fig4())
+        };
+        let seq = explore(&spec, ExecPolicy::Sequential).expect("sequential");
+        let par = explore(&spec, ExecPolicy::Threads(threads)).expect("parallel");
         prop_assert_eq!(&par, &seq, "threads {}", threads);
     }
 }
