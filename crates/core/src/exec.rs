@@ -3,8 +3,8 @@
 //! Multi-channel acquisition is inherently parallel across electrodes, and
 //! design-space exploration across design points — but the robustness
 //! guarantees of this platform (identical `(input, seed)` ⇒ bit-identical
-//! output) must survive the fan-out. The engine here provides exactly one
-//! primitive, [`par_map`], with one contract: the result vector is the same,
+//! output) must survive the fan-out. The engine's primitive is
+//! [`par_map`], with one contract: the result vector is the same,
 //! element for element and bit for bit, as the sequential
 //! `items.iter().map(f).collect()`, regardless of thread count or OS
 //! scheduling.
@@ -14,12 +14,15 @@
 //! * work units are *independent* — every seed in this codebase is derived
 //!   per-unit (per electrode, per design point, per matrix cell), never
 //!   drawn from a shared RNG stream;
-//! * workers claim unit indices from an atomic counter and tag each result
-//!   with its index; the results are merged *by index* after all workers
-//!   join, so scheduling can reorder execution but never output;
+//! * workers claim unit indices from an atomic counter (or take one
+//!   contiguous chunk each) and tag each result with its index; the
+//!   results are merged *by index* after all workers join, so scheduling
+//!   can reorder execution but never output;
 //! * no worker mutates shared state — reductions happen on the caller's
 //!   thread after the merge.
 //!
+//! A fan-out over `n` workers spawns `n − 1` scoped helpers; the calling
+//! thread runs the remaining share instead of waiting at the join.
 //! Thread count resolves from [`ExecPolicy`]; the `ADVDIAG_THREADS`
 //! environment variable forces a global override (`1` = sequential), which
 //! CI uses to digest-compare parallel against sequential runs.
@@ -75,7 +78,8 @@ impl ExecPolicy {
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (the first observed worker panic).
+/// Propagates a panic from `f` (the calling thread's own first, else
+/// the first helper's in spawn order).
 // advdiag::cold(dispatch machinery: allocates O(workers) scratch and joins at the
 // barrier by design; per-element work is checked through the closure root)
 pub fn par_map<T, R, F>(policy: ExecPolicy, items: &[T], f: F) -> Vec<R>
@@ -85,43 +89,21 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let threads = policy.threads_for(items.len());
-    if threads <= 1 || items.len() <= 1 {
+    if threads <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
+    // Every share, the caller's included, runs the same claim loop.
     let next = AtomicUsize::new(0);
-    let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, f(i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(local) => local,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    // Merge by index: scheduling order is irrelevant to the output.
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for (i, r) in buckets.into_iter().flatten() {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        // advdiag::allow(P1, invariant: the atomic counter hands out each index once; a hole here is corruption, so aborting beats returning wrong data)
-        .map(|slot| slot.expect("every index claimed exactly once"))
-        .collect()
+    dispatch(items.len(), vec![(); threads], |()| {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break local;
+            }
+            local.push((i, f(i, &items[i])));
+        }
+    })
 }
 
 /// Mutates every element of `items` in place, possibly in parallel, and
@@ -131,7 +113,7 @@ where
 /// for any thread count.
 ///
 /// Unlike [`par_map`], work is distributed as *contiguous chunks* (one
-/// per worker, split with `split_at_mut`) rather than stolen from an
+/// per worker, the caller taking the first) rather than claimed from an
 /// atomic counter — mutable aliasing rules out stealing in safe Rust.
 /// Each element is still visited exactly once by exactly one worker, so
 /// determinism holds; load balance is the caller's job (give workers
@@ -139,7 +121,8 @@ where
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (the first observed worker panic).
+/// Propagates a panic from `f` (the calling thread's own first, else
+/// the first helper's in spawn order).
 // advdiag::cold(dispatch machinery: allocates O(workers) scratch and joins at the
 // barrier by design; per-element work is checked through the closure root)
 pub fn par_map_mut<T, R, F>(policy: ExecPolicy, items: &mut [T], f: F) -> Vec<R>
@@ -149,51 +132,19 @@ where
     F: Fn(usize, &mut T) -> R + Sync,
 {
     let threads = policy.threads_for(items.len());
-    if threads <= 1 || items.len() <= 1 {
+    if threads <= 1 {
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    // Split into `threads` contiguous chunks, remembering each chunk's
-    // starting index so results can merge back in item order.
-    let chunk = items.len().div_ceil(threads);
-    let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut rest = items;
-        let mut base = 0usize;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let start = base;
-            base += take;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                head.iter_mut()
-                    .enumerate()
-                    .map(|(k, t)| (start + k, f(start + k, t)))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(local) => local,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
+    let len = items.len();
+    let chunk = len.div_ceil(threads);
+    let shares = items.chunks_mut(chunk).enumerate().collect();
+    dispatch(len, shares, |(k, head): (usize, &mut [T])| {
+        let start = k * chunk;
+        head.iter_mut()
+            .enumerate()
+            .map(|(j, t)| (start + j, f(start + j, t)))
             .collect()
-    });
-    let mut out: Vec<Option<R>> = (0..base_len(&buckets)).map(|_| None).collect();
-    for (i, r) in buckets.into_iter().flatten() {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        // advdiag::allow(P1, invariant: chunking visits each index exactly once; a hole here is corruption, so aborting beats returning wrong data)
-        .map(|slot| slot.expect("every index visited exactly once"))
-        .collect()
-}
-
-/// Total element count across per-worker buckets (the original length).
-fn base_len<R>(buckets: &[Vec<(usize, R)>]) -> usize {
-    buckets.iter().map(Vec::len).sum()
+    })
 }
 
 /// Maps `f` over *contiguous chunks* of `items` (one chunk per worker,
@@ -211,8 +162,9 @@ fn base_len<R>(buckets: &[Vec<(usize, R)>]) -> usize {
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f`, and panics if `f` returns a vector whose
-/// length differs from its chunk.
+/// Propagates a panic from `f` (the calling thread's own first, else
+/// the first helper's in spawn order), and panics if `f` returns a
+/// vector whose length differs from its chunk.
 // advdiag::cold(dispatch machinery: allocates O(workers) scratch and joins at the
 // barrier by design; per-element work is checked through the closure root)
 pub fn par_map_chunks<T, R, F>(policy: ExecPolicy, items: &[T], f: F) -> Vec<R>
@@ -221,44 +173,66 @@ where
     R: Send,
     F: Fn(usize, &[T]) -> Vec<R> + Sync,
 {
+    let run = |start: usize, head: &[T]| {
+        let out = f(start, head);
+        assert_eq!(out.len(), head.len(), "chunk output length mismatch");
+        out
+    };
     let threads = policy.threads_for(items.len());
-    if threads <= 1 || items.len() <= 1 {
-        let out = f(0, items);
-        assert_eq!(out.len(), items.len(), "chunk output length mismatch");
-        return out;
+    if threads <= 1 {
+        return run(0, items);
     }
     let chunk = items.len().div_ceil(threads);
-    let pieces: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(k, head)| {
-                let f = &f;
-                let start = k * chunk;
-                scope.spawn(move || {
-                    let out = f(start, head);
-                    assert_eq!(out.len(), head.len(), "chunk output length mismatch");
-                    (start, out)
-                })
-            })
-            .collect();
-        handles
+    let shares = items.chunks(chunk).enumerate().collect();
+    dispatch(items.len(), shares, |(k, head): (usize, &[T])| {
+        let start = k * chunk;
+        run(start, head)
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(piece) => piece,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
+            .enumerate()
+            .map(|(j, r)| (start + j, r))
+            .collect()
+    })
+}
+
+/// The one scoped fan-out behind every primitive: runs `work` once per
+/// share — the first share on the calling thread, every other share on
+/// its own scoped helper, so `shares.len() - 1` spawns — and merges the
+/// `(index, result)` pairs the shares return into item order (`len`
+/// slots, each filled exactly once).
+///
+/// A panic in the caller's share is re-raised once the helpers have
+/// finished; otherwise the first panicking helper, in spawn order, is
+/// re-raised at its join.
+// advdiag::cold(dispatch machinery: allocates O(workers) scratch and joins at the
+// barrier by design; per-element work is checked through the closure root)
+fn dispatch<S, R, W>(len: usize, shares: Vec<S>, work: W) -> Vec<R>
+where
+    S: Send,
+    R: Send,
+    W: Fn(S) -> Vec<(usize, R)> + Sync,
+{
+    let mut shares = shares.into_iter();
+    let first = shares.next();
+    let tagged: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let work = &work;
+        // Spawn every helper before the caller starts its own share.
+        let helpers: Vec<_> = shares.map(|s| scope.spawn(move || work(s))).collect();
+        let mine = first.map(work);
+        mine.into_iter()
+            .chain(helpers.into_iter().map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            }))
             .collect()
     });
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for (start, piece) in pieces {
-        for (k, r) in piece.into_iter().enumerate() {
-            out[start + k] = Some(r);
-        }
+    // Merge by index: scheduling order is irrelevant to the output.
+    let mut out: Vec<Option<R>> = (0..len).map(|_| None).collect();
+    for (i, r) in tagged.into_iter().flatten() {
+        out[i] = Some(r);
     }
     out.into_iter()
-        // advdiag::allow(P1, invariant: chunking covers each index exactly once; a hole here is corruption, so aborting beats returning wrong data)
-        .map(|slot| slot.expect("every index covered exactly once"))
+        // advdiag::allow(P1, invariant: the claim counter and the chunking each hand out every index once; a hole here is corruption, so aborting beats returning wrong data)
+        .map(|slot| slot.expect("every index produced exactly once"))
         .collect()
 }
 

@@ -5,7 +5,11 @@
 //! (`1`): the engine reads the variable once per process through a
 //! `OnceLock`, and integration tests share one process.
 
-use bios_platform::{par_map, try_par_map, ExecPolicy};
+use bios_platform::{par_map, par_map_chunks, par_map_mut, try_par_map, ExecPolicy};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
+use std::thread::{self, ThreadId};
+use std::time::{Duration, Instant};
 
 /// Pins the env override before the engine's `OnceLock` first resolves it.
 fn force_single_thread() {
@@ -58,4 +62,111 @@ fn try_par_map_surfaces_an_error_at_index_zero() {
         Err(0),
         "index 0 is the lowest-index error and must win"
     );
+}
+
+/// Distinct entries of `ids`, first-seen order.
+fn distinct(ids: &[ThreadId]) -> Vec<ThreadId> {
+    let mut out: Vec<ThreadId> = Vec::new();
+    for id in ids {
+        if !out.contains(id) {
+            out.push(*id);
+        }
+    }
+    out
+}
+
+#[test]
+fn caller_runs_a_share_and_at_most_threads_threads_run_f() {
+    let me = thread::current().id();
+    let items: Vec<u64> = (0..97).collect();
+    for threads in [2, 3, 4, 8] {
+        // `par_map`: helpers wait until the caller has run a unit. A
+        // waiting helper holds at most one claimed unit, so with more
+        // units than helpers the caller always claims one, under any
+        // schedule.
+        let caller_ran = AtomicBool::new(false);
+        // Bounded, so a dispatcher that leaves the caller idle fails the
+        // assertion below instead of hanging.
+        let give_up = Instant::now() + Duration::from_secs(5);
+        let ids = par_map(ExecPolicy::Threads(threads), &items, |_, _| {
+            let id = thread::current().id();
+            if id == me {
+                caller_ran.store(true, Ordering::Release);
+            } else {
+                while !caller_ran.load(Ordering::Acquire) && Instant::now() < give_up {
+                    thread::yield_now();
+                }
+            }
+            id
+        });
+        assert!(ids.contains(&me), "par_map, threads = {threads}");
+        assert!(
+            distinct(&ids).len() <= threads,
+            "par_map, threads = {threads}"
+        );
+
+        // The chunked primitives hand the caller the first chunk.
+        let mut cells = items.clone();
+        let ids = par_map_mut(ExecPolicy::Threads(threads), &mut cells, |_, _| {
+            thread::current().id()
+        });
+        assert_eq!(ids[0], me, "par_map_mut, threads = {threads}");
+        assert!(
+            distinct(&ids).len() <= threads,
+            "par_map_mut, threads = {threads}"
+        );
+
+        let ids = par_map_chunks(ExecPolicy::Threads(threads), &items, |_, chunk| {
+            vec![thread::current().id(); chunk.len()]
+        });
+        assert_eq!(ids[0], me, "par_map_chunks, threads = {threads}");
+        assert!(
+            distinct(&ids).len() <= threads,
+            "par_map_chunks, threads = {threads}"
+        );
+    }
+}
+
+#[test]
+fn panics_reach_the_caller_from_its_own_share_and_from_a_helper() {
+    use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+    let me = thread::current().id();
+    let message = |payload: Box<dyn std::any::Any + Send>| payload.downcast_ref::<&str>().copied();
+    for (expected, on_caller) in [("caller", true), ("helper", false)] {
+        // Each unit panics iff it runs on the chosen side. Two threads
+        // over two units or four cells: every primitive runs some of
+        // them on each side (`par_map` through a barrier that keeps
+        // either thread from claiming both units).
+        let boom = || {
+            if (thread::current().id() == me) == on_caller {
+                panic_any(expected);
+            }
+        };
+        let both = Barrier::new(2);
+        let got = catch_unwind(AssertUnwindSafe(|| {
+            par_map(ExecPolicy::Threads(2), &[0u8, 1], |_, _| {
+                both.wait();
+                boom();
+            })
+        }));
+        assert_eq!(got.err().and_then(message), Some(expected), "par_map");
+
+        let mut cells = [0u8; 4];
+        let got = catch_unwind(AssertUnwindSafe(|| {
+            par_map_mut(ExecPolicy::Threads(2), &mut cells, |_, _| boom())
+        }));
+        assert_eq!(got.err().and_then(message), Some(expected), "par_map_mut");
+
+        let got = catch_unwind(AssertUnwindSafe(|| {
+            par_map_chunks(ExecPolicy::Threads(2), &cells, |_, chunk| {
+                boom();
+                vec![(); chunk.len()]
+            })
+        }));
+        assert_eq!(
+            got.err().and_then(message),
+            Some(expected),
+            "par_map_chunks"
+        );
+    }
 }

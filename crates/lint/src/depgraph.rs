@@ -33,6 +33,7 @@
 //! types it names alive until it is narrowed itself.
 
 use crate::ast::{Item, ItemKind};
+use crate::callgraph::Level;
 use crate::lexer::{lex, Lexed, Token, TokenKind};
 use crate::parser::parse_items;
 use crate::rules::Finding;
@@ -115,8 +116,8 @@ pub struct DepEdge {
 pub struct HotOverlay {
     /// Declared hot roots that resolved to a workspace definition, sorted.
     pub roots: Vec<String>,
-    /// The full hot set (roots included), sorted.
-    pub hot: Vec<String>,
+    /// The full hot set (roots included), each name with its cadence.
+    pub hot: BTreeMap<String, Level>,
 }
 
 /// The workspace crate dependency graph.
@@ -170,7 +171,7 @@ impl DepGraph {
             out.push_str("        label=\"hot region (H1-H4)\";\n");
             out.push_str("        style=filled;\n        color=\"#fff3e0\";\n");
             let roots: BTreeSet<&str> = hot.roots.iter().map(String::as_str).collect();
-            for name in &hot.hot {
+            for name in hot.hot.keys() {
                 if roots.contains(name.as_str()) {
                     out.push_str(&format!(
                         "        \"fn {name}\" [label=\"{name}\\n(root)\", style=filled, \

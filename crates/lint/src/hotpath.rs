@@ -245,7 +245,7 @@ pub fn analyze_workspace(files: &[HotFile<'_>]) -> (Vec<Finding>, HotOverlay) {
         .collect();
     let overlay = HotOverlay {
         roots: roots.into_iter().collect(),
-        hot: levels.into_keys().collect(),
+        hot: levels,
     };
     (findings, overlay)
 }

@@ -10,7 +10,7 @@ use std::path::Path;
 
 use bios_lint::hotpath::{HOT_ROOTS, PURE_CTORS};
 use bios_lint::lexer::{self, TokenKind};
-use bios_lint::{gather, lint_source, FileContext};
+use bios_lint::{gather, lint_files_graph, lint_source, FileContext};
 
 fn ctx() -> FileContext<'static> {
     FileContext {
@@ -159,6 +159,40 @@ fn hot_catalogues_name_live_definitions() {
             "pure constructor `{owner}::{method}` is not defined by any non-test fn"
         );
     }
+}
+
+/// The workspace hot region, name by name with its cadence, must match
+/// `hot_levels.txt`. Hotness stops at names with more than
+/// `MAX_TWIN_DEFS` definitions, so a rename, or a third definition of a
+/// name such as `tick`, `acquire` or `run_samples`, can shrink what H1–H4
+/// scan without changing a single finding; pinning the list turns that
+/// into a reviewed edit of the file.
+#[test]
+fn workspace_hot_levels_match_the_committed_list() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root");
+    let (_, graph) = lint_files_graph(&gather(root).expect("workspace gathers"));
+    let got: BTreeSet<String> = graph
+        .hot
+        .expect("the hot-path analysis ran")
+        .hot
+        .iter()
+        .map(|(name, level)| format!("{name} {level:?}"))
+        .collect();
+    let want: BTreeSet<String> = include_str!("hot_levels.txt")
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(str::to_string)
+        .collect();
+    let added: Vec<&String> = got.difference(&want).collect();
+    let removed: Vec<&String> = want.difference(&got).collect();
+    assert!(
+        added.is_empty() && removed.is_empty(),
+        "the hot region changed; if intended, edit crates/lint/tests/hot_levels.txt\n\
+         added: {added:#?}\nremoved: {removed:#?}"
+    );
 }
 
 /// Every non-test fn defined in one file, as `(owner, name)`: the owner

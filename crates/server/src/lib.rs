@@ -23,12 +23,14 @@
 //!   the submitting harness), all hash-derived so runs replay
 //!   bit-identically.
 //!
-//! Scheduling is deterministic by construction: shards advance through
+//! Scheduling is deterministic by construction: the shards with queued or
+//! in-flight work advance through
 //! [`par_map_mut`](bios_platform::par_map_mut) (contiguous chunks, merged
-//! in shard order), every session steps in admission order, and no wall
-//! clock enters the control path — time is a virtual tick counter, and
-//! telemetry timestamps come from an injected [`Clock`] that defaults to
-//! [`NullClock`]. The same submissions and ticks produce the same
+//! in shard order; one busy shard ticks inline, and an idle shard, whose
+//! tick would be a no-op, is skipped), every session steps in admission
+//! order, and no wall clock enters the control path — time is a virtual
+//! tick counter, and telemetry timestamps come from an injected [`Clock`]
+//! that defaults to [`NullClock`]. The same submissions and ticks produce the same
 //! completed reports under any [`ExecPolicy`](bios_platform::ExecPolicy).
 //!
 //! # Example

@@ -5,9 +5,10 @@
 //! [`SessionMachine`](bios_platform::SessionMachine)s, stepped
 //! round-robin a few steps per virtual tick. Devices hash to shards by
 //! index, shards never share mutable state, and a tick advances every
-//! shard through [`par_map_mut`] — so the whole fleet schedule is
-//! bit-reproducible under any [`ExecPolicy`], which is what lets the
-//! chaos harness compare faulted runs against clean references.
+//! busy shard through [`par_map_mut`] (an idle shard's tick is a no-op
+//! and is skipped) — so the whole fleet schedule is bit-reproducible
+//! under any [`ExecPolicy`], which is what lets the chaos harness compare
+//! faulted runs against clean references.
 //!
 //! Within a shard, `Sample`-phase acquisitions from *different* in-flight
 //! sessions are coalesced: each tick the shard parks every awake session
@@ -359,7 +360,7 @@ pub struct InFlight {
 }
 
 /// What one shard did during one tick.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct ShardTick {
     steps: u64,
     completed: usize,
@@ -434,6 +435,13 @@ impl Shard {
         &self.quarantined
     }
 
+    /// True when work is queued or in flight. A shard without work ticks
+    /// as a no-op: nothing to shed or admit, no lanes to step, nothing to
+    /// harvest.
+    fn has_work(&self) -> bool {
+        !self.queue.is_empty() || !self.active.is_empty()
+    }
+
     /// Sheds lowest-tier queued work down to the watermark, recording
     /// every shed unit as a typed outcome.
     fn shed_excess(&mut self, watermark: usize, tick: &mut ShardTick) {
@@ -498,7 +506,7 @@ impl Shard {
     /// function of its [`SampleRequest`], so every per-session transition
     /// sequence — and every served report — is bit-identical to stepping
     /// the machines one by one. The batch itself runs sequentially inside
-    /// the shard; shards remain the parallel axis (no nested
+    /// the shard; busy shards remain the parallel axis (no nested
     /// parallelism).
     fn step_active(
         &mut self,
@@ -863,14 +871,17 @@ impl<'p> DiagnosticsServer<'p> {
 
     /// Advances the whole fleet by one virtual tick: every shard sheds
     /// excess queue, admits work, and steps its in-flight sessions.
-    /// Shards fan out across the execution engine; the outcome is
+    /// Busy shards (queued or in-flight work) fan out across the execution
+    /// engine, so a lone busy shard ticks inline with no spawn; an idle
+    /// shard's tick would do nothing, so it is skipped. The outcome is
     /// bit-identical for any [`ExecPolicy`].
     pub fn tick(&mut self, clock: &dyn Clock) -> TickSummary {
         let platform = self.platform;
         let config = &self.config;
         let chaos = self.chaos.as_ref();
         let now = self.now;
-        let ticks = par_map_mut(config.exec, &mut self.shards, |_, shard| {
+        let mut busy: Vec<&mut Shard> = self.shards.iter_mut().filter(|s| s.has_work()).collect();
+        let ticks = par_map_mut(config.exec, &mut busy, |_, shard| {
             shard.tick(platform, config, &mut Physics { chaos }, clock, now)
         });
         let mut summary = TickSummary::default();
@@ -926,9 +937,7 @@ impl<'p> DiagnosticsServer<'p> {
 
     /// True when no work is queued or in flight anywhere.
     pub fn is_idle(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.queue.is_empty() && s.active.is_empty())
+        !self.shards.iter().any(Shard::has_work)
     }
 
     /// Sessions currently in flight fleet-wide.
@@ -1269,6 +1278,139 @@ mod tests {
         let par = run(ExecPolicy::Threads(4));
         assert_eq!(seq.len(), 24);
         assert_eq!(seq, par, "shard fan-out must not change outcomes");
+    }
+
+    #[test]
+    fn sparse_load_schedule_is_bit_identical_for_any_exec_policy() {
+        let p = platform();
+        // Waves of submissions, each after the fleet drains and two idle
+        // ticks. A wave is groups submitted one tick apart; the first
+        // three waves land on 1, 2 and 4 idle shards at once, the last is
+        // staggered tick by tick.
+        let waves: [&[&[u64]]; 4] = [
+            &[&[0]],
+            &[&[1, 2]],
+            &[&[3, 4, 5, 6]],
+            &[&[7], &[9], &[14], &[12, 16], &[21]],
+        ];
+        let run = |exec: ExecPolicy| {
+            let config = ServerConfig::default().with_shards(4).with_exec(exec);
+            let mut server = DiagnosticsServer::new(&p, config)
+                .with_chaos(ChaosPlan::new(11).with_stalls(0.3, 3).with_aborts(0.2));
+            let mut busy_counts = BTreeSet::new();
+            let mut tick = |server: &mut DiagnosticsServer<'_>| {
+                busy_counts.insert(server.shards.iter().filter(|s| s.has_work()).count());
+                server.tick(&NullClock);
+            };
+            let mut submitted = 0;
+            for wave in waves {
+                tick(&mut server);
+                tick(&mut server);
+                for group in wave {
+                    for &device in *group {
+                        server
+                            .submit(request(device, ServiceTier::Routine, 3000 + device))
+                            .expect("admitted");
+                        submitted += 1;
+                    }
+                    tick(&mut server);
+                }
+                // Bounded, so a scheduler that strands work fails the
+                // count below instead of hanging.
+                while !server.is_idle() && server.now() < 100_000 {
+                    tick(&mut server);
+                }
+            }
+            let served = server.drain_completed();
+            assert_eq!(served.len(), submitted, "{exec:?}");
+            assert!(
+                [0, 1, 2, 4].iter().all(|n| busy_counts.contains(n)),
+                "{exec:?}: busy-shard counts {busy_counts:?}"
+            );
+            (format!("{served:?}"), served, server.stats(), server.now())
+        };
+        let seq = run(ExecPolicy::Sequential);
+        for threads in [2, 4] {
+            let par = run(ExecPolicy::Threads(threads));
+            assert_eq!(seq, par, "threads = {threads}");
+        }
+    }
+
+    /// A clock an idle shard must never read.
+    struct UnreadClock;
+
+    impl Clock for UnreadClock {
+        fn now_nanos(&self) -> u64 {
+            panic!("an idle shard read the clock")
+        }
+    }
+
+    /// Tick inputs an idle shard must never draw.
+    struct UndrawnInputs;
+
+    impl TickInputs for UndrawnInputs {
+        fn admission(&mut self, _: u64) -> (u64, Option<u64>) {
+            panic!("an idle shard admitted work")
+        }
+
+        fn acquire_batch(
+            &mut self,
+            _: &Platform,
+            _: &[u64],
+            _: &[SampleRequest],
+        ) -> Vec<SampleResult> {
+            panic!("an idle shard acquired")
+        }
+    }
+
+    /// Everything a shard carries from tick to tick. The step scratch is
+    /// left out: every tick clears each buffer before using it, so its
+    /// contents between ticks never reach an outcome.
+    fn carried_state(s: &Shard) -> String {
+        format!(
+            "{:?}",
+            (
+                &s.queue,
+                &s.active,
+                &s.strikes,
+                &s.quarantined,
+                &s.completed,
+                &s.latencies_nanos,
+                s.peak_queue,
+            )
+        )
+    }
+
+    #[test]
+    fn an_idle_shard_ticks_as_a_no_op() {
+        // The premise that lets `DiagnosticsServer::tick` skip idle
+        // shards: ticking one reads no clock, draws no input, reports an
+        // all-zero `ShardTick` and changes nothing it carries. Checked on
+        // a fresh shard and on one that has served, failed and drained.
+        let p = platform();
+        let mut server = DiagnosticsServer::new(&p, ServerConfig::default().with_shards(1))
+            .with_chaos(ChaosPlan::new(4).with_stalls(0.5, 2).with_aborts(0.5));
+        for k in 0..6u64 {
+            server
+                .submit(request(k, ServiceTier::Routine, 700 + k))
+                .expect("admitted");
+        }
+        server.run_until_idle(&NullClock, 10_000);
+        let drained = server.shards[0].clone();
+        assert!(!drained.completed.is_empty() && !drained.strikes.is_empty());
+        for shard in [Shard::new(), drained] {
+            assert!(!shard.has_work());
+            let mut ticked = shard.clone();
+            let t = ticked.tick(
+                &p,
+                server.config(),
+                &mut UndrawnInputs,
+                &UnreadClock,
+                server.now(),
+            );
+            assert_eq!(t, ShardTick::default());
+            assert_eq!(carried_state(&ticked), carried_state(&shard));
+        }
     }
 
     #[test]
