@@ -110,7 +110,7 @@ mod tests {
     fn round_robin_covers_all_channels() {
         let m = mux();
         let dwell = Seconds::new(60.0);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for k in 0..5 {
             let t = Seconds::new(k as f64 * (60.0 + 1e-6) + 1.0);
             seen.insert(m.channel_at(t, dwell));

@@ -5,7 +5,7 @@ use crate::error::AfeError;
 use bios_units::{Hertz, Ohms, Seconds, Volts};
 
 /// A behavioral potentiostat: finite-gain control amplifier with a
-/// gain–bandwidth product and counter-electrode compliance limits.
+/// gain–bandwidth product.
 ///
 /// # Example
 ///
@@ -25,7 +25,6 @@ use bios_units::{Hertz, Ohms, Seconds, Volts};
 pub struct Potentiostat {
     open_loop_gain: f64,
     gain_bandwidth: Hertz,
-    compliance: Volts,
     output_resistance: Ohms,
 }
 
@@ -35,11 +34,10 @@ impl Potentiostat {
     /// # Errors
     ///
     /// Returns [`AfeError::InvalidParameter`] for non-positive gain,
-    /// gain–bandwidth, compliance or negative output resistance.
+    /// gain–bandwidth or negative output resistance.
     pub fn new(
         open_loop_gain: f64,
         gain_bandwidth: Hertz,
-        compliance: Volts,
         output_resistance: Ohms,
     ) -> Result<Self, AfeError> {
         if open_loop_gain <= 1.0 || !open_loop_gain.is_finite() {
@@ -47,9 +45,6 @@ impl Potentiostat {
         }
         if gain_bandwidth.value() <= 0.0 {
             return Err(AfeError::invalid("gain_bandwidth", "must be positive"));
-        }
-        if compliance.value() <= 0.0 {
-            return Err(AfeError::invalid("compliance", "must be positive"));
         }
         if output_resistance.value() < 0.0 {
             return Err(AfeError::invalid(
@@ -60,25 +55,19 @@ impl Potentiostat {
         Ok(Self {
             open_loop_gain,
             gain_bandwidth,
-            compliance,
             output_resistance,
         })
     }
 
     /// A typical integrated CMOS control amplifier: 100 dB gain, 1 MHz GBW,
-    /// ±1.5 V compliance, 100 Ω output resistance.
+    /// 100 Ω output resistance.
     ///
     /// # Errors
     ///
     /// Never fails for these constants; the `Result` keeps the constructor
     /// signature uniform.
     pub fn typical_cmos() -> Result<Self, AfeError> {
-        Self::new(
-            1e5,
-            Hertz::from_megahertz(1.0),
-            Volts::new(1.5),
-            Ohms::new(100.0),
-        )
+        Self::new(1e5, Hertz::from_megahertz(1.0), Ohms::new(100.0))
     }
 
     /// The actually-applied RE–WE potential for a setpoint, from the finite
@@ -149,20 +138,15 @@ mod tests {
 
     #[test]
     fn construction_validates() {
-        assert!(
-            Potentiostat::new(0.5, Hertz::new(1e6), Volts::new(1.5), Ohms::new(100.0)).is_err()
-        );
-        assert!(Potentiostat::new(1e5, Hertz::ZERO, Volts::new(1.5), Ohms::new(100.0)).is_err());
-        assert!(Potentiostat::new(1e5, Hertz::new(1e6), Volts::ZERO, Ohms::new(100.0)).is_err());
-        assert!(Potentiostat::new(1e5, Hertz::new(1e6), Volts::new(1.5), Ohms::new(-1.0)).is_err());
+        assert!(Potentiostat::new(0.5, Hertz::new(1e6), Ohms::new(100.0)).is_err());
+        assert!(Potentiostat::new(1e5, Hertz::ZERO, Ohms::new(100.0)).is_err());
+        assert!(Potentiostat::new(1e5, Hertz::new(1e6), Ohms::new(-1.0)).is_err());
     }
 
     #[test]
     fn static_error_scales_inversely_with_gain() {
-        let lo = Potentiostat::new(1e3, Hertz::new(1e6), Volts::new(1.5), Ohms::new(100.0))
-            .expect("valid");
-        let hi = Potentiostat::new(1e6, Hertz::new(1e6), Volts::new(1.5), Ohms::new(100.0))
-            .expect("valid");
+        let lo = Potentiostat::new(1e3, Hertz::new(1e6), Ohms::new(100.0)).expect("valid");
+        let hi = Potentiostat::new(1e6, Hertz::new(1e6), Ohms::new(100.0)).expect("valid");
         let set = Volts::from_millivolts(650.0);
         let r = lo.static_error(set).value() / hi.static_error(set).value();
         assert!((r - 1000.0).abs() / 1000.0 < 0.01, "r = {r}");

@@ -5,7 +5,7 @@ use bios_units::{Amps, Hertz, Ohms, Seconds, Volts};
 
 /// A single-pole transimpedance amplifier with output saturation.
 ///
-/// `v = −(i + i_offset)·R_f` filtered through a one-pole response at the
+/// `v = −i·R_f` filtered through a one-pole response at the
 /// configured bandwidth and clipped at the rails. The inverting sign is the
 /// standard feedback-TIA convention (Fig. 1): anodic current into the
 /// virtual ground gives a negative output. Call [`Tia::inverted`] if you
@@ -30,7 +30,6 @@ pub struct Tia {
     feedback: Ohms,
     bandwidth: Hertz,
     rail: Volts,
-    input_offset: Amps,
     inverted: bool,
 }
 
@@ -59,7 +58,6 @@ impl Tia {
             feedback,
             bandwidth,
             rail,
-            input_offset: Amps::ZERO,
             inverted: false,
         })
     }
@@ -84,13 +82,13 @@ impl Tia {
 
     /// Static (DC) conversion with saturation, no dynamics.
     pub fn convert_static(&self, i: Amps) -> Volts {
-        let v = (i + self.input_offset).value() * self.gain();
+        let v = i.value() * self.gain();
         Volts::new(v.clamp(-self.rail.value(), self.rail.value()))
     }
 
     /// Whether a current would clip the output.
     pub fn saturates(&self, i: Amps) -> bool {
-        ((i + self.input_offset).value() * self.gain()).abs() > self.rail.value()
+        (i.value() * self.gain()).abs() > self.rail.value()
     }
 
     /// Largest input current magnitude that stays inside the rails.
@@ -110,7 +108,6 @@ impl Tia {
         let dt = AfeError::check_dt(dt)?;
         let tau = 1.0 / (2.0 * core::f64::consts::PI * self.bandwidth.value());
         Ok(TiaStream {
-            input_offset: self.input_offset,
             gain: self.gain(),
             rail: self.rail.value(),
             alpha: 1.0 - (-dt / tau).exp(),
@@ -122,7 +119,6 @@ impl Tia {
 /// Streaming one-pole TIA state for sample-by-sample processing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TiaStream {
-    input_offset: Amps,
     /// [`Tia::gain`], sign included.
     gain: f64,
     rail: f64,
@@ -135,7 +131,7 @@ impl TiaStream {
     /// Processes one input sample, returning the filtered, clipped output
     /// voltage.
     pub fn process(&mut self, i: Amps) -> Volts {
-        let target = (i + self.input_offset).value() * self.gain;
+        let target = i.value() * self.gain;
         self.state += self.alpha * (target - self.state);
         Volts::new(self.state.clamp(-self.rail, self.rail))
     }

@@ -5,14 +5,14 @@
 //! `// advdiag::allow(ID, reason)` suppresses it. Also exercises the
 //! crate-applicability exemptions (the bench harness and
 //! `bios-platform::exec`), the auto-fix engine (rewrites land, fixpoint
-//! is idempotent), and the live workspace, which must lint against the
-//! checked-in baseline with zero new error findings.
+//! is idempotent), and the live workspace, which must lint with zero
+//! findings.
 
 use std::path::Path;
 
 use bios_lint::fixer::{fix_source, unified_diff};
 use bios_lint::{
-    lint_files, lint_source, lint_workspace, Baseline, FileContext, FixSafety, MemFile, RULE_IDS,
+    lint_files, lint_source, lint_workspace, FileContext, FixSafety, MemFile, RULE_IDS,
 };
 
 /// A seeded violation: where it lives, the offending code, and the rule it
@@ -29,39 +29,11 @@ struct Seed {
 
 const SEEDS: &[Seed] = &[
     Seed {
-        rule: "D1",
-        crate_name: "bios-platform",
-        rel_path: "crates/core/src/seeded.rs",
-        code: "use std::collections::BTreeMap;\npub fn f() -> std::collections::HashMap<u32, u32> {\n    unreachable_stub()\n}\n",
-        hot_line: 1,
-    },
-    Seed {
-        rule: "D2",
-        crate_name: "bios-electrochem",
-        rel_path: "crates/electrochem/src/seeded.rs",
-        code: "pub fn f() -> u64 {\n    std::time::Instant::now().elapsed().as_nanos() as u64\n}\n",
-        hot_line: 1,
-    },
-    Seed {
-        rule: "P1",
-        crate_name: "bios-electrochem",
-        rel_path: "crates/electrochem/src/seeded.rs",
-        code: "pub fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n",
-        hot_line: 1,
-    },
-    Seed {
         rule: "U1",
         crate_name: "bios-electrochem",
         rel_path: "crates/electrochem/src/seeded.rs",
         code: "pub fn set_length(length_cm: f64) -> f64 {\n    length_cm\n}\n",
         hot_line: 0,
-    },
-    Seed {
-        rule: "S1",
-        crate_name: "bios-units",
-        rel_path: "crates/units/src/seeded.rs",
-        code: "pub fn f(p: *const u8) -> u8 {\n    unsafe { p.read() }\n}\n",
-        hot_line: 1,
     },
     Seed {
         rule: "F1",
@@ -114,6 +86,14 @@ const SEEDS: &[Seed] = &[
     },
 ];
 
+/// The seed for `rule`.
+fn seed(rule: &str) -> &'static Seed {
+    SEEDS
+        .iter()
+        .find(|s| s.rule == rule)
+        .expect("every rule this binary names has a seed")
+}
+
 fn findings_for(seed: &Seed, code: &str) -> Vec<&'static str> {
     let ctx = FileContext {
         crate_name: seed.crate_name,
@@ -165,30 +145,29 @@ fn main() {
     // 3. An allow *without* a reason does not suppress (the reason is
     //    mandatory).
     {
-        let seed = &SEEDS[2]; // P1
-        let bare = seed.code.replace(
-            "    x.unwrap()",
-            "    // advdiag::allow(P1)\n    x.unwrap()",
-        );
+        let seed = seed("F1");
+        let bare = seed
+            .code
+            .replace("    x == 0.25", "    // advdiag::allow(F1)\n    x == 0.25");
         check(
             "allow without a reason is rejected",
-            findings_for(seed, &bare).contains(&"P1"),
+            findings_for(seed, &bare).contains(&"F1"),
         );
     }
 
-    // 4. Applicability exemptions: the bench harness may unwrap; the
-    //    parallel engine may spawn threads; test regions are skipped.
+    // 4. Applicability exemptions: the bench harness and the parallel
+    //    engine may hold a `static`; test regions are skipped.
     check(
-        "bench harness is exempt from P1",
+        "bench harness is exempt from D2",
         !lint_source(
             &FileContext {
                 crate_name: "bios-bench",
                 rel_path: "crates/bench/src/seeded.rs",
             },
-            SEEDS[2].code,
+            seed("D2").code,
         )
         .iter()
-        .any(|f| f.rule == "P1"),
+        .any(|f| f.rule == "D2"),
     );
     check(
         "core exec module is exempt from D2",
@@ -197,20 +176,19 @@ fn main() {
                 crate_name: "bios-platform",
                 rel_path: "crates/core/src/exec.rs",
             },
-            "static ENV: OnceLock<Option<usize>> = OnceLock::new();\n\
-             pub fn f() { std::thread::spawn(|| ()); }\n",
+            "static ENV: OnceLock<Option<usize>> = OnceLock::new();\n",
         )
         .iter()
         .any(|f| f.rule == "D2"),
     );
     check(
-        "cfg(test) regions are skipped by P1",
+        "cfg(test) regions are skipped by F1",
         lint_source(
             &FileContext {
                 crate_name: "bios-electrochem",
                 rel_path: "crates/electrochem/src/seeded.rs",
             },
-            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1u8).unwrap(); }\n}\n",
+            "#[cfg(test)]\nmod tests {\n    fn near(x: f64) -> bool {\n        x == 0.25\n    }\n}\n",
         )
         .is_empty(),
     );
@@ -223,7 +201,7 @@ fn main() {
             rel_path: "crates/electrochem/src/seeded.rs",
         };
         let stale =
-            "// advdiag::allow(P1, nothing left to suppress here)\npub fn f() -> u8 {\n    7\n}\n";
+            "// advdiag::allow(F1, nothing left to suppress here)\npub fn f() -> u8 {\n    7\n}\n";
         check(
             "W0 fires on a stale suppression",
             lint_source(&ctx, stale).iter().any(|f| f.rule == "W0"),
@@ -276,69 +254,35 @@ fn main() {
         );
     }
 
-    // 5. The baseline machinery grandfathers exactly what it is told to.
-    {
-        let seed = &SEEDS[0];
-        let ctx = FileContext {
-            crate_name: seed.crate_name,
-            rel_path: seed.rel_path,
-        };
-        let found = lint_source(&ctx, seed.code);
-        let baseline = Baseline::from_findings(&found);
-        let reparsed = Baseline::parse(&baseline.to_json()).expect("round-trip");
-        let (grandfathered, fresh) = reparsed.partition(&found);
-        check(
-            "baseline grandfathers recorded findings",
-            fresh.is_empty() && grandfathered.len() == found.len(),
-        );
-        let (_, fresh) = Baseline::default().partition(&found);
-        check(
-            "empty baseline leaves findings new",
-            fresh.len() == found.len(),
-        );
-    }
-
-    // 6. The live workspace is clean against the checked-in baseline.
+    // 5. The live workspace is clean.
     {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .ancestors()
             .nth(2)
             .expect("workspace root");
         let findings = lint_workspace(root).expect("workspace lints");
-        let baseline_path = root.join("lint-baseline.json");
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => Baseline::parse(&text).expect("baseline parses"),
-            Err(_) => Baseline::default(),
-        };
-        let (_, fresh) = baseline.partition(&findings);
-        // Every fresh finding gates, mirroring the CLI exit code.
-        for f in &fresh {
-            println!("    new finding: {}:{} [{}]", f.file, f.line, f.rule);
+        // Every finding gates, mirroring the CLI exit code.
+        for f in &findings {
+            println!("    finding: {}:{} [{}]", f.file, f.line, f.rule);
         }
-        println!("    workspace: {} fresh finding(s)", fresh.len());
-        check("workspace has zero unbaselined errors", fresh.is_empty());
+        println!("    workspace: {} finding(s)", findings.len());
+        check("live workspace is clean", findings.is_empty());
     }
 
-    // 7. The auto-fix engine: machine-applicable rewrites land, the
+    // 6. The auto-fix engine: machine-applicable rewrites land, the
     //    fixpoint is idempotent, and nothing fixable is left behind.
     {
         let ctx = FileContext {
             crate_name: "bios-electrochem",
             rel_path: "crates/electrochem/src/seeded.rs",
         };
-        let src = "use std::collections::HashMap;\n\
-             fn classify(x: f64) -> bool {\n    x == 0.5\n}\n\
-             fn tally() -> usize {\n    let m: HashMap<u32, f64> = HashMap::new();\n    m.len()\n}\n\
+        let src = "fn classify(x: f64) -> bool {\n    x == 0.5\n}\n\
              // advdiag::allow(F1, long since fixed)\nfn settled() {}\n";
         let (fixed, applied) = fix_source(&ctx, src);
-        check("fixer applies machine-applicable rewrites", applied >= 3);
+        check("fixer applies machine-applicable rewrites", applied >= 2);
         check(
             "F1 comparison rewritten to total_cmp",
             fixed.contains("x.total_cmp(&0.5).is_eq()"),
-        );
-        check(
-            "D1 HashMap with Ord key converted to BTreeMap",
-            !fixed.contains("HashMap") && fixed.contains("BTreeMap"),
         );
         check(
             "stale allow deleted by W0 fix",

@@ -24,13 +24,8 @@ pub fn control_error_sweep() -> Vec<ControlErrorRow> {
     [1e2, 1e3, 1e4, 1e5, 1e6]
         .iter()
         .map(|&gain| {
-            let pstat = Potentiostat::new(
-                gain,
-                Hertz::from_megahertz(1.0),
-                Volts::new(1.5),
-                Ohms::new(100.0),
-            )
-            .expect("parameters are valid");
+            let pstat = Potentiostat::new(gain, Hertz::from_megahertz(1.0), Ohms::new(100.0))
+                .expect("parameters are valid");
             ControlErrorRow {
                 gain,
                 static_error: pstat.static_error(Volts::from_millivolts(650.0)),

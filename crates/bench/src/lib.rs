@@ -5,7 +5,6 @@
 //! format, and the perf binaries write their timings to `BENCH_*.json`. See
 //! `EXPERIMENTS.md` at the workspace root for paper-vs-measured numbers.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;

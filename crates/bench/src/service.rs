@@ -35,9 +35,9 @@ use bios_server::{
 };
 
 /// A real monotonic clock for latency telemetry. Lives here — not in
-/// `bios-server` — because `bios-bench` is the one crate exempt from the
-/// workspace determinism lint (D2): the serving control path must never
-/// read wall time itself.
+/// `bios-server` — because `bios-bench` is the one crate that allows
+/// clippy's wall-clock bans (`clippy.toml`): the serving control path
+/// must never read wall time itself.
 pub struct WallClock {
     origin: std::time::Instant,
 }

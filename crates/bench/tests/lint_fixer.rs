@@ -6,28 +6,26 @@
 //! a fixpoint, re-linting reports nothing the fixer would touch.
 
 use bios_lint::fixer::{fix_files, fix_source};
-use bios_lint::{lint_source, Baseline, FileContext, FixSafety, MemFile};
+use bios_lint::{lint_source, FileContext, FixSafety, MemFile};
 use proptest::prelude::*;
 
 /// Top-level fragments the generator concatenates. Each is
 /// self-contained; several carry machine-applicable violations (F1
-/// float comparison, D1 provably-Ord HashMap, stale W0 allows), several
-/// carry suggested-only ones the fixer must leave alone (U1 raw-f64
-/// pub params, D1 with an unprovable key type), and the rest are inert.
+/// float comparison, stale W0 allows), two carry suggested-only ones the
+/// fixer must leave alone (U1 raw-f64 pub params), and the rest are
+/// inert.
 const FRAGMENTS: &[&str] = &[
     // F1, machine-applicable.
     "fn cmp_a(x: f64) -> bool {\n    x == 0.5\n}\n",
     "fn cmp_b(y: f64) -> bool {\n    y != 2.5\n}\n",
-    // D1 with a provably-Ord key: converts atomically.
-    "use std::collections::HashMap;\nfn tally() -> usize {\n    let m: HashMap<u32, f64> = HashMap::new();\n    m.len()\n}\n",
-    // D1 with an unprovable key type: suggested only, must survive.
-    "use std::collections::HashMap;\nfn opaque_tally(k: ProbeId) -> usize {\n    let m: HashMap<ProbeId, f64> = HashMap::new();\n    m.len()\n}\n",
+    // U1: suggested newtype, never auto-applied.
+    "pub fn set_bias(bias_volts: f64) -> f64 {\n    bias_volts\n}\n",
     // Stale allow: W0 deletes the line.
     "// advdiag::allow(F1, grandfathered during a long-finished migration)\nfn settled() {}\n",
-    // Used allow: suppresses the unwrap below it, must survive.
-    "fn checked() -> u32 {\n    // advdiag::allow(P1, fixture models a fallible probe read)\n    maybe().unwrap()\n}\n",
-    // U1: suggested newtype, never auto-applied.
-    "pub fn integrate(current_a: f64, dt_s: f64) -> f64 {\n    current_a * dt_s\n}\n",
+    // Used allow: suppresses the comparison below it, must survive.
+    "fn checked(x: f64) -> bool {\n    // advdiag::allow(F1, fixture models an exact sentinel)\n    x == 0.0\n}\n",
+    // U1 on two parameters: suggested only, never auto-applied.
+    "pub fn integrate(current_amps: f64, dt_seconds: f64) -> f64 {\n    current_amps * dt_seconds\n}\n",
     // Inert code.
     "fn plain(a: u32, b: u32) -> u32 {\n    a + b\n}\n",
     "const SPAN: usize = 64;\nfn window(i: usize) -> usize {\n    i % SPAN\n}\n",
@@ -80,15 +78,15 @@ proptest! {
             })
             .collect();
         prop_assert!(leftovers.is_empty(), "{leftovers:#?}");
-        if picks.iter().any(|&p| p % FRAGMENTS.len() == 3) {
+        if picks.iter().any(|&p| p % FRAGMENTS.len() == 2) {
             prop_assert!(
-                fixed.contains("HashMap<ProbeId, f64>"),
-                "suggested-only D1 was applied:\n{fixed}"
+                fixed.contains("bias_volts: f64"),
+                "suggested-only U1 was applied:\n{fixed}"
             );
         }
-        if picks.iter().any(|&p| p % FRAGMENTS.len() == 6) {
+        if picks.iter().any(|&p| p % FRAGMENTS.len() == 5) {
             prop_assert!(
-                fixed.contains("current_a: f64"),
+                fixed.contains("current_amps: f64, dt_seconds: f64"),
                 "suggested-only U1 was applied:\n{fixed}"
             );
         }
@@ -115,44 +113,11 @@ proptest! {
                 lintable: true,
             },
         ];
-        fix_files(&mut files, &Baseline::default())
-            .map_err(TestCaseError::fail)?;
+        fix_files(&mut files).map_err(TestCaseError::fail)?;
         let snapshot: Vec<String> = files.iter().map(|f| f.source.clone()).collect();
-        let outcome = fix_files(&mut files, &Baseline::default())
-            .map_err(TestCaseError::fail)?;
+        let outcome = fix_files(&mut files).map_err(TestCaseError::fail)?;
         prop_assert_eq!(outcome.applied, 0, "second workspace pass applied fixes");
         let after: Vec<String> = files.iter().map(|f| f.source.clone()).collect();
         prop_assert_eq!(snapshot, after);
-    }
-
-    /// Baselined findings are grandfathered: the fixer must not touch a
-    /// violation the baseline covers, however the file is composed
-    /// around it.
-    fn baselined_violations_are_left_alone(
-        picks in prop::collection::vec(0usize..FRAGMENTS.len(), 0..8),
-    ) {
-        let mut src = String::from("fn legacy(x: f64) -> bool {\n    x == 0.25\n}\n");
-        src.push_str(&assemble(&picks));
-        let files = vec![MemFile {
-            crate_name: "bios-electrochem".to_string(),
-            rel_path: "crates/electrochem/src/gen.rs".to_string(),
-            source: src.clone(),
-            lintable: true,
-        }];
-        // Baseline exactly the legacy comparison.
-        let all = bios_lint::lint_files(&files);
-        let legacy: Vec<_> = all
-            .into_iter()
-            .filter(|f| f.excerpt.contains("x == 0.25"))
-            .collect();
-        prop_assert!(!legacy.is_empty());
-        let baseline = Baseline::from_findings(&legacy);
-        let mut working = files;
-        fix_files(&mut working, &baseline).map_err(TestCaseError::fail)?;
-        prop_assert!(
-            working[0].source.contains("x == 0.25"),
-            "baselined F1 was rewritten:\n{}",
-            working[0].source
-        );
     }
 }

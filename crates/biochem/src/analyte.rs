@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn all_covers_every_variant_once() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for a in Analyte::ALL {
             assert!(seen.insert(a), "duplicate {a}");
         }

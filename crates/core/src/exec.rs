@@ -203,6 +203,11 @@ where
 /// A panic in the caller's share is re-raised once the helpers have
 /// finished; otherwise the first panicking helper, in spawn order, is
 /// re-raised at its join.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: the claim counter and the chunking each hand out every index \
+              once; a hole here is corruption, so aborting beats returning wrong data"
+)]
 // advdiag::cold(dispatch machinery: allocates O(workers) scratch and joins at the
 // barrier by design; per-element work is checked through the closure root)
 fn dispatch<S, R, W>(len: usize, shares: Vec<S>, work: W) -> Vec<R>
@@ -231,7 +236,6 @@ where
         out[i] = Some(r);
     }
     out.into_iter()
-        // advdiag::allow(P1, invariant: the claim counter and the chunking each hand out every index once; a hole here is corruption, so aborting beats returning wrong data)
         .map(|slot| slot.expect("every index produced exactly once"))
         .collect()
 }

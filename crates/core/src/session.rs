@@ -691,6 +691,7 @@ impl SessionMachine {
         let requests: Vec<SampleRequest> = (0..self.machines.len())
             .filter(|&slot| self.machines[slot].phase == StepKind::Sample)
             .map(|slot| self.sample_request_for(platform, slot))
+            // advdiag::allow(H1, one request per parked WE, at most the panel's electrode count, built once per acquisition wave rather than per sample)
             .collect();
         if requests.is_empty() {
             self.cursor = 0;

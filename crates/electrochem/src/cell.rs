@@ -4,6 +4,9 @@ use crate::electrode::Electrode;
 use crate::error::ElectrochemError;
 use bios_units::{Farads, Kelvin, Ohms, T_ROOM};
 
+/// Uncompensated solution resistance `R_u` between the RE tip and the WE.
+const UNCOMPENSATED_RESISTANCE: Ohms = Ohms::new(100.0);
+
 /// A three-electrode cell: working electrode (WE), reference (RE), counter
 /// (CE), plus the solution-side parasitics the potentiostat has to fight.
 ///
@@ -27,8 +30,6 @@ use bios_units::{Farads, Kelvin, Ohms, T_ROOM};
 pub struct Cell {
     working: Electrode,
     temperature: Kelvin,
-    uncompensated_resistance: Ohms,
-    double_layer_override: Option<Farads>,
 }
 
 impl Cell {
@@ -50,17 +51,16 @@ impl Cell {
         self.temperature
     }
 
-    /// Double-layer capacitance (override, or derived from the electrode).
+    /// Double-layer capacitance, derived from the working electrode.
     pub(crate) fn double_layer_capacitance(&self) -> Farads {
-        self.double_layer_override
-            .unwrap_or_else(|| self.working.double_layer_capacitance())
+        self.working.double_layer_capacitance()
     }
 
     /// Cell time constant `R_u·C_dl` — sets how fast the interface charges
     /// after a potential step.
     pub fn time_constant(&self) -> bios_units::Seconds {
         bios_units::Seconds::new(
-            self.uncompensated_resistance.value() * self.double_layer_capacitance().value(),
+            UNCOMPENSATED_RESISTANCE.value() * self.double_layer_capacitance().value(),
         )
     }
 }
@@ -95,8 +95,6 @@ impl CellBuilder {
         Ok(Cell {
             working: self.working,
             temperature: self.temperature,
-            uncompensated_resistance: Ohms::new(100.0),
-            double_layer_override: None,
         })
     }
 }

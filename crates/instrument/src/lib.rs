@@ -17,7 +17,16 @@
 //! Every stochastic function takes an explicit seed; identical seeds give
 //! identical measurements.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 mod calibration;

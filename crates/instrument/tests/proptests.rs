@@ -133,7 +133,7 @@ proptest! {
             .collect();
         let matches = match_signature(&peaks, &expected, DEFAULT_WINDOW);
         prop_assert_eq!(matches.len(), expected.len());
-        let mut used = std::collections::HashSet::new();
+        let mut used = std::collections::BTreeSet::new();
         for m in &matches {
             if let Some(p) = m.peak {
                 prop_assert!(

@@ -6,8 +6,7 @@
 //! [`FixSafety::MachineApplicable`] fixes preserve the program's meaning
 //! (or make an intended meaning explicit) and are applied by `--fix`;
 //! [`FixSafety::Suggested`] fixes are API-shape changes (U1's newtype
-//! rewrite, D1 with a non-`Ord`-provable key) that are reported but never
-//! applied automatically.
+//! rewrite) that are reported but never applied automatically.
 //!
 //! Idempotence is structural: each round lints, applies every
 //! non-overlapping machine-applicable fix, and re-lints; the driver only
@@ -18,7 +17,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::baseline::Baseline;
 use crate::rules::{FileContext, Finding};
 use crate::workspace::{lint_files_graph, MemFile};
 
@@ -28,8 +26,8 @@ pub enum FixSafety {
     /// Applying the fix preserves the program's meaning; `--fix` applies
     /// these without asking.
     MachineApplicable,
-    /// A starting point that needs human follow-up (signature changes,
-    /// types the linter cannot prove `Ord`); reported, never applied.
+    /// A starting point that needs human follow-up (signature changes);
+    /// reported, never applied.
     Suggested,
 }
 
@@ -166,18 +164,15 @@ pub fn fix_source(ctx: &FileContext<'_>, source: &str) -> (String, usize) {
 }
 
 /// Workspace fixpoint: repeatedly runs the full pipeline over `files`,
-/// applies machine-applicable fixes from *fresh* (non-baselined)
-/// findings, and stops when a pass yields none. Baselined findings are
-/// grandfathered debt and left untouched. Errors if the fixpoint does
-/// not converge within `MAX_ROUNDS`.
-pub fn fix_files(files: &mut [MemFile], baseline: &Baseline) -> Result<FixOutcome, String> {
+/// applies every machine-applicable fix, and stops when a pass yields
+/// none. Errors if the fixpoint does not converge within `MAX_ROUNDS`.
+pub fn fix_files(files: &mut [MemFile]) -> Result<FixOutcome, String> {
     let mut outcome = FixOutcome::default();
     let mut changed = BTreeSet::new();
     for _ in 0..MAX_ROUNDS {
         let (findings, _) = lint_files_graph(files);
-        let (_, fresh) = baseline.partition(&findings);
         let mut per_file: BTreeMap<String, Vec<Fix>> = BTreeMap::new();
-        for f in fresh {
+        for f in &findings {
             if is_applicable(f) {
                 if let Some(fx) = &f.fix {
                     per_file.entry(f.file.clone()).or_default().push(fx.clone());
@@ -288,9 +283,9 @@ mod tests {
 
     #[test]
     fn deletion_swallows_whole_blank_line() {
-        let src = "keep\n  // advdiag::allow(D1, gone)\nalso\n";
+        let src = "keep\n  // advdiag::allow(F1, gone)\nalso\n";
         let start = src.find("//").expect("comment");
-        let end = start + "// advdiag::allow(D1, gone)".len();
+        let end = start + "// advdiag::allow(F1, gone)".len();
         let (out, n) = splice(src, &[&fix(start, end, "")]);
         assert_eq!(out, "keep\nalso\n");
         assert_eq!(n, 1);
@@ -298,7 +293,7 @@ mod tests {
 
     #[test]
     fn deletion_preserves_shared_lines() {
-        let src = "let x = 1; // advdiag::allow(D1, gone)\n";
+        let src = "let x = 1; // advdiag::allow(F1, gone)\n";
         let start = src.find("//").expect("comment");
         let (out, _) = splice(src, &[&fix(start, src.len() - 1, "")]);
         assert_eq!(out, "let x = 1; \n");

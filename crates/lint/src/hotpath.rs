@@ -25,13 +25,14 @@
 //! from a stepping loop but run at a coarser cadence by contract — e.g.
 //! the per-acquisition dispatch boundary, which executes whole simulated
 //! experiments and allocates by design. Like `advdiag::allow`, the marker
-//! is a visible in-code decision, not a baseline entry.
+//! is a visible in-code decision, reviewed with the code it marks.
 //!
 //! Rules over the hot region (all error severity, none machine-fixable):
 //!
 //! * **H1** — allocation in hot code: `Vec::new()`, `Box::new(…)`,
-//!   `vec![…]`, `format!(…)`, `.to_vec()`, `.clone()`, and `.push(…)`
-//!   onto a hot-local vector that was not `with_capacity`-reserved.
+//!   `vec![…]`, `format!(…)`, `.to_vec()`, `.clone()`, `.collect()`, and
+//!   `.push(…)` onto a hot-local vector that was not
+//!   `with_capacity`-reserved.
 //!   Pushes onto parameters/fields are silent: a cold caller owns that
 //!   buffer's allocation.
 //! * **H2** — float-reduction-order hazard: `.sum()` / `.product()` /
@@ -494,7 +495,7 @@ impl<'a> Scanner<'a, '_> {
                 }
             }
             Expr::MethodCall { recv, method, .. } => match method.as_str() {
-                "to_vec" | "clone" if self.per_iteration() => self.emit(
+                "to_vec" | "clone" | "collect" if self.per_iteration() => self.emit(
                     "H1",
                     span,
                     format!(

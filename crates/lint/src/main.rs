@@ -1,12 +1,11 @@
-//! CLI driver: lint the workspace, subtract the baseline, report, and
-//! exit nonzero on any new finding.
+//! CLI driver: lint the workspace, report, and exit nonzero on any
+//! finding.
 //!
 //! ```text
 //! cargo run -p bios-lint                         # human diagnostics
 //! cargo run -p bios-lint -- --format json        # machine-readable report
 //! cargo run -p bios-lint -- --format github      # GitHub Actions annotations
-//! cargo run -p bios-lint -- --baseline lint-baseline.json --out lint-report.json
-//! cargo run -p bios-lint -- --write-baseline lint-baseline.json
+//! cargo run -p bios-lint -- --format json --out lint-report.json
 //! cargo run -p bios-lint -- --emit-dot target/deps.dot
 //! cargo run -p bios-lint -- --fix                # apply machine-applicable fixes
 //! cargo run -p bios-lint -- --fix-check --diff target/fixes.patch
@@ -18,14 +17,25 @@
 //! apply — CI uses it to keep auto-fixable debt at zero. `--diff`
 //! writes the would-be (or applied) rewrites as a unified diff.
 //!
-//! Exit codes: 0 = clean (no unbaselined findings), 1 = new findings
+//! Exit codes: 0 = clean (no findings), 1 = findings
 //! (or, under `--fix-check`, pending fixes), 2 = usage or I/O error.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bios_lint::fixer;
-use bios_lint::{Baseline, Report};
+use bios_lint::Report;
 
 enum Format {
     Text,
@@ -36,8 +46,6 @@ enum Format {
 struct Options {
     root: PathBuf,
     format: Format,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     out: Option<PathBuf>,
     emit_dot: Option<PathBuf>,
     fix: bool,
@@ -49,8 +57,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
         format: Format::Text,
-        baseline: None,
-        write_baseline: None,
         out: None,
         emit_dot: None,
         fix: false,
@@ -77,8 +83,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 };
             }
             "--root" => opts.root = path_value("--root")?,
-            "--baseline" => opts.baseline = Some(path_value("--baseline")?),
-            "--write-baseline" => opts.write_baseline = Some(path_value("--write-baseline")?),
             "--out" => opts.out = Some(path_value("--out")?),
             "--emit-dot" => opts.emit_dot = Some(path_value("--emit-dot")?),
             "--fix" => opts.fix = true,
@@ -86,8 +90,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--diff" => opts.diff = Some(path_value("--diff")?),
             "--help" | "-h" => {
                 return Err("usage: bios-lint [--root DIR] [--format text|json|github] \
-                     [--baseline FILE] [--write-baseline FILE] [--out FILE] \
-                     [--emit-dot FILE] [--fix | --fix-check] [--diff FILE]"
+                     [--out FILE] [--emit-dot FILE] [--fix | --fix-check] [--diff FILE]"
                     .to_string())
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -96,34 +99,19 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.fix && opts.fix_check {
         return Err("--fix and --fix-check are mutually exclusive".to_string());
     }
-    // Default: pick up the checked-in baseline when present.
-    if opts.baseline.is_none() {
-        let default = opts.root.join("lint-baseline.json");
-        if default.is_file() {
-            opts.baseline = Some(default);
-        }
-    }
     Ok(opts)
 }
 
 fn run(opts: &Options) -> Result<bool, String> {
     let mut files = bios_lint::gather(&opts.root)?;
     let lintable = files.iter().filter(|f| f.lintable).count();
-    let baseline = match &opts.baseline {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            Baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?
-        }
-        None => Baseline::default(),
-    };
 
     // Auto-fix: compute the machine-applicable fixpoint in memory, then
     // either write it back (`--fix`) or gate on it (`--fix-check`).
     let mut pending_fixes = 0usize;
     if opts.fix || opts.fix_check {
         let mut working = files.clone();
-        let outcome = fixer::fix_files(&mut working, &baseline)?;
+        let outcome = fixer::fix_files(&mut working)?;
         let mut diffs = String::new();
         for rel in &outcome.changed {
             let old = files.iter().find(|f| &f.rel_path == rel);
@@ -175,22 +163,9 @@ fn run(opts: &Options) -> Result<bool, String> {
             path.display()
         );
     }
-    if let Some(path) = &opts.write_baseline {
-        let baseline = Baseline::from_findings(&findings);
-        std::fs::write(path, baseline.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!(
-            "bios-lint: wrote baseline with {} entries to {}",
-            baseline.entries.len(),
-            path.display()
-        );
-        return Ok(true);
-    }
-    let (baselined, fresh) = baseline.partition(&findings);
     let report = Report {
         files: lintable,
-        baselined,
-        fresh,
+        findings: &findings,
     };
     let rendered = match opts.format {
         Format::Json => report.json(),
@@ -202,15 +177,15 @@ fn run(opts: &Options) -> Result<bool, String> {
             std::fs::write(path, &rendered)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             eprintln!(
-                "bios-lint: {} file(s), {} new finding(s), report at {}",
+                "bios-lint: {} file(s), {} finding(s), report at {}",
                 report.files,
-                report.fresh.len(),
+                report.findings.len(),
                 path.display()
             );
         }
         None => print!("{rendered}"),
     }
-    Ok(report.fresh.is_empty() && pending_fixes == 0)
+    Ok(findings.is_empty() && pending_fixes == 0)
 }
 
 fn main() -> ExitCode {

@@ -1,42 +1,31 @@
 //! Human, machine-readable and CI-annotation rendering of a lint run.
 
-use crate::baseline::escape;
 use crate::rules::Finding;
 
-/// Outcome of one lint run, after baseline partitioning.
+/// Outcome of one lint run. Every finding is an error: any one fails the
+/// run.
 #[derive(Debug)]
 pub struct Report<'a> {
     /// Files scanned.
     pub files: usize,
-    /// Findings covered by the baseline.
-    pub baselined: Vec<&'a Finding>,
-    /// Unbaselined (new) findings: any one fails the run.
-    pub fresh: Vec<&'a Finding>,
+    /// Every finding, in report order.
+    pub findings: &'a [Finding],
 }
 
 impl Report<'_> {
-    /// `file:line:col: error[RULE] message` diagnostics, new findings
-    /// first.
+    /// `file:line:col: error[RULE] message` diagnostics and a summary line.
     pub fn human(&self) -> String {
         let mut out = String::new();
-        for f in &self.fresh {
+        for f in self.findings {
             out.push_str(&format!(
                 "{}:{}:{}: error[{}] {}\n    {}\n",
                 f.file, f.line, f.col, f.rule, f.message, f.excerpt
             ));
         }
-        for f in &self.baselined {
-            out.push_str(&format!(
-                "{}:{}:{}: error[{}] (baselined) {}\n",
-                f.file, f.line, f.col, f.rule, f.message
-            ));
-        }
         out.push_str(&format!(
-            "bios-lint: {} file(s), {} finding(s): {} new, {} baselined\n",
+            "bios-lint: {} file(s), {} finding(s)\n",
             self.files,
-            self.fresh.len() + self.baselined.len(),
-            self.fresh.len(),
-            self.baselined.len()
+            self.findings.len()
         ));
         out
     }
@@ -44,29 +33,20 @@ impl Report<'_> {
     /// The machine-readable report (one finding per line for greppable
     /// artifacts).
     pub fn json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": 2,\n  \"tool\": \"bios-lint\",\n");
+        let mut out = String::from("{\n  \"version\": 3,\n  \"tool\": \"bios-lint\",\n");
         out.push_str(&format!(
-            "  \"summary\": {{\"files\": {}, \"total\": {}, \"new\": {}, \"new_errors\": {}, \"baselined\": {}}},\n",
+            "  \"summary\": {{\"files\": {}, \"errors\": {}}},\n",
             self.files,
-            self.fresh.len() + self.baselined.len(),
-            self.fresh.len(),
-            self.fresh.len(),
-            self.baselined.len()
+            self.findings.len()
         ));
         out.push_str("  \"findings\": [\n");
-        let all: Vec<(&Finding, bool)> = self
-            .fresh
-            .iter()
-            .map(|f| (*f, false))
-            .chain(self.baselined.iter().map(|f| (*f, true)))
-            .collect();
-        for (i, (f, baselined)) in all.iter().enumerate() {
+        for (i, f) in self.findings.iter().enumerate() {
             let fixable = match &f.fix {
                 Some(fix) => escape(fix.safety.label()),
                 None => "null".to_string(),
             };
             out.push_str(&format!(
-                "    {{\"rule\": {}, \"severity\": {}, \"file\": {}, \"line\": {}, \"col\": {}, \"end_col\": {}, \"fixable\": {}, \"baselined\": {}, \"message\": {}, \"excerpt\": {}}}{}\n",
+                "    {{\"rule\": {}, \"severity\": {}, \"file\": {}, \"line\": {}, \"col\": {}, \"end_col\": {}, \"fixable\": {}, \"message\": {}, \"excerpt\": {}}}{}\n",
                 escape(f.rule),
                 escape("error"),
                 escape(&f.file),
@@ -74,10 +54,9 @@ impl Report<'_> {
                 f.col,
                 f.end_col,
                 fixable,
-                baselined,
                 escape(&f.message),
                 escape(&f.excerpt),
-                if i + 1 < all.len() { "," } else { "" }
+                if i + 1 < self.findings.len() { "," } else { "" }
             ));
         }
         out.push_str("  ]\n}\n");
@@ -85,13 +64,13 @@ impl Report<'_> {
     }
 
     /// GitHub Actions workflow annotations (`::error file=…,line=…`):
-    /// one command per fresh finding, so violations surface inline on the
-    /// PR diff. Columns are 1-based and `endColumn` spans the flagged
+    /// one command per finding, so violations surface inline on the PR
+    /// diff. Columns are 1-based and `endColumn` spans the flagged
     /// region, so the underline covers the whole excerpt rather than a
-    /// single character. Baselined findings are not annotated.
+    /// single character.
     pub fn github(&self) -> String {
         let mut out = String::new();
-        for f in &self.fresh {
+        for f in self.findings {
             let end_col = if f.end_col > f.col {
                 f.end_col
             } else {
@@ -112,6 +91,25 @@ impl Report<'_> {
     }
 }
 
+/// JSON-escapes a string, quotes included.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Escapes a workflow-command message per the Actions spec (`%`, CR, LF).
 fn github_escape(s: &str) -> String {
     s.replace('%', "%25")
@@ -122,17 +120,16 @@ fn github_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::Json;
 
     fn finding() -> Finding {
         Finding {
-            rule: "P1",
+            rule: "F1",
             file: "crates/x/src/a.rs".to_string(),
             line: 12,
             col: 7,
             end_col: 18,
-            message: "`.unwrap()` in library code".to_string(),
-            excerpt: "x.unwrap();".to_string(),
+            message: "`==` against a float literal".to_string(),
+            excerpt: "x == 0.5 // \"exact\"\ttab".to_string(),
             fix: None,
         }
     }
@@ -145,69 +142,67 @@ mod tests {
     }
 
     #[test]
-    fn json_report_is_parseable() {
-        let f = finding();
+    fn json_report_escapes_and_lists_every_finding() {
+        let findings = [finding(), a2()];
         let report = Report {
             files: 3,
-            baselined: vec![&f],
-            fresh: vec![&f],
+            findings: &findings,
         };
-        let parsed = Json::parse(&report.json()).expect("valid JSON");
-        let obj = parsed.as_object().expect("object");
-        let findings = obj
-            .iter()
-            .find(|(k, _)| k == "findings")
-            .and_then(|(_, v)| v.as_array())
-            .expect("findings array");
-        assert_eq!(findings.len(), 2);
+        let json = report.json();
+        assert!(
+            json.contains("\"summary\": {\"files\": 3, \"errors\": 2}"),
+            "{json}"
+        );
+        let rows: Vec<&str> = json.lines().filter(|l| l.contains("\"rule\":")).collect();
+        assert_eq!(rows.len(), 2, "{json}");
+        assert!(rows[0].ends_with("},") && rows[1].ends_with('}'), "{json}");
+        assert!(
+            rows[0].contains(r#""excerpt": "x == 0.5 // \"exact\"\ttab""#),
+            "{json}"
+        );
+        assert_eq!(escape("a\u{1}b\\"), r#""a\u0001b\\""#);
     }
 
     #[test]
-    fn human_report_flags_new_vs_baselined() {
-        let f = finding();
+    fn human_report_lists_findings_and_counts() {
+        let findings = [finding()];
         let report = Report {
             files: 1,
-            baselined: vec![&f],
-            fresh: vec![&f],
+            findings: &findings,
         };
         let text = report.human();
-        assert!(text.contains("crates/x/src/a.rs:12:7: error[P1]"), "{text}");
-        assert!(text.contains("(baselined)"));
-        assert!(text.contains("1 new, 1 baselined"));
+        assert!(text.contains("crates/x/src/a.rs:12:7: error[F1]"), "{text}");
+        assert!(text.contains("1 file(s), 1 finding(s)"), "{text}");
     }
 
     #[test]
     fn every_rule_reports_at_error_level() {
-        let f = a2();
+        let findings = [a2()];
         let report = Report {
             files: 1,
-            baselined: vec![],
-            fresh: vec![&f],
+            findings: &findings,
         };
         assert!(report.human().contains("error[A2]"));
-        assert!(report.json().contains("\"new_errors\": 1"));
+        assert!(report.json().contains("\"severity\": \"error\""));
     }
 
     #[test]
     fn github_format_emits_workflow_commands() {
-        let f = finding();
-        let g = a2();
+        let findings = [finding(), a2()];
         let report = Report {
             files: 1,
-            baselined: vec![&f],
-            fresh: vec![&f, &g],
+            findings: &findings,
         };
         let gh = report.github();
         assert!(
             gh.contains(
                 "::error file=crates/x/src/a.rs,line=12,endLine=12,col=7,endColumn=18,\
-                 title=bios-lint P1::"
+                 title=bios-lint F1::"
             ),
             "{gh}"
         );
         assert!(gh.contains("title=bios-lint A2::"), "{gh}");
         assert!(!gh.contains("::warning"), "{gh}");
-        // Baselined findings are not annotated: exactly two commands.
         assert_eq!(gh.lines().count(), 2);
     }
 }

@@ -1,33 +1,33 @@
 //! The rule catalogue and the engine that evaluates it.
 //!
-//! Every rule has a stable ID (used in diagnostics, suppressions and the
-//! baseline) and a crate-level applicability policy mirroring the
-//! workspace's invariants:
+//! Every rule has a stable ID (used in diagnostics and suppressions) and
+//! a crate-level applicability policy mirroring the workspace's
+//! invariants. Generic checks the compiler already ships are not here:
+//! `clippy.toml` bans `HashMap`/`HashSet`, wall-clock reads and
+//! `thread::spawn`, the workspace lint table forbids `unsafe_code`, and
+//! each library crate root denies clippy's panicking-call lints outside
+//! `cfg(test)` (DESIGN.md §6b).
 //!
 //! | ID | kind | invariant | applies to |
 //! |----|------|-----------|------------|
-//! | D1 | token | no `HashMap`/`HashSet` (iteration order) | deterministic crates |
-//! | D2 | token | no `Instant`/`SystemTime`/`thread::spawn`, no `static` of interior-mutable type | all but `bios-platform::exec` + bench harness |
-//! | P1 | token | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` | all library code but the bench harness |
+//! | D2 | token | no `static` of interior-mutable type | all but `bios-platform::exec` + bench harness |
 //! | U1 | token | no raw `f64` params with dimensioned names in `pub fn` | physics-facing crates |
-//! | S1 | token | every `unsafe` needs a `// SAFETY:` comment | everywhere |
 //! | F1 | token | no `==`/`!=` against float literals | physics crates |
 //! | A1 | workspace | crate layering (units → physics → afe → instrument → core → server → model → bench) | whole workspace |
 //! | A2 | workspace | no `pub` item unreferenced outside its crate's `src/` (own `tests/`/`examples/`/`benches/` and `perfbench/` count as outside) unless a pub signature of its crate exposes it | library crates |
-//! | H1 | hot-path | no allocation (`Vec::new`/`vec!`/`format!`/`Box::new`/`to_vec`/`clone`/unreserved `push`) in hot code | all but bench/lint |
+//! | H1 | hot-path | no allocation (`Vec::new`/`vec!`/`format!`/`Box::new`/`to_vec`/`clone`/`collect`/unreserved `push`) in hot code | all but bench/lint |
 //! | H2 | hot-path | no iterator float reductions (`sum`/`product`/`fold`) in hot code | all but bench/lint |
 //! | H3 | hot-path | no blocking/I-O call reachable from the shard stepping loop | all but bench/lint |
 //! | H4 | hot-path | no pure-constructor recomputation inside a hot loop body | all but bench/lint |
 //! | M1 | token | no wildcard `_ =>` arm in a `match` over a protocol enum (`SessionStep`/`StepEvent`/`SessionOutcome`/`ServerError`/`ServiceTier`) | everywhere |
 //! | W0 | meta | no stale `advdiag::allow` suppressions | everywhere |
 //!
-//! Some rules attach a [`Fix`] to their findings (F1, U1, D1, W0); see
+//! Some rules attach a [`Fix`] to their findings (F1, U1, W0); see
 //! [`crate::fixer`] for the applicability taxonomy and the splicing
 //! engine behind `--fix`.
 //!
-//! Token and hot-path rules skip `#[cfg(test)]` / `#[test]` regions
-//! except S1 (an undocumented `unsafe` block is a hazard wherever it
-//! lives). A finding on line *n* is suppressed by
+//! Token and hot-path rules skip `#[cfg(test)]` / `#[test]` regions. A
+//! finding on line *n* is suppressed by
 //! `// advdiag::allow(ID, reason)` on line *n* or *n − 1*; the reason is
 //! mandatory. A well-formed allow that suppresses nothing is itself
 //! reported (W0), so grandfathered suppressions cannot go stale silently.
@@ -35,11 +35,11 @@
 use crate::fixer::{Fix, FixSafety};
 use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
 
-/// One diagnostic produced by a rule. Every finding is an error: an
-/// unbaselined one fails the run.
+/// One diagnostic produced by a rule. Every finding is an error: any one
+/// fails the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule ID (`"D1"`, `"P1"`, …).
+    /// Stable rule ID (`"F1"`, `"H1"`, …).
     pub rule: &'static str,
     /// Repo-relative path with `/` separators.
     pub file: String,
@@ -53,7 +53,7 @@ pub struct Finding {
     pub end_col: u32,
     /// Human-readable explanation.
     pub message: String,
-    /// Trimmed source line (baseline matching key; robust to line drift).
+    /// Trimmed source line.
     pub excerpt: String,
     /// Optional rewrite that repairs the finding (see [`crate::fixer`]).
     pub fix: Option<Fix>,
@@ -97,15 +97,6 @@ pub struct FileLint {
     pub allows: Vec<AllowSite>,
 }
 
-/// Crates whose outputs must be bit-reproducible (D1).
-const DETERMINISTIC_CRATES: &[&str] = &[
-    "bios-platform",
-    "bios-electrochem",
-    "bios-afe",
-    "bios-instrument",
-    "bios-explore",
-];
-
 /// Crates doing physics/chemistry math (F1, and the audience for U1).
 const PHYSICS_CRATES: &[&str] = &["bios-units", "bios-electrochem", "bios-biochem", "bios-afe"];
 
@@ -118,17 +109,16 @@ const UNIT_API_CRATES: &[&str] = &[
     "bios-platform",
 ];
 
-/// The bench/repro harness: P1/D2 and the hot-path rules do not apply
-/// (it is test infrastructure in a package suit), S1/F1 still do.
+/// The bench/repro harness: D2 and the hot-path rules do not apply (it
+/// is test infrastructure in a package suit).
 pub(crate) const BENCH_CRATE: &str = "bios-bench";
 
 /// The linter itself: exempt from the hot-path rules (it has no kernel
 /// or parallel-engine surface and must stay self-hostable).
 pub(crate) const LINT_CRATE: &str = "bios-lint";
 
-/// The one module allowed to touch `std::thread` (the deterministic
-/// parallel engine itself) and to hold a `static`: its read-once
-/// `ADVDIAG_THREADS` override.
+/// The one module allowed to hold a `static`: the deterministic parallel
+/// engine's read-once `ADVDIAG_THREADS` override.
 const D2_EXEMPT_FILE: &str = "crates/core/src/exec.rs";
 
 /// Interior-mutable types that make a `static` process-global mutable
@@ -154,7 +144,7 @@ const DIMENSIONED_SUFFIXES: &[(&str, &str)] = &[
 
 /// All shipped rule IDs, in catalogue order.
 pub const RULE_IDS: &[&str] = &[
-    "D1", "D2", "P1", "U1", "S1", "F1", "M1", "A1", "A2", "H1", "H2", "H3", "H4", "W0",
+    "D2", "U1", "F1", "M1", "A1", "A2", "H1", "H2", "H3", "H4", "W0",
 ];
 
 /// Rules resolved at workspace scope, not per file: their allows cannot
@@ -176,11 +166,8 @@ pub fn lint_file(ctx: &FileContext<'_>, source: &str) -> FileLint {
 pub fn lint_file_prepared(ctx: &FileContext<'_>, source: &str, lexed: &Lexed) -> FileLint {
     let lines: Vec<&str> = source.lines().collect();
     let mut findings = Vec::new();
-    rule_d1(ctx, lexed, &mut findings);
     rule_d2(ctx, lexed, &mut findings);
-    rule_p1(ctx, lexed, &mut findings);
     rule_u1(ctx, lexed, &mut findings);
-    rule_s1(ctx, lexed, &mut findings);
     rule_f1(ctx, lexed, &mut findings);
     rule_m1(ctx, lexed, &mut findings);
     for f in &mut findings {
@@ -274,7 +261,7 @@ pub fn unused_allow_findings(
     out
 }
 
-/// The trimmed source line for a 1-based line number, capped so baselines
+/// The trimmed source line for a 1-based line number, capped so reports
 /// stay readable.
 pub(crate) fn excerpt_for(lines: &[&str], line: u32) -> String {
     let text = lines
@@ -300,7 +287,7 @@ pub(crate) fn finish(lines: &[&str], f: &mut Finding) {
 }
 
 /// True for strings shaped like a rule ID (uppercase letters then
-/// digits: `D1`, `A2`, `Z9`). Prose placeholders in documentation —
+/// digits: `D2`, `A2`, `Z9`). Prose placeholders in documentation —
 /// `allow(rule, reason)`, `allow(ID, …)` — do not qualify, so writing
 /// about the suppression syntax never creates an allow site.
 fn is_rule_shaped(s: &str) -> bool {
@@ -396,105 +383,6 @@ pub(crate) fn push(
     });
 }
 
-/// Key/element types the D1 fix can prove `Ord` from the spelling alone.
-const ORD_KEY_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "bool",
-    "char", "String", "str", "Vec",
-];
-
-/// True when the `HashMap`/`HashSet` token at `i` can be renamed to its
-/// `BTree` twin without a type-bound risk: either no inline generic args
-/// follow (a `use` path, `HashMap::new()`, an inferred binding), or the
-/// first generic argument spells a provably-`Ord` type.
-fn d1_btree_safe(toks: &[Token], i: usize) -> bool {
-    match toks.get(i + 1) {
-        Some(next) if next.text == "<" => {}
-        _ => return true,
-    }
-    let mut depth = 1i64;
-    let mut j = i + 2;
-    while let Some(t) = toks.get(j) {
-        match t.text.as_str() {
-            "<" => depth += 1,
-            ">" => {
-                depth -= 1;
-                if depth == 0 {
-                    return true;
-                }
-            }
-            ">>" => {
-                depth -= 2;
-                if depth <= 0 {
-                    return true;
-                }
-            }
-            "," if depth == 1 => return true,
-            _ => {
-                if t.kind == TokenKind::Ident && !ORD_KEY_TYPES.contains(&t.text.as_str()) {
-                    return false;
-                }
-            }
-        }
-        j += 1;
-    }
-    false
-}
-
-/// D1: `HashMap`/`HashSet` in deterministic crates. The fix renames the
-/// token to `BTreeMap`/`BTreeSet`; it is machine-applicable only when
-/// *every* occurrence in the file passes the `Ord` spelling proof —
-/// renaming a `use` while leaving a usage site (or vice versa) would
-/// split the type in two, so the file converts atomically or not at all.
-fn rule_d1(ctx: &FileContext<'_>, lexed: &Lexed, findings: &mut Vec<Finding>) {
-    if !DETERMINISTIC_CRATES.contains(&ctx.crate_name) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    let hits: Vec<usize> = toks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| {
-            !t.in_test && t.kind == TokenKind::Ident && (t.text == "HashMap" || t.text == "HashSet")
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let safety = if hits.iter().all(|&i| d1_btree_safe(toks, i)) {
-        FixSafety::MachineApplicable
-    } else {
-        FixSafety::Suggested
-    };
-    for &i in &hits {
-        let t = &toks[i];
-        push(
-            findings,
-            "D1",
-            ctx,
-            t.line,
-            t.col,
-            format!(
-                "`{}` in deterministic crate `{}`: iteration order is \
-                 randomized per process and can leak into outputs; use \
-                 `BTreeMap`/`BTreeSet`",
-                t.text, ctx.crate_name
-            ),
-        );
-        if let Some(f) = findings.last_mut() {
-            let replacement = if t.text == "HashMap" {
-                "BTreeMap"
-            } else {
-                "BTreeSet"
-            };
-            f.end_col = t.col + t.text.chars().count() as u32;
-            f.fix = Some(Fix {
-                start: t.offset,
-                end: t.offset + t.text.len(),
-                replacement: replacement.to_string(),
-                safety,
-            });
-        }
-    }
-}
-
 /// The interior-mutable type a `static` item at token `i` names, if any:
 /// scans the declared type, from the `:` after the name to the `=`/`;`.
 fn static_state_type(toks: &[Token], i: usize) -> Option<&str> {
@@ -515,18 +403,19 @@ fn static_state_type(toks: &[Token], i: usize) -> Option<&str> {
         .map(|t| t.text.as_str())
 }
 
-/// D2: wall-clock / ad-hoc threading / process-global mutable state
-/// outside the execution engine.
+/// D2: process-global mutable state outside the execution engine. (The
+/// rule's wall-clock and threading half is clippy's `disallowed-types` /
+/// `disallowed-methods`, configured in `clippy.toml`.)
 fn rule_d2(ctx: &FileContext<'_>, lexed: &Lexed, findings: &mut Vec<Finding>) {
     if ctx.crate_name == BENCH_CRATE || ctx.rel_path == D2_EXEMPT_FILE {
         return;
     }
     let toks = &lexed.tokens;
     for (i, t) in toks.iter().enumerate() {
-        if t.in_test || t.kind != TokenKind::Ident {
+        if t.in_test || t.kind != TokenKind::Ident || t.text != "static" {
             continue;
         }
-        if t.text == "Instant" || t.text == "SystemTime" {
+        if let Some(ty) = static_state_type(toks, i) {
             push(
                 findings,
                 "D2",
@@ -534,86 +423,9 @@ fn rule_d2(ctx: &FileContext<'_>, lexed: &Lexed, findings: &mut Vec<Finding>) {
                 t.line,
                 t.col,
                 format!(
-                    "`{}` outside `bios-platform::exec`: wall-clock reads make \
-                     runs irreproducible; derive timing from protocol state",
-                    t.text
-                ),
-            );
-        }
-        if t.text == "spawn" && i >= 2 && toks[i - 1].text == "::" && toks[i - 2].text == "thread" {
-            push(
-                findings,
-                "D2",
-                ctx,
-                t.line,
-                t.col,
-                "`thread::spawn` outside `bios-platform::exec`: ad-hoc threads \
-                 bypass the deterministic merge-by-index engine; use `par_map`"
-                    .to_string(),
-            );
-        }
-        if t.text == "static" {
-            if let Some(ty) = static_state_type(toks, i) {
-                push(
-                    findings,
-                    "D2",
-                    ctx,
-                    t.line,
-                    t.col,
-                    format!(
-                        "`static` of type `{ty}` outside `bios-platform::exec`: \
-                         process-global mutable state lets one test or request \
-                         observe another; give the state an owner instead"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// P1: panicking calls in non-test library code.
-fn rule_p1(ctx: &FileContext<'_>, lexed: &Lexed, findings: &mut Vec<Finding>) {
-    if ctx.crate_name == BENCH_CRATE {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.in_test || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let is_method = |name: &str| {
-            t.text == name
-                && i >= 1
-                && toks[i - 1].text == "."
-                && toks.get(i + 1).map(|n| n.text.as_str()) == Some("(")
-        };
-        if is_method("unwrap") || is_method("expect") {
-            push(
-                findings,
-                "P1",
-                ctx,
-                t.line,
-                t.col,
-                format!(
-                    "`.{}()` in library code: a surprising input becomes a \
-                     process abort; return a typed error instead",
-                    t.text
-                ),
-            );
-        }
-        if matches!(t.text.as_str(), "panic" | "todo" | "unimplemented")
-            && toks.get(i + 1).map(|n| n.text.as_str()) == Some("!")
-        {
-            push(
-                findings,
-                "P1",
-                ctx,
-                t.line,
-                t.col,
-                format!(
-                    "`{}!` in library code: return a typed error instead of \
-                     aborting the process",
-                    t.text
+                    "`static` of type `{ty}` outside `bios-platform::exec`: \
+                     process-global mutable state lets one test or request \
+                     observe another; give the state an owner instead"
                 ),
             );
         }
@@ -692,32 +504,6 @@ fn rule_u1(ctx: &FileContext<'_>, lexed: &Lexed, findings: &mut Vec<Finding>) {
             i = j;
         }
         i += 1;
-    }
-}
-
-/// S1: `unsafe` without an adjacent `// SAFETY:` comment. Applies to test
-/// code too.
-fn rule_s1(ctx: &FileContext<'_>, lexed: &Lexed, findings: &mut Vec<Finding>) {
-    for t in &lexed.tokens {
-        if t.kind != TokenKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        let documented = lexed
-            .comments
-            .iter()
-            .any(|c| c.text.contains("SAFETY:") && c.line <= t.line && t.line - c.line <= 3);
-        if !documented {
-            push(
-                findings,
-                "S1",
-                ctx,
-                t.line,
-                t.col,
-                "`unsafe` without a `// SAFETY:` comment within the three \
-                 preceding lines: document the invariant that makes it sound"
-                    .to_string(),
-            );
-        }
     }
 }
 
@@ -947,41 +733,41 @@ mod tests {
         }
     }
 
+    /// One F1 finding on line 1.
+    const F1_HIT: &str = "fn f(x: f64) -> bool { x == 0.5 }\n";
+
     #[test]
-    fn d1_fires_and_suppression_works() {
-        let hit = lint_source(&ctx_det(), "use std::collections::HashMap;\n");
+    fn allow_with_a_reason_suppresses_the_finding() {
+        let hit = lint_source(&ctx_det(), F1_HIT);
         assert_eq!(hit.len(), 1);
-        assert_eq!(hit[0].rule, "D1");
+        assert_eq!(hit[0].rule, "F1");
         let ok = lint_source(
             &ctx_det(),
-            "// advdiag::allow(D1, lookup-only cache, order never observed)\nuse std::collections::HashMap;\n",
+            &format!("// advdiag::allow(F1, exact sentinel, never a measured value)\n{F1_HIT}"),
         );
-        assert!(ok.is_empty());
+        assert!(ok.is_empty(), "{ok:?}");
     }
 
     #[test]
     fn suppression_requires_reason_and_matching_rule() {
-        let no_reason = lint_source(
-            &ctx_det(),
-            "// advdiag::allow(D1)\nuse std::collections::HashMap;\n",
-        );
+        let no_reason = lint_source(&ctx_det(), &format!("// advdiag::allow(F1)\n{F1_HIT}"));
         assert_eq!(no_reason.len(), 1, "reason is mandatory");
-        assert_eq!(no_reason[0].rule, "D1");
+        assert_eq!(no_reason[0].rule, "F1");
         // A mismatched allow leaves the finding *and* is itself stale (W0).
         let wrong_rule = lint_source(
             &ctx_det(),
-            "// advdiag::allow(P1, not the right rule)\nuse std::collections::HashMap;\n",
+            &format!("// advdiag::allow(U1, not the right rule)\n{F1_HIT}"),
         );
         let rules: Vec<_> = wrong_rule.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, ["W0", "D1"]);
+        assert_eq!(rules, ["W0", "F1"]);
     }
 
     #[test]
     fn w0_reports_stale_and_unknown_allows() {
-        // The D1 allow suppresses nothing: there is no HashMap here.
+        // The F1 allow suppresses nothing: there is no float comparison here.
         let stale = lint_source(
             &ctx_det(),
-            "// advdiag::allow(D1, gone since PR9)\nfn f() {}\n",
+            "// advdiag::allow(F1, gone since the kernel rewrite)\nfn f() {}\n",
         );
         assert_eq!(stale.len(), 1);
         assert_eq!((stale[0].rule, stale[0].line), ("W0", 1));
@@ -992,7 +778,7 @@ mod tests {
         // W0 itself is suppressible one level deep.
         let hushed = lint_source(
             &ctx_det(),
-            "// advdiag::allow(W0, keeping for the next PR) advdiag::allow(D1, gone)\nfn f() {}\n",
+            "// advdiag::allow(W0, kept until the migration lands) advdiag::allow(F1, gone)\nfn f() {}\n",
         );
         assert!(hushed.is_empty(), "{hushed:?}");
         // Workspace-scoped rules (A1/A2) are exempt in single-file mode.
@@ -1005,18 +791,18 @@ mod tests {
 
     #[test]
     fn findings_carry_char_columns() {
-        let hit = lint_source(&ctx_det(), "fn f() { let µ = x.unwrap(); }\n");
+        let hit = lint_source(&ctx_det(), "fn f() { let µ = x == 1.0; }\n");
         assert_eq!(hit.len(), 1);
-        // `unwrap` starts at char column 20 (byte column would be 21).
-        assert_eq!((hit[0].rule, hit[0].line, hit[0].col), ("P1", 1, 20));
+        // `==` starts at char column 20 (byte column would be 21).
+        assert_eq!((hit[0].rule, hit[0].line, hit[0].col), ("F1", 1, 20));
     }
 
     #[test]
-    fn p1_skips_tests_and_comments() {
-        let src = "fn f() { x.unwrap(); }\n// x.unwrap() in a comment\n#[cfg(test)]\nmod t { fn g() { y.unwrap(); } }\n";
+    fn token_rules_skip_tests_and_comments() {
+        let src = "fn f(x: f64) -> bool { x == 0.5 }\n// x == 0.5 in a comment\n#[cfg(test)]\nmod t { fn g(y: f64) -> bool { y == 0.5 } }\n";
         let findings = lint_source(&ctx_det(), src);
         assert_eq!(findings.len(), 1);
-        assert_eq!((findings[0].rule, findings[0].line), ("P1", 1));
+        assert_eq!((findings[0].rule, findings[0].line), ("F1", 1));
     }
 
     #[test]
@@ -1025,18 +811,6 @@ mod tests {
         let findings = lint_source(&ctx_det(), src);
         assert_eq!(findings.len(), 1);
         assert_eq!((findings[0].rule, findings[0].line), ("U1", 1));
-    }
-
-    #[test]
-    fn s1_requires_safety_comment() {
-        let bad = lint_source(&ctx_det(), "fn f() { unsafe { work() } }\n");
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].rule, "S1");
-        let good = lint_source(
-            &ctx_det(),
-            "// SAFETY: buffer outlives the call\nfn f() { unsafe { work() } }\n",
-        );
-        assert!(good.is_empty());
     }
 
     #[test]
@@ -1058,16 +832,12 @@ mod tests {
             crate_name: "bios-bench",
             rel_path: "crates/bench/src/x.rs",
         };
-        for src in [
-            "fn f() { let t = std::thread::spawn(|| 1); }\n",
-            "static HITS: std::sync::OnceLock<Mutex<u64>> = OnceLock::new();\n",
-        ] {
-            let hits = lint_source(&ctx_det(), src);
-            assert_eq!(hits.len(), 1, "{hits:?}");
-            assert_eq!(hits[0].rule, "D2");
-            assert!(lint_source(&exec, src).is_empty());
-            assert!(lint_source(&bench, src).is_empty());
-        }
+        let src = "static HITS: std::sync::OnceLock<Mutex<u64>> = OnceLock::new();\n";
+        let hits = lint_source(&ctx_det(), src);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].rule, "D2");
+        assert!(lint_source(&exec, src).is_empty());
+        assert!(lint_source(&bench, src).is_empty());
         // Immutable statics and `'static` lifetimes are not global state.
         let quiet = "static NAME: &str = \"x\";\nfn f() -> &'static str { NAME }\n";
         assert!(lint_source(&ctx_det(), quiet).is_empty());

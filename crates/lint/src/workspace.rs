@@ -396,11 +396,12 @@ mod tests {
                 true,
             ),
             // Reference from another package's bench tree: item is live.
-            // The unwrap() here must NOT be linted (corpus-only file).
+            // The float comparison here must NOT be linted (corpus-only
+            // file of a physics crate, where F1 would otherwise fire).
             mem(
-                "bios-bench",
-                "crates/bench/benches/perf.rs",
-                "fn main() { bench_only_hook(); x.unwrap(); }\n",
+                "bios-electrochem",
+                "crates/electrochem/benches/perf.rs",
+                "fn main() { bench_only_hook(); let _ = x == 0.5; }\n",
                 false,
             ),
         ];

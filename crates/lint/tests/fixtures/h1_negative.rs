@@ -4,6 +4,7 @@
 /// buffers belong; only its loop bodies are per-iteration.
 pub fn simulate_chrono_fleet(lanes: usize, steps: usize) -> f64 {
     let mut rates = vec![0.0; lanes]; // setup allocation: silent
+    let lane_ids: Vec<usize> = (0..lanes).collect(); // setup collect: silent
     let mut acc = 0.0;
     for _ in 0..steps {
         for r in rates.iter_mut() {
@@ -11,7 +12,7 @@ pub fn simulate_chrono_fleet(lanes: usize, steps: usize) -> f64 {
         }
         acc += rates[0];
     }
-    acc
+    acc + lane_ids.len() as f64
 }
 
 /// Reserved push: `with_capacity` in the same region silences H1.

@@ -14,7 +14,7 @@ fn kernel_inner(xs: &[f64]) -> f64 {
     let own = xs.to_vec(); // site 3: to_vec in hot code
     let copy = own.clone(); // site 4: clone in hot code
     let boxed = Box::new(copy.len()); // site 5: Box::new in hot code
-    *boxed as f64
+    *boxed as f64 + lane_squares(xs).len() as f64
 }
 
 /// Per-tick root: an unreserved region-local vector that gets pushed.
@@ -35,4 +35,9 @@ pub fn dispatch(items: &[f64]) -> Vec<Vec<f64>> {
 // advdiag::hot
 fn custom_kernel(n: usize) -> String {
     format!("{n}") // site 9: format! under an opt-in hot marker
+}
+
+/// Reached from `kernel_inner`: PerIter via an unambiguous call edge.
+fn lane_squares(xs: &[f64]) -> Vec<f64> {
+    xs.iter().map(|x| x * x).collect() // site 10: collect in hot code
 }

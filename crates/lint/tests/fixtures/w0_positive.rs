@@ -2,7 +2,7 @@
 //! produce a W0 finding: the first names a rule that no longer fires
 //! here, the second names a rule that does not exist.
 
-// advdiag::allow(P1, legacy prototype shim, removed in the cleanup pass)
+// advdiag::allow(F1, legacy prototype shim, removed in the cleanup pass)
 pub fn tidy() -> u8 {
     7
 }

@@ -1,8 +1,8 @@
 //! Injected telemetry clock.
 //!
 //! The serving control path runs on virtual ticks and must stay
-//! bit-reproducible, so the server never reads a wall clock itself (the
-//! workspace determinism lint bans `Instant` here). Latency telemetry
+//! bit-reproducible, so the server never reads a wall clock itself
+//! (`clippy.toml` bans `Instant` here). Latency telemetry
 //! still needs real timestamps in benchmarks — those inject a wall-clock
 //! [`Clock`] from the bench layer, while tests and CI replay use
 //! [`NullClock`] and get all-zero latencies with identical scheduling.

@@ -880,6 +880,7 @@ impl<'p> DiagnosticsServer<'p> {
         let config = &self.config;
         let chaos = self.chaos.as_ref();
         let now = self.now;
+        // advdiag::allow(H1, at most one borrow per shard per tick; a stored scratch vector cannot hold borrows of the shards it sits beside)
         let mut busy: Vec<&mut Shard> = self.shards.iter_mut().filter(|s| s.has_work()).collect();
         let ticks = par_map_mut(config.exec, &mut busy, |_, shard| {
             shard.tick(platform, config, &mut Physics { chaos }, clock, now)
