@@ -249,6 +249,10 @@ impl ReadoutChain {
     /// (only consulted when CDS is enabled — pass a closure returning
     /// [`Amps::ZERO`] otherwise).
     ///
+    /// This is [`Self::acquisition_plan`] followed by
+    /// [`Self::acquire_planned`]; a caller that acquires the same program
+    /// repeatedly keeps the plan and runs only the second half.
+    ///
     /// # Errors
     ///
     /// Returns [`AfeError`] if the program violates the voltage generator's
@@ -265,6 +269,88 @@ impl ReadoutChain {
         A: FnMut(Seconds, Volts) -> Amps,
         B: FnMut(Seconds, Volts) -> Amps,
     {
+        let plan = self.acquisition_plan(program, dt)?;
+        self.acquire_planned(
+            &plan,
+            dt,
+            seed,
+            |_, t, e| active(t, e),
+            |_, t, e| blank(t, e),
+        )
+    }
+
+    /// The seed-independent half of acquiring `program` every `dt` on
+    /// this chain's voltage generator and potentiostat: each sample's
+    /// time, DAC setpoint and applied potential. The program is checked
+    /// against the generator's range and slew limits here, once.
+    ///
+    /// Faults act after the potentiostat, so a faulted twin
+    /// ([`Self::with_faults`]) runs its base chain's plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AfeError`] if the program violates the voltage generator's
+    /// range or slew limits, or `dt` is not positive and finite.
+    // advdiag::cold(acquisition planning: runs once per program, interval and
+    // chain, before any sample is taken)
+    pub fn acquisition_plan(
+        &self,
+        program: &PotentialProgram,
+        dt: Seconds,
+    ) -> Result<AcquisitionPlan, AfeError> {
+        let vgen = self.config.vgen;
+        let potentiostat = self.config.potentiostat;
+        // The streamer binds (and validates) `dt`.
+        let mut pstat = potentiostat.streamer(program.potential_at(Seconds::ZERO), dt)?;
+        vgen.check(program)?;
+        let duration = program.duration();
+        let steps = (duration.value() / dt.value()).round() as usize;
+        let mut times = Vec::with_capacity(steps + 1);
+        let mut setpoints = Vec::with_capacity(steps + 1);
+        let mut applied = Vec::with_capacity(steps + 1);
+        for k in 0..=steps {
+            let t = Seconds::new((k as f64 * dt.value()).min(duration.value()));
+            let setpoint = vgen.realize(program, t)?;
+            times.push(t);
+            setpoints.push(setpoint);
+            applied.push(pstat.step(setpoint));
+        }
+        Ok(AcquisitionPlan {
+            vgen,
+            potentiostat,
+            dt,
+            times,
+            setpoints,
+            applied,
+        })
+    }
+
+    /// Runs a plan from [`Self::acquisition_plan`]: the per-sample noise,
+    /// conditioning, TIA, ADC and fault injection, reading every time and
+    /// potential from the plan. The output is bit-identical to
+    /// [`Self::acquire`] over the plan's program.
+    ///
+    /// The closures are as in [`Self::acquire`], with the sample index
+    /// first, so callers can read their own per-sample tables.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AfeError::PlanMismatch`] if the plan was built for
+    /// another voltage generator, potentiostat or `dt` than this chain
+    /// and interval.
+    pub fn acquire_planned<A, B>(
+        &self,
+        plan: &AcquisitionPlan,
+        dt: Seconds,
+        seed: u64,
+        mut active: A,
+        mut blank: B,
+    ) -> Result<Vec<Sample>, AfeError>
+    where
+        A: FnMut(usize, Seconds, Volts) -> Amps,
+        B: FnMut(usize, Seconds, Volts) -> Amps,
+    {
+        plan.check(&self.config, dt)?;
         // Amplifier-side noise (white + flicker): chopped if enabled.
         let amp_cfg = NoiseConfig {
             drift_per_sqrt_s: 0.0,
@@ -282,17 +368,11 @@ impl ReadoutChain {
             flicker_density_1hz: 0.0,
             drift_per_sqrt_s: self.config.noise.drift_per_sqrt_s,
         };
-        // Every stream binds (and validates) `dt` once, here.
+        // Every stream binds `dt` once, here.
         let mut amp_active = NoiseSource::new(amp_cfg, dt, seed)?;
         let mut amp_blank = NoiseSource::new(amp_cfg, dt, seed.wrapping_add(1))?;
         let mut drift = NoiseSource::new(drift_cfg, dt, seed.wrapping_add(2))?;
-
-        let mut pstat = self
-            .config
-            .potentiostat
-            .streamer(program.potential_at(Seconds::ZERO), dt)?;
         let mut tia = self.config.tia.streamer(dt)?;
-        self.config.vgen.check(program)?;
 
         // Fault injection sits between the ideal blocks: currents are
         // perturbed before the TIA, compliance collapse clips its output,
@@ -307,16 +387,8 @@ impl ReadoutChain {
         let inject = !fault_rt.is_noop();
         let max_code = (1i32 << (self.config.adc.bits() - 1)) - 1;
 
-        // Loop invariants: a Hold program's DAC setpoint is the same at
-        // every sample (realize = quantize(potential), independent of t),
-        // and neither the CDS residual fraction nor the TIA gain changes
-        // mid-run.
-        let hold_setpoint = match program {
-            PotentialProgram::Hold { .. } => {
-                Some(self.config.vgen.realize(program, Seconds::ZERO)?)
-            }
-            _ => None,
-        };
+        // Loop invariants: neither the CDS residual fraction nor the TIA
+        // gain changes mid-run.
         let cds_residual = self
             .config
             .cds
@@ -324,21 +396,14 @@ impl ReadoutChain {
             .map(|c| c.residual_drift_fraction());
         let gain = self.config.tia.gain();
 
-        let duration = program.duration();
-        let steps = (duration.value() / dt.value()).round() as usize;
-        let mut out = Vec::with_capacity(steps + 1);
-        for k in 0..=steps {
-            let t = Seconds::new((k as f64 * dt.value()).min(duration.value()));
-            let setpoint = match hold_setpoint {
-                Some(v) => v,
-                None => self.config.vgen.realize(program, t)?,
-            };
-            let applied = pstat.step(setpoint);
+        let mut out = Vec::with_capacity(plan.times.len());
+        let planned = plan.times.iter().zip(&plan.setpoints).zip(&plan.applied);
+        for (k, ((&t, &setpoint), &applied)) in planned.enumerate() {
             let drift_now = drift.sample();
-            let i_active = active(t, applied) + amp_active.sample();
+            let i_active = active(k, t, applied) + amp_active.sample();
             let i_meas = match cds_residual {
                 Some(residual) => {
-                    let i_blank = blank(t, applied) + amp_blank.sample();
+                    let i_blank = blank(k, t, applied) + amp_blank.sample();
                     // Shared drift attenuates by the matching rejection.
                     i_active - i_blank + drift_now * residual
                 }
@@ -373,6 +438,52 @@ impl ReadoutChain {
             });
         }
         Ok(out)
+    }
+}
+
+/// The seed-independent half of an acquisition, from
+/// [`ReadoutChain::acquisition_plan`]: every sample's time, DAC setpoint
+/// and applied potential for one program and sample interval, with the
+/// voltage generator, potentiostat and interval they were computed for.
+///
+/// Only the noise seed and the cell currents differ between acquisitions
+/// of one program, so a plan is computed once and read by every
+/// [`ReadoutChain::acquire_planned`] run on a chain with the same
+/// generator and potentiostat.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AcquisitionPlan {
+    vgen: VoltageGenerator,
+    potentiostat: Potentiostat,
+    dt: Seconds,
+    times: Vec<Seconds>,
+    setpoints: Vec<Volts>,
+    applied: Vec<Volts>,
+}
+
+impl AcquisitionPlan {
+    /// Each sample's time.
+    pub fn times(&self) -> &[Seconds] {
+        &self.times
+    }
+
+    /// Each sample's applied RE–WE potential.
+    pub fn applied(&self) -> &[Volts] {
+        &self.applied
+    }
+
+    /// Checks the plan was computed for `config`'s voltage generator and
+    /// potentiostat and for `dt`, bit for bit.
+    fn check(&self, config: &ChainConfig, dt: Seconds) -> Result<(), AfeError> {
+        let what = if self.vgen != config.vgen {
+            "voltage generator"
+        } else if self.potentiostat != config.potentiostat {
+            "potentiostat"
+        } else if self.dt.value().to_bits() != dt.value().to_bits() {
+            "dt"
+        } else {
+            return Ok(());
+        };
+        Err(AfeError::PlanMismatch { what })
     }
 }
 
@@ -554,6 +665,138 @@ mod tests {
         // Codes approach (or pin at) the positive rail without overflow.
         assert!(samples.iter().all(|s| s.code <= max_code));
         assert!(samples.last().expect("nonempty").code >= max_code - 1);
+    }
+
+    fn bits(s: &Sample) -> [u64; 6] {
+        [
+            s.t.value().to_bits(),
+            s.setpoint.value().to_bits(),
+            s.applied.value().to_bits(),
+            s.code as u32 as u64,
+            s.volts.value().to_bits(),
+            s.current.value().to_bits(),
+        ]
+    }
+
+    #[test]
+    fn planned_acquisition_matches_acquire_bit_for_bit() {
+        use crate::fault::{Fault, FaultKind};
+        // Noise above one ADC code, so every stream reaches the codes.
+        let loud = NoiseConfig {
+            white_density: 5e-9,
+            flicker_density_1hz: 5e-9,
+            drift_per_sqrt_s: 5e-9,
+        };
+        let base = ChainConfig::for_range(CurrentRange::oxidase())
+            .expect("config")
+            .with_noise(loud);
+        let cds = CorrelatedDoubleSampler::new(MatchingQuality::SameSubstrate);
+        let programs = [
+            (hold(650.0, 20.0), Seconds::from_millis(100.0)),
+            (
+                PotentialProgram::cyclic_single(
+                    Volts::new(0.1),
+                    Volts::new(-0.8),
+                    bios_units::VoltsPerSecond::from_millivolts_per_second(20.0),
+                ),
+                Seconds::from_millis(500.0),
+            ),
+        ];
+        let mut faults = vec![Vec::new()];
+        for kind in FaultKind::ALL {
+            faults.push(vec![
+                Fault::new(kind, Seconds::new(3.0), 0.7).expect("fault")
+            ]);
+        }
+        // Currents that read both the time and the applied potential.
+        let active = |t: Seconds, e: Volts| Amps::new(4e-7 * e.value() + 1e-8 * t.value());
+        let blank = |t: Seconds, e: Volts| Amps::new(5e-8 * e.value() - 2e-9 * t.value());
+        for (program, dt) in &programs {
+            for config in [base, base.with_chopper(), base.with_cds(cds)] {
+                // One plan on the fault-free chain serves every faulted
+                // twin and every seed.
+                let plan = ReadoutChain::new(config)
+                    .acquisition_plan(program, *dt)
+                    .expect("plan");
+                for (f, fault) in faults.iter().enumerate() {
+                    let chain = ReadoutChain::new(config).with_faults(fault.clone(), 11);
+                    for seed in [1, 2] {
+                        let direct = chain
+                            .acquire(program, *dt, seed, active, blank)
+                            .expect("acquire");
+                        let planned = chain
+                            .acquire_planned(
+                                &plan,
+                                *dt,
+                                seed,
+                                |k, t, e| {
+                                    assert_eq!(plan.times()[k], t);
+                                    assert_eq!(plan.applied()[k], e);
+                                    active(t, e)
+                                },
+                                |_, t, e| blank(t, e),
+                            )
+                            .expect("planned");
+                        assert_eq!(direct.len(), planned.len());
+                        for (d, p) in direct.iter().zip(&planned) {
+                            assert_eq!(bits(d), bits(p), "fault case {f}, seed {seed}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plan_for_another_chain_or_interval_is_a_typed_error() {
+        let config = ChainConfig::for_range(CurrentRange::oxidase()).expect("config");
+        let dt = Seconds::from_millis(100.0);
+        let plan = ReadoutChain::new(config)
+            .acquisition_plan(&hold(650.0, 2.0), dt)
+            .expect("plan");
+        let run = |chain: &ReadoutChain, dt| {
+            chain.acquire_planned(&plan, dt, 1, |_, _, _| Amps::ZERO, |_, _, _| Amps::ZERO)
+        };
+        let coarse_dac = ChainConfig {
+            vgen: VoltageGenerator::new(
+                10,
+                bios_units::QRange::between(Volts::new(-1.0), Volts::new(1.0)),
+                bios_units::VoltsPerSecond::new(1.0),
+            )
+            .expect("vgen"),
+            ..config
+        };
+        let low_gain = ChainConfig {
+            potentiostat: Potentiostat::new(1e3, Hertz::from_megahertz(1.0)).expect("pstat"),
+            ..config
+        };
+        for (chain, dt, what) in [
+            (ReadoutChain::new(config), Seconds::from_millis(50.0), "dt"),
+            (ReadoutChain::new(coarse_dac), dt, "voltage generator"),
+            (ReadoutChain::new(low_gain), dt, "potentiostat"),
+        ] {
+            let err = run(&chain, dt).expect_err("mismatched plan");
+            assert_eq!(err, AfeError::PlanMismatch { what });
+            assert!(!err.is_recoverable());
+        }
+        // The TIA, ADC, noise and faults act after the potentiostat: a
+        // faulted or re-conditioned twin runs the same plan.
+        let twin = ReadoutChain::new(config.with_chopper()).with_faults(
+            vec![
+                crate::fault::Fault::immediate(crate::fault::FaultKind::Dropout, 0.5)
+                    .expect("fault"),
+            ],
+            3,
+        );
+        assert!(run(&twin, dt).is_ok());
+        // Planning validates as acquiring does.
+        let c = ReadoutChain::new(config);
+        assert!(c.acquisition_plan(&hold(1500.0, 1.0), dt).is_err());
+        for bad in [0.0, -0.1, f64::NAN, f64::INFINITY] {
+            assert!(c
+                .acquisition_plan(&hold(0.0, 1.0), Seconds::new(bad))
+                .is_err());
+        }
     }
 
     #[test]

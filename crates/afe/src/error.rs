@@ -28,6 +28,12 @@ pub enum AfeError {
         /// Number of channels available.
         available: usize,
     },
+    /// An acquisition plan was run on a chain or interval it was not
+    /// computed for.
+    PlanMismatch {
+        /// What differs: the voltage generator, the potentiostat or `dt`.
+        what: &'static str,
+    },
 }
 
 impl AfeError {
@@ -57,7 +63,9 @@ impl AfeError {
     /// different conditions can succeed.
     pub fn severity(&self) -> ErrorSeverity {
         match self {
-            Self::InvalidParameter { .. } | Self::BadChannel { .. } => ErrorSeverity::Fatal,
+            Self::InvalidParameter { .. } | Self::BadChannel { .. } | Self::PlanMismatch { .. } => {
+                ErrorSeverity::Fatal
+            }
             Self::RangeExceeded { .. } => ErrorSeverity::Degraded,
         }
     }
@@ -81,6 +89,9 @@ impl core::fmt::Display for AfeError {
                 requested,
                 available,
             } => write!(f, "mux channel {requested} out of range (have {available})"),
+            Self::PlanMismatch { what } => {
+                write!(f, "acquisition plan was computed for another {what}")
+            }
         }
     }
 }

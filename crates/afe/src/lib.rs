@@ -64,7 +64,7 @@ mod vgen;
 
 pub use adc::Adc;
 pub use cds::{CorrelatedDoubleSampler, MatchingQuality};
-pub use chain::{ChainConfig, ReadoutChain, Sample, CHOPPER_SUPPRESSION};
+pub use chain::{AcquisitionPlan, ChainConfig, ReadoutChain, Sample, CHOPPER_SUPPRESSION};
 pub use current_range::CurrentRange;
 pub use error::AfeError;
 pub use fault::{Fault, FaultKind, FaultPlan};

@@ -224,9 +224,10 @@ impl CypSensor {
     /// substrate at its Table II potential with amplitude
     /// `S·Km·C/(Km + C)` and the ideal surface-wave line shape.
     ///
-    /// A sweep evaluating many potentials should call [`CypSensor::sweep`]
-    /// once and evaluate [`CypSweep::current_density`] per point; both give
-    /// the same bits.
+    /// A sweep evaluating a fixed potential trace under several drug
+    /// panels should call [`CypSensor::line_shapes`] once, [`CypSensor::sweep`]
+    /// once per panel, and [`CypSweep::current_density_planned`] per point;
+    /// all give the same bits.
     pub fn current_density(
         &self,
         e: Volts,
@@ -285,22 +286,59 @@ impl CypSensor {
         temperature: Kelvin,
     ) -> impl Iterator<Item = CatalyticWave> + 'a {
         let shift = self.laviron_shift(scan_rate, temperature);
-        self.substrates.iter().filter_map(move |sub| {
-            let c = concentrations
-                .iter()
-                .find(|(a, _)| *a == sub.analyte)
-                .map(|(_, c)| *c)
-                .unwrap_or(Molar::ZERO);
-            if c.value() <= 0.0 {
-                return None;
-            }
-            Some(CatalyticWave {
-                amplitude: sub.sensitivity_si
-                    * sub.kinetics.km().value()
-                    * sub.kinetics.saturation(c),
-                e_peak: sub.peak_potential.value() - shift,
+        self.substrates
+            .iter()
+            .enumerate()
+            .filter_map(move |(substrate, sub)| {
+                let c = concentrations
+                    .iter()
+                    .find(|(a, _)| *a == sub.analyte)
+                    .map(|(_, c)| *c)
+                    .unwrap_or(Molar::ZERO);
+                if c.value() <= 0.0 {
+                    return None;
+                }
+                Some(CatalyticWave {
+                    amplitude: sub.sensitivity_si
+                        * sub.kinetics.km().value()
+                        * sub.kinetics.saturation(c),
+                    e_peak: sub.peak_potential.value() - shift,
+                    substrate,
+                })
             })
-        })
+    }
+
+    /// The sweep's line shapes at every point of an applied-potential
+    /// trace: the heme wave's, and each substrate's catalytic wave's at
+    /// its Laviron-shifted peak. They depend on the potential, the scan
+    /// rate and the temperature, but not on the drug panel, so a CV plan
+    /// computes them once and every [`CypSweep::current_density_planned`]
+    /// of a sweep at the same scan rate and temperature reads them.
+    // advdiag::cold(CV planning: runs once per applied-potential trace, before
+    // any sample is taken)
+    pub fn line_shapes(
+        &self,
+        scan_rate: VoltsPerSecond,
+        temperature: Kelvin,
+        applied: &[Volts],
+    ) -> CypLineShapes {
+        let baseline = self.baseline(scan_rate, temperature);
+        let shift = self.laviron_shift(scan_rate, temperature);
+        let substrates = self.substrates.len();
+        let mut heme = Vec::with_capacity(applied.len());
+        let mut catalytic = Vec::with_capacity(applied.len() * substrates);
+        for e in applied {
+            heme.push(baseline.shape(*e));
+            for sub in &self.substrates {
+                let e_peak = sub.peak_potential.value() - shift;
+                catalytic.push(catalytic_shape(*e, e_peak, baseline.rt));
+            }
+        }
+        CypLineShapes {
+            substrates,
+            heme,
+            catalytic,
+        }
     }
 
     fn find(&self, analyte: Analyte) -> Option<&CypSubstrate> {
@@ -337,25 +375,32 @@ impl HemeBaseline {
         direction_up: bool,
         waves: impl IntoIterator<Item = CatalyticWave>,
     ) -> AmpsPerCm2 {
-        let rt = self.rt;
-        let xi = (FARADAY * (e.value() - self.e_heme) / rt).clamp(-200.0, 200.0);
-        let shape = xi.exp() / (1.0 + xi.exp()).powi(2);
-        let base_mag = self.scale * shape;
+        let base_mag = self.scale * self.shape(e);
         let mut j = if direction_up { base_mag } else { -base_mag };
         if !direction_up {
             for wave in waves {
-                // Two-electron catalytic wave (paper eq. 4: substrate + O₂ +
-                // 2H⁺ + 2e⁻ → product + H₂O), so the line shape uses n = 2 —
-                // FWHM ≈ 45 mV, which is what lets CYP2B4 resolve
-                // benzphetamine (−250 mV) from aminopyrine (−400 mV).
-                let xi_c = (2.0 * FARADAY * (e.value() - wave.e_peak) / rt).clamp(-200.0, 200.0);
-                // Normalized to 1 at the peak (4× the logistic product).
-                let shape_c = 4.0 * xi_c.exp() / (1.0 + xi_c.exp()).powi(2);
-                j -= wave.amplitude * shape_c;
+                j -= wave.amplitude * catalytic_shape(e, wave.e_peak, self.rt);
             }
         }
         AmpsPerCm2::new(j)
     }
+
+    /// The heme wave's line shape at `e`, before its magnitude.
+    fn shape(&self, e: Volts) -> f64 {
+        let xi = (FARADAY * (e.value() - self.e_heme) / self.rt).clamp(-200.0, 200.0);
+        xi.exp() / (1.0 + xi.exp()).powi(2)
+    }
+}
+
+/// A catalytic wave's line shape at `e` for a peak at `e_peak`.
+///
+/// Two-electron catalytic wave (paper eq. 4: substrate + O₂ + 2H⁺ + 2e⁻ →
+/// product + H₂O), so the line shape uses n = 2 — FWHM ≈ 45 mV, which is
+/// what lets CYP2B4 resolve benzphetamine (−250 mV) from aminopyrine
+/// (−400 mV). Normalized to 1 at the peak (4× the logistic product).
+fn catalytic_shape(e: Volts, e_peak: f64, rt: f64) -> f64 {
+    let xi_c = (2.0 * FARADAY * (e.value() - e_peak) / rt).clamp(-200.0, 200.0);
+    4.0 * xi_c.exp() / (1.0 + xi_c.exp()).powi(2)
 }
 
 /// One catalytic peak of a sweep.
@@ -365,6 +410,8 @@ struct CatalyticWave {
     amplitude: f64,
     /// Peak potential after the Laviron shift, V.
     e_peak: f64,
+    /// The substrate's index in sensor order.
+    substrate: usize,
 }
 
 /// [`CypSensor::current_density`] prepared for one sweep (fixed scan rate,
@@ -376,12 +423,38 @@ pub struct CypSweep {
 }
 
 impl CypSweep {
-    /// Total current density at potential `e`; catalytic peaks appear on
-    /// the cathodic (`direction_up == false`) sweep only.
-    pub fn current_density(&self, e: Volts, direction_up: bool) -> AmpsPerCm2 {
-        self.baseline
-            .current_density(e, direction_up, self.waves.iter().copied())
+    /// Total current density at point `k` of the trace `shapes` was
+    /// computed over; catalytic peaks appear on the cathodic
+    /// (`direction_up == false`) sweep only. `shapes` must come from
+    /// [`CypSensor::line_shapes`] of this sweep's sensor, scan rate and
+    /// temperature; the result is then the same bits as
+    /// [`CypSensor::current_density`] at the trace's `k`-th potential.
+    pub fn current_density_planned(
+        &self,
+        shapes: &CypLineShapes,
+        k: usize,
+        direction_up: bool,
+    ) -> AmpsPerCm2 {
+        let base_mag = self.baseline.scale * shapes.heme[k];
+        let mut j = if direction_up { base_mag } else { -base_mag };
+        if !direction_up {
+            let row = &shapes.catalytic[k * shapes.substrates..(k + 1) * shapes.substrates];
+            for wave in &self.waves {
+                j -= wave.amplitude * row[wave.substrate];
+            }
+        }
+        AmpsPerCm2::new(j)
     }
+}
+
+/// A CYP sweep's line shapes over one applied-potential trace, from
+/// [`CypSensor::line_shapes`]: flat per-point arrays, the catalytic ones
+/// point-major with one entry per substrate in sensor order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CypLineShapes {
+    substrates: usize,
+    heme: Vec<f64>,
+    catalytic: Vec<f64>,
 }
 
 #[cfg(test)]
@@ -600,24 +673,38 @@ mod tests {
     #[test]
     fn prepared_sweep_matches_reference_bit_for_bit() {
         let rates = [slow(), VoltsPerSecond::from_millivolts_per_second(200.0)];
+        // A staircase trace like a planned CV's applied potentials.
+        let trace: Vec<Volts> = (0..=300)
+            .map(|k| Volts::new(0.2 - 3e-3 * k as f64))
+            .collect();
         for iso in CypIsoform::ALL {
             let s = CypSensor::from_registry(iso).expect("registry");
-            // Present, absent and zero-concentration substrates.
-            let concs: Vec<(Analyte, Molar)> = s
-                .substrates()
-                .enumerate()
-                .map(|(k, a)| (a, Molar::from_millimolar(0.7 * k as f64)))
-                .collect();
+            let panels: [Vec<(Analyte, Molar)>; 2] = [
+                // Present, absent and zero-concentration substrates.
+                s.substrates()
+                    .enumerate()
+                    .map(|(k, a)| (a, Molar::from_millimolar(0.7 * k as f64)))
+                    .collect(),
+                // Every substrate present, in reverse order.
+                s.substrates()
+                    .collect::<Vec<_>>()
+                    .into_iter()
+                    .rev()
+                    .map(|a| (a, Molar::from_millimolar(1.3)))
+                    .collect(),
+            ];
             for rate in rates {
-                let sweep = s.sweep(rate, &concs, T_ROOM);
-                for k in 0..=300 {
-                    let e = Volts::new(0.2 - 3e-3 * k as f64);
-                    for up in [false, true] {
-                        let want = reference_density(&s, e, rate, up, &concs, T_ROOM);
-                        let prepared = sweep.current_density(e, up).value();
-                        let direct = s.current_density(e, rate, up, &concs, T_ROOM).value();
-                        assert_eq!(prepared.to_bits(), want.to_bits(), "{iso} {e:?} {up}");
-                        assert_eq!(direct.to_bits(), want.to_bits(), "{iso} {e:?} {up}");
+                let shapes = s.line_shapes(rate, T_ROOM, &trace);
+                for concs in &panels {
+                    let sweep = s.sweep(rate, concs, T_ROOM);
+                    for (k, e) in trace.iter().enumerate() {
+                        for up in [false, true] {
+                            let want = reference_density(&s, *e, rate, up, concs, T_ROOM);
+                            let planned = sweep.current_density_planned(&shapes, k, up).value();
+                            let direct = s.current_density(*e, rate, up, concs, T_ROOM).value();
+                            assert_eq!(planned.to_bits(), want.to_bits(), "{iso} {e:?} {up}");
+                            assert_eq!(direct.to_bits(), want.to_bits(), "{iso} {e:?} {up}");
+                        }
                     }
                 }
             }

@@ -61,7 +61,7 @@ mod probe;
 pub mod tables;
 
 pub use analyte::{Analyte, AnalyteKind};
-pub use cytochrome::{CypIsoform, CypSensor, CypSweep};
+pub use cytochrome::{CypIsoform, CypLineShapes, CypSensor, CypSweep};
 pub use error::BiochemError;
 pub use functionalization::Functionalization;
 pub use interference::Interferent;

@@ -98,6 +98,15 @@ impl Membrane {
         sum.clamp(0.0, 1.0)
     }
 
+    /// [`Self::step_response`] at each of `since`, in order: the table a
+    /// chronoamperometry plan reads instead of evaluating the series once
+    /// per sample.
+    // advdiag::cold(chrono planning: runs once per sample-time grid, before any
+    // sample is taken)
+    pub fn step_response_table(&self, since: impl Iterator<Item = Seconds>) -> Vec<f64> {
+        since.map(|t| self.step_response(t)).collect()
+    }
+
     /// Time to reach `fraction` of the steady-state flux, by bisection on
     /// the step response. This is the sensor's `t₉₀` for `fraction = 0.9`
     /// (the paper's "steady-state response time", §II-B).

@@ -279,6 +279,32 @@ mod tests {
     }
 
     #[test]
+    fn step_response_table_matches_transient_bit_for_bit() {
+        // A chrono grid as a protocol plans it: samples before, at and
+        // after the injection, out to where the series has converged.
+        let dt = 0.25;
+        let injection = 10.0;
+        let since: Vec<Seconds> = (0..=2400)
+            .map(|k| Seconds::new((k as f64 * dt) - injection))
+            .collect();
+        let (c0, c1) = (Molar::ZERO, Molar::from_millimolar(2.5));
+        for ox in Oxidase::ALL {
+            let s = OxidaseSensor::from_registry(ox).expect("registry");
+            let table = s.membrane().step_response_table(since.iter().copied());
+            assert_eq!(table.len(), since.len());
+            let j0 = s.steady_current_density(c0).value();
+            let j1 = s.steady_current_density(c1).value();
+            for (f, t) in table.iter().zip(&since) {
+                let direct = s.membrane().step_response(*t);
+                assert_eq!(f.to_bits(), direct.to_bits(), "{ox} at {t:?}");
+                let want = s.transient_current_density(c0, c1, *t).value();
+                let planned = j0 + (j1 - j0) * f;
+                assert_eq!(planned.to_bits(), want.to_bits(), "{ox} at {t:?}");
+            }
+        }
+    }
+
+    #[test]
     fn sensitivity_scaling_for_ablation() {
         let s = OxidaseSensor::from_registry(Oxidase::Glucose).expect("registry");
         let bare = s.clone().with_sensitivity_scaled(1.0 / 12.0);

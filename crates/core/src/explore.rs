@@ -203,8 +203,8 @@ pub fn predict_lod(target: Analyte, point: &DesignPoint) -> Result<Molar, Platfo
 /// # Errors
 ///
 /// Returns [`PlatformError`] if the platform cannot be assembled.
-// advdiag::cold(whole design-point evaluation: assembles a platform and runs full
-// sessions; per-point cadence by contract)
+// advdiag::cold(whole design-point evaluation: assembles a platform and prices it
+// with the analytic LOD and cost models, running no session; per-point cadence)
 pub fn evaluate(panel: &PanelSpec, point: &DesignPoint) -> Result<EvaluatedDesign, PlatformError> {
     // Assemble the platform (probe selection, structure, schedule).
     let electrode =

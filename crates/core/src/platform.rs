@@ -13,7 +13,8 @@ use bios_biochem::Interferent;
 use bios_biochem::{Analyte, CypSensor, MichaelisMenten, OxidaseSensor, Probe, Technique};
 use bios_electrochem::{Electrode, PotentialProgram};
 use bios_instrument::{
-    run_chrono_with_interferents, run_cv, ChronoProtocol, CvProtocol, QcClass, QcVerdict,
+    plan_chrono, plan_cv, ChronoPlan, ChronoProtocol, CvPlan, CvProtocol, InstrumentError, QcClass,
+    QcVerdict,
 };
 use bios_units::{Amps, Molar, Seconds};
 use std::sync::OnceLock;
@@ -202,11 +203,12 @@ impl SessionReport {
 
 /// The commissioning record of a platform's two fault-free base chains:
 /// the fixed-seed traces the QC gate and the built-in self-test grade
-/// live chains against. Each value is a pure function of the platform's
-/// chains and chrono protocol, so it is simulated on first use and kept
-/// for the platform's lifetime. Filling lazily keeps platforms that never
-/// run a session (design-space evaluation builds one per point) free.
-#[derive(Debug, Clone, Default)]
+/// live chains against, and each assignment's acquisition plan. Each
+/// value is a pure function of the platform's chains, protocols and
+/// assignments, so it is computed on first use and kept for the
+/// platform's lifetime. Filling lazily keeps platforms that never run a
+/// session (design-space evaluation builds one per point) free.
+#[derive(Debug, Clone)]
 struct Commissioning {
     /// Chrono chain baseline noise over the chrono settle window.
     noise_reference: OnceLock<Option<Amps>>,
@@ -214,6 +216,29 @@ struct Commissioning {
     /// chrono chain and 1 the CV chain; window 0 is the power-on
     /// [`SELF_TEST_WINDOW`] and 1 the [`POST_SELF_TEST_WINDOW`].
     self_test: [[OnceLock<Option<Amps>>; 2]; 2],
+    /// Acquisition plans, indexed by assignment slot.
+    plans: Box<[AssignmentPlan]>,
+}
+
+impl Commissioning {
+    /// An empty record for a platform with `slots` assignments.
+    fn new(slots: usize) -> Self {
+        Self {
+            noise_reference: OnceLock::new(),
+            self_test: Default::default(),
+            plans: (0..slots).map(|_| AssignmentPlan::default()).collect(),
+        }
+    }
+}
+
+/// One assignment's acquisition plan on its technique's fault-free base
+/// chain: the seed- and sample-independent half of every acquisition on
+/// it. A faulted twin runs the same plan, because faults act after the
+/// potentiostat. Only the cell of the assignment's technique is filled.
+#[derive(Debug, Clone, Default)]
+struct AssignmentPlan {
+    chrono: OnceLock<Result<ChronoPlan, InstrumentError>>,
+    cv: OnceLock<Result<CvPlan, InstrumentError>>,
 }
 
 /// A fully assembled multi-target biosensing platform.
@@ -250,7 +275,6 @@ impl Platform {
         cds: bool,
     ) -> Self {
         Self {
-            assignments,
             structure,
             mux,
             chrono_chain,
@@ -260,7 +284,8 @@ impl Platform {
             sharing,
             chopper,
             cds,
-            commissioning: Commissioning::default(),
+            commissioning: Commissioning::new(assignments.len()),
+            assignments,
         }
     }
 
@@ -388,10 +413,9 @@ impl Platform {
     /// engine) cannot change any session's outcome.
     pub fn run_samples(&self, requests: &[SampleRequest], policy: ExecPolicy) -> Vec<SampleResult> {
         par_map(policy, requests, |_, req| {
-            let assignment = &self.assignments[req.slot];
-            let chain = self.assignment_chain(assignment, &req.options);
+            let chain = self.assignment_chain(&self.assignments[req.slot], &req.options);
             self.measure_assignment(
-                assignment,
+                req.slot,
                 &req.sample,
                 &req.interferents,
                 &chain,
@@ -664,15 +688,17 @@ impl Platform {
         }
     }
 
-    /// One acquisition on one assignment: runs the protocol against the
-    /// (possibly faulted) chain and screens the measurement through the
-    /// session's QC gate.
+    /// One acquisition on the assignment in `slot`: runs its planned
+    /// protocol against the (possibly faulted) chain and screens the
+    /// measurement through the session's QC gate. The plan is computed on
+    /// the slot's first acquisition and read from the commissioning
+    /// record thereafter.
     #[allow(clippy::too_many_arguments)]
     // advdiag::cold(whole-acquisition entry: one call simulates a full experiment;
     // everything below runs at per-acquisition cadence by contract)
     pub(crate) fn measure_assignment(
         &self,
-        assignment: &WeAssignment,
+        slot: usize,
         sample: &[(Analyte, Molar)],
         interferents: &[(Interferent, Molar)],
         chain: &ReadoutChain,
@@ -680,20 +706,22 @@ impl Platform {
         reference_noise: Option<Amps>,
         seed: u64,
     ) -> Result<(Vec<TargetReading>, QcVerdict), PlatformError> {
+        let assignment = &self.assignments[slot];
+        let plan = &self.commissioning.plans[slot];
+        let base = self.base_chain(assignment);
         let full_scale = chain.config().full_scale_current();
         match &assignment.sensor {
             SensorModel::Oxidase(sensor) => {
                 let analyte = assignment.targets[0];
                 let c = concentration_of(sample, analyte);
-                let m = run_chrono_with_interferents(
-                    sensor,
-                    &assignment.electrode,
-                    chain,
-                    c,
-                    interferents,
-                    &self.chrono_protocol,
-                    seed,
-                )?;
+                let m = plan
+                    .chrono
+                    .get_or_init(|| {
+                        plan_chrono(sensor, &assignment.electrode, base, &self.chrono_protocol)
+                    })
+                    .as_ref()
+                    .map_err(Clone::clone)?
+                    .run(chain, c, interferents, seed)?;
                 let verdict = options
                     .qc
                     .check_chrono_referenced(&m, full_scale, reference_noise);
@@ -723,14 +751,12 @@ impl Platform {
                     .iter()
                     .map(|a| (*a, concentration_of(sample, *a)))
                     .collect();
-                let m = run_cv(
-                    sensor,
-                    &assignment.electrode,
-                    chain,
-                    &concs,
-                    &self.cv_protocol,
-                    seed,
-                )?;
+                let m = plan
+                    .cv
+                    .get_or_init(|| plan_cv(sensor, &assignment.electrode, base, &self.cv_protocol))
+                    .as_ref()
+                    .map_err(Clone::clone)?
+                    .run(chain, &concs, seed)?;
                 let verdict = options.qc.check_cv(&m, full_scale);
                 let area = assignment.electrode.geometric_area().value();
                 let mut readings = Vec::with_capacity(assignment.targets.len());
@@ -857,6 +883,50 @@ mod tests {
                 }
             }
         }
+        // Acquisition plans: none before the first session, one per slot
+        // after it, equal to a direct plan on the slot's base chain, and
+        // read back (not rebuilt) by the next session.
+        let planned = |p: &Platform, slot: usize| {
+            let cells = &p.commissioning.plans[slot];
+            (
+                cells
+                    .chrono
+                    .get()
+                    .map(|r| r.as_ref().expect("chrono plan") as *const _),
+                cells
+                    .cv
+                    .get()
+                    .map(|r| r.as_ref().expect("cv plan") as *const _),
+            )
+        };
+        let fresh = fig4();
+        assert!((0..fresh.assignments.len()).all(|s| planned(&fresh, s) == (None, None)));
+        fresh.run_session(&fig4_sample(), 1).expect("session");
+        let first: Vec<_> = (0..fresh.assignments.len())
+            .map(|s| planned(&fresh, s))
+            .collect();
+        for (slot, a) in fresh.assignments.iter().enumerate() {
+            let cells = &fresh.commissioning.plans[slot];
+            let base = fresh.base_chain(a);
+            match &a.sensor {
+                SensorModel::Oxidase(sensor) => {
+                    let direct = plan_chrono(sensor, &a.electrode, base, &fresh.chrono_protocol);
+                    assert_eq!(cells.chrono.get(), Some(&direct));
+                    assert!(cells.cv.get().is_none());
+                }
+                SensorModel::Cytochrome(sensor) => {
+                    let direct = plan_cv(sensor, &a.electrode, base, &fresh.cv_protocol);
+                    assert_eq!(cells.cv.get(), Some(&direct));
+                    assert!(cells.chrono.get().is_none());
+                }
+            }
+        }
+        fresh.run_session(&fig4_sample(), 2).expect("session");
+        let second: Vec<_> = (0..fresh.assignments.len())
+            .map(|s| planned(&fresh, s))
+            .collect();
+        assert_eq!(first, second, "the second session reads the same plans");
+
         // Each platform records the noise reference of its own protocol.
         // The paper chain's noise sits below one ADC code, so a loud chain
         // makes the two references differ.
@@ -871,7 +941,7 @@ mod tests {
                 settle: Seconds::new(settle),
                 ..ChronoProtocol::default()
             },
-            commissioning: Commissioning::default(),
+            commissioning: Commissioning::new(fig4().assignments.len()),
             ..fig4()
         };
         let mut references = Vec::new();

@@ -233,7 +233,7 @@ impl WeMachine {
                 let attempt_seed = options.retry.attempt_seed(we_seed, self.attempt);
                 let chain = platform.assignment_chain(assignment, options);
                 let outcome = platform.measure_assignment(
-                    assignment,
+                    self.slot,
                     sample,
                     interferents,
                     &chain,
@@ -899,12 +899,17 @@ mod tests {
             let snapshot = machine.checkpoint();
             let json = serde_json::to_string(&snapshot).expect("serialize");
             let restored: SessionCheckpoint = serde_json::from_str(&json).expect("deserialize");
-            let mut resumed = p.resume_session(&sample, 7, &options, restored);
-            while !resumed.is_done() {
-                resumed.step(&p).expect("step");
+            // Acquisition plans are derived state, not part of the
+            // checkpoint: resuming on a platform that has not planned yet
+            // gives the same report as on the one that took the snapshot.
+            for platform in [&p, &fig4()] {
+                let mut resumed = platform.resume_session(&sample, 7, &options, restored.clone());
+                while !resumed.is_done() {
+                    resumed.step(platform).expect("step");
+                }
+                let report = resumed.finish(platform).expect("done");
+                assert_eq!(report, blocking, "cut at {cut} steps");
             }
-            let report = resumed.finish(&p).expect("done");
-            assert_eq!(report, blocking, "cut at {cut} steps");
         }
     }
 

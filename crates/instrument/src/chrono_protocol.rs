@@ -2,10 +2,10 @@
 //! the Fig. 3 time-response experiment.
 
 use crate::error::InstrumentError;
-use bios_afe::ReadoutChain;
+use bios_afe::{AcquisitionPlan, ReadoutChain};
 use bios_biochem::{Interferent, OxidaseSensor};
 use bios_electrochem::{Electrode, PotentialProgram, Transient};
-use bios_units::{Amps, Molar, Seconds};
+use bios_units::{Amps, Molar, Seconds, SquareCentimeters};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -147,63 +147,131 @@ pub fn run_chrono_with_interferents(
     protocol: &ChronoProtocol,
     seed: u64,
 ) -> Result<ChronoMeasurement, InstrumentError> {
+    plan_chrono(sensor, electrode, chain, protocol)?.run(chain, concentration, interferents, seed)
+}
+
+/// The seed- and sample-independent half of a chronoamperometric
+/// measurement on one sensor and electrode under one protocol: the chain's
+/// [`AcquisitionPlan`] for the held potential and the membrane step
+/// response at every sample. Built by [`plan_chrono`]; every
+/// [`ChronoPlan::run`] reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChronoPlan {
+    sensor: OxidaseSensor,
+    area: SquareCentimeters,
+    protocol: ChronoProtocol,
+    acquisition: AcquisitionPlan,
+    step_response: Vec<f64>,
+}
+
+/// Plans [`run_chrono_with_interferents`] of `sensor` on `electrode`
+/// through `chain`'s voltage generator and potentiostat under `protocol`.
+///
+/// # Errors
+///
+/// Returns [`InstrumentError`] for invalid protocol timing or AFE rejects.
+// advdiag::cold(chrono planning: runs once per sensor, chain and protocol, before
+// any sample is taken)
+pub fn plan_chrono(
+    sensor: &OxidaseSensor,
+    electrode: &Electrode,
+    chain: &ReadoutChain,
+    protocol: &ChronoProtocol,
+) -> Result<ChronoPlan, InstrumentError> {
     protocol.validate()?;
-    let area = electrode.geometric_area();
     let program = PotentialProgram::Hold {
         potential: sensor.applied_potential(),
         duration: Seconds::new(protocol.settle.value() + protocol.measure.value()),
     };
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xb10_5eed);
-    let blank_sd_current = sensor.blank_sd().value() * area.value();
-    // Injection-to-injection response variability (matrix effects, membrane
-    // state): this is the σ_b behind the paper's eq. 5, so it must appear
-    // in the ΔI statistic — it switches on *with* the injection. A constant
-    // electrode offset would cancel in ΔI and belongs to the AFE drift.
-    let response_offset = gaussian(&mut rng) * blank_sd_current;
-    let within_sd = blank_sd_current / 5.0;
+    let acquisition = chain.acquisition_plan(&program, protocol.dt)?;
     let injection = protocol.settle;
-    let interferents_active = interferents.to_vec();
-    let interferents_blank = interferents.to_vec();
-    let interference = move |list: &[(Interferent, Molar)], e, since: Seconds| -> f64 {
-        if since.value() <= 0.0 {
-            return 0.0;
-        }
-        list.iter()
-            .map(|(i, c)| i.current_density(e, *c).value() * area.value())
-            .sum()
-    };
-    let interference_blank = interference;
-    // `transient_current_density(0, c, since)` split into its
-    // per-acquisition part (the two steady states) and its per-sample part
-    // (the membrane step response, shared with the offset below).
-    let j0 = sensor.steady_current_density(Molar::ZERO).value();
-    let j1 = sensor.steady_current_density(concentration).value();
-    let samples = chain.acquire(
-        &program,
-        protocol.dt,
-        seed,
-        move |t, e| {
-            let since = Seconds::new(t.value() - injection.value());
-            let f = sensor.membrane().step_response(since);
-            let j = j0 + (j1 - j0) * f;
-            // The response perturbation develops with the membrane-shaped
-            // response itself (a step here would fake an instantaneous
-            // dI/dt spike at the injection).
-            let offset = response_offset * f;
-            Amps::new(
-                j * area.value()
-                    + offset
-                    + interference(&interferents_active, e, since)
-                    + gaussian(&mut rng) * within_sd,
-            )
-        },
-        move |t, e| {
-            let since = Seconds::new(t.value() - injection.value());
-            Amps::new(interference_blank(&interferents_blank, e, since))
-        },
-    )?;
-    let transient: Transient = samples.iter().map(|s| (s.t, s.current)).collect();
-    Ok(analyze_transient(transient, injection))
+    let step_response = sensor.membrane().step_response_table(
+        acquisition
+            .times()
+            .iter()
+            .map(|t| Seconds::new(t.value() - injection.value())),
+    );
+    Ok(ChronoPlan {
+        sensor: sensor.clone(),
+        area: electrode.geometric_area(),
+        protocol: *protocol,
+        acquisition,
+        step_response,
+    })
+}
+
+impl ChronoPlan {
+    /// Runs the planned measurement of `concentration` with `interferents`
+    /// through `chain`: the same bits as [`run_chrono_with_interferents`]
+    /// with the plan's sensor, electrode and protocol.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InstrumentError`] for AFE rejects, including a `chain`
+    /// whose voltage generator or potentiostat differs from the one the
+    /// plan was built on.
+    pub fn run(
+        &self,
+        chain: &ReadoutChain,
+        concentration: Molar,
+        interferents: &[(Interferent, Molar)],
+        seed: u64,
+    ) -> Result<ChronoMeasurement, InstrumentError> {
+        let sensor = &self.sensor;
+        let area = self.area;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xb10_5eed);
+        let blank_sd_current = sensor.blank_sd().value() * area.value();
+        // Injection-to-injection response variability (matrix effects,
+        // membrane state): this is the σ_b behind the paper's eq. 5, so it
+        // must appear in the ΔI statistic — it switches on *with* the
+        // injection. A constant electrode offset would cancel in ΔI and
+        // belongs to the AFE drift.
+        let response_offset = gaussian(&mut rng) * blank_sd_current;
+        let within_sd = blank_sd_current / 5.0;
+        let injection = self.protocol.settle;
+        let interference = move |e, since: Seconds| -> f64 {
+            if since.value() <= 0.0 {
+                return 0.0;
+            }
+            interferents
+                .iter()
+                .map(|(i, c)| i.current_density(e, *c).value() * area.value())
+                .sum()
+        };
+        // `transient_current_density(0, c, since)` split into its
+        // per-acquisition part (the two steady states) and its per-sample
+        // part (the planned membrane step response, shared with the offset
+        // below).
+        let j0 = sensor.steady_current_density(Molar::ZERO).value();
+        let j1 = sensor.steady_current_density(concentration).value();
+        let step_response = &self.step_response;
+        let samples = chain.acquire_planned(
+            &self.acquisition,
+            self.protocol.dt,
+            seed,
+            move |k, t, e| {
+                let since = Seconds::new(t.value() - injection.value());
+                let f = step_response[k];
+                let j = j0 + (j1 - j0) * f;
+                // The response perturbation develops with the membrane-shaped
+                // response itself (a step here would fake an instantaneous
+                // dI/dt spike at the injection).
+                let offset = response_offset * f;
+                Amps::new(
+                    j * area.value()
+                        + offset
+                        + interference(e, since)
+                        + gaussian(&mut rng) * within_sd,
+                )
+            },
+            move |_, t, e| {
+                let since = Seconds::new(t.value() - injection.value());
+                Amps::new(interference(e, since))
+            },
+        )?;
+        let transient: Transient = samples.iter().map(|s| (s.t, s.current)).collect();
+        Ok(analyze_transient(transient, injection))
+    }
 }
 
 /// Extracts the §II-B response metrics from a recorded transient with a
@@ -467,5 +535,49 @@ mod tests {
             .expect("measurement")
         };
         assert_eq!(run(9).transient, run(9).transient);
+    }
+
+    #[test]
+    fn one_plan_serves_every_seed_concentration_and_faulted_twin() {
+        use bios_afe::{Fault, FaultKind};
+        let (sensor, electrode, chain) = setup();
+        let protocol = ChronoProtocol::default();
+        let plan = plan_chrono(&sensor, &electrode, &chain, &protocol).expect("plan");
+        let twin = chain.clone().with_faults(
+            vec![Fault::new(FaultKind::Fouling, Seconds::new(20.0), 0.6).expect("fault")],
+            5,
+        );
+        let asc = Interferent::of(bios_biochem::Analyte::Ascorbate).expect("registry");
+        let interferents = [(asc, Molar::from_micromolar(80.0))];
+        for c in [Molar::ZERO, Molar::from_millimolar(1.5)] {
+            for seed in [3, 4] {
+                for chain in [&chain, &twin] {
+                    let fresh = run_chrono_with_interferents(
+                        &sensor,
+                        &electrode,
+                        chain,
+                        c,
+                        &interferents,
+                        &protocol,
+                        seed,
+                    )
+                    .expect("fresh");
+                    let planned = plan.run(chain, c, &interferents, seed).expect("planned");
+                    assert_eq!(planned, fresh);
+                }
+            }
+        }
+        // A chain with another potentiostat is refused, not mis-simulated.
+        let mut other = *chain.config();
+        other.potentiostat =
+            bios_afe::Potentiostat::new(1e3, bios_units::Hertz::from_megahertz(1.0))
+                .expect("pstat");
+        let err = plan
+            .run(&ReadoutChain::new(other), Molar::ZERO, &[], 1)
+            .expect_err("mismatched chain");
+        assert!(matches!(
+            err,
+            InstrumentError::Afe(bios_afe::AfeError::PlanMismatch { .. })
+        ));
     }
 }

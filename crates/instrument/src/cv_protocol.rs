@@ -4,10 +4,10 @@
 use crate::error::InstrumentError;
 use crate::peaks::{cathodic_segment, detect_cathodic_peaks, Peak, PeakOptions};
 use crate::signature::{match_signature, ExpectedPeak, SignatureMatch, DEFAULT_WINDOW};
-use bios_afe::ReadoutChain;
-use bios_biochem::{Analyte, CypSensor};
+use bios_afe::{AcquisitionPlan, ReadoutChain};
+use bios_biochem::{Analyte, CypLineShapes, CypSensor};
 use bios_electrochem::{Electrode, PotentialProgram, Voltammogram};
-use bios_units::{Amps, Molar, Seconds, Volts, VoltsPerSecond, T_ROOM};
+use bios_units::{Amps, Molar, Seconds, SquareCentimeters, Volts, VoltsPerSecond, T_ROOM};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,78 +111,162 @@ pub fn run_cv(
     protocol: &CvProtocol,
     seed: u64,
 ) -> Result<CvMeasurement, InstrumentError> {
+    plan_cv(sensor, electrode, chain, protocol)?.run(chain, concentrations, seed)
+}
+
+/// The seed- and panel-independent half of a CV measurement on one sensor
+/// and electrode under one protocol: the chain's [`AcquisitionPlan`] for
+/// the sensor's window, the sweep's [`CypLineShapes`], each substrate's
+/// amplitude-noise scale and line shape at every sample, and the expected
+/// signature. Built by [`plan_cv`]; every [`CvPlan::run`] reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CvPlan {
+    sensor: CypSensor,
+    area: SquareCentimeters,
+    protocol: CvProtocol,
+    dt: Seconds,
+    /// Sweep time of the vertex: samples from here on are anodic.
+    half: f64,
+    acquisition: AcquisitionPlan,
+    line_shapes: CypLineShapes,
+    /// Per substrate, in sensor order: the SD of its peak-amplitude noise.
+    perturbation_sd: Vec<f64>,
+    /// Per sample, then per substrate: the catalytic line shape at the
+    /// substrate's nominal peak potential.
+    perturbation_shapes: Vec<f64>,
+    expected: Vec<ExpectedPeak>,
+}
+
+/// Plans [`run_cv`] of `sensor` on `electrode` through `chain`'s voltage
+/// generator and potentiostat under `protocol`.
+///
+/// # Errors
+///
+/// Returns [`InstrumentError`] for invalid protocols or AFE rejects.
+// advdiag::cold(CV planning: runs once per sensor, chain and protocol, before any
+// sample is taken)
+pub fn plan_cv(
+    sensor: &CypSensor,
+    electrode: &Electrode,
+    chain: &ReadoutChain,
+    protocol: &CvProtocol,
+) -> Result<CvPlan, InstrumentError> {
     protocol.validate()?;
     let area = electrode.geometric_area();
     let (start, vertex) = sensor.recommended_window();
     let program = PotentialProgram::cyclic_single(start, vertex, protocol.scan_rate);
     let half = program.duration().value() / 2.0;
-
-    // Per-run amplitude perturbations, one per substrate.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xcc_5eed);
-    let mut perturbations: Vec<(Analyte, Volts, f64)> = Vec::new();
+    let mut perturbation_sd = Vec::new();
+    let mut expected = Vec::new();
     for a in sensor.substrates() {
         let sd = sensor
             .blank_sd(a)
             .ok_or_else(|| InstrumentError::invalid("substrate", format!("{a} not registered")))?
             .value()
             * area.value();
-        let e = sensor
-            .nominal_peak_potential(a)
-            .ok_or_else(|| InstrumentError::invalid("substrate", format!("{a} not registered")))?;
-        perturbations.push((a, e, gaussian(&mut rng) * sd));
-    }
-    let sweep = sensor.sweep(protocol.scan_rate, concentrations, T_ROOM);
-    let rt = bios_units::GAS_CONSTANT * T_ROOM.value();
-    let samples = chain.acquire(
-        &program,
-        Seconds::new(program.suggested_dt().value().max(0.02)),
-        seed,
-        move |t, e| {
-            let direction_up = t.value() >= half;
-            let j = sweep.current_density(e, direction_up);
-            let mut i = j.value() * area.value();
-            if !direction_up {
-                // Peak-amplitude noise: same line shape as the catalytic wave.
-                for (_, e_peak, n) in &perturbations {
-                    let xi = (2.0 * bios_units::FARADAY * (e.value() - e_peak.value()) / rt)
-                        .clamp(-200.0, 200.0);
-                    let shape = 4.0 * xi.exp() / (1.0 + xi.exp()).powi(2);
-                    i -= n * shape;
-                }
-            }
-            Amps::new(i)
-        },
-        |_t, _e| Amps::ZERO,
-    )?;
-
-    let voltammogram: Voltammogram = samples
-        .iter()
-        .map(|s| (s.t, s.applied, s.current))
-        .collect();
-    let segment = cathodic_segment(&voltammogram);
-    let peaks = detect_cathodic_peaks(
-        &segment,
-        PeakOptions {
-            min_height: protocol.min_peak_height,
-            smoothing: 2,
-        },
-    )?;
-    let mut expected: Vec<ExpectedPeak> = Vec::new();
-    for a in sensor.substrates() {
         let potential = sensor
             .nominal_peak_potential(a)
             .ok_or_else(|| InstrumentError::invalid("substrate", format!("{a} not registered")))?;
+        perturbation_sd.push(sd);
         expected.push(ExpectedPeak {
             analyte: a,
             potential,
         });
     }
-    let matches = match_signature(&peaks, &expected, DEFAULT_WINDOW);
-    Ok(CvMeasurement {
-        voltammogram,
-        peaks,
-        matches,
+    let dt = Seconds::new(program.suggested_dt().value().max(0.02));
+    let acquisition = chain.acquisition_plan(&program, dt)?;
+    let applied = acquisition.applied();
+    let line_shapes = sensor.line_shapes(protocol.scan_rate, T_ROOM, applied);
+    // Peak-amplitude noise has the catalytic wave's line shape.
+    let rt = bios_units::GAS_CONSTANT * T_ROOM.value();
+    let mut perturbation_shapes = Vec::with_capacity(applied.len() * expected.len());
+    for e in applied {
+        for peak in &expected {
+            let xi = (2.0 * bios_units::FARADAY * (e.value() - peak.potential.value()) / rt)
+                .clamp(-200.0, 200.0);
+            perturbation_shapes.push(4.0 * xi.exp() / (1.0 + xi.exp()).powi(2));
+        }
+    }
+    Ok(CvPlan {
+        sensor: sensor.clone(),
+        area,
+        protocol: *protocol,
+        dt,
+        half,
+        acquisition,
+        line_shapes,
+        perturbation_sd,
+        perturbation_shapes,
+        expected,
     })
+}
+
+impl CvPlan {
+    /// Runs the planned measurement of the drug panel `concentrations`
+    /// through `chain`: the same bits as [`run_cv`] with the plan's
+    /// sensor, electrode and protocol.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InstrumentError`] for AFE rejects, including a `chain`
+    /// whose voltage generator or potentiostat differs from the one the
+    /// plan was built on.
+    pub fn run(
+        &self,
+        chain: &ReadoutChain,
+        concentrations: &[(Analyte, Molar)],
+        seed: u64,
+    ) -> Result<CvMeasurement, InstrumentError> {
+        // Per-run amplitude perturbations, one per substrate.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xcc_5eed);
+        let mut perturbations = Vec::with_capacity(self.perturbation_sd.len());
+        for sd in &self.perturbation_sd {
+            perturbations.push(gaussian(&mut rng) * sd);
+        }
+        let sweep = self
+            .sensor
+            .sweep(self.protocol.scan_rate, concentrations, T_ROOM);
+        let area = self.area.value();
+        let half = self.half;
+        let substrates = perturbations.len();
+        let samples = chain.acquire_planned(
+            &self.acquisition,
+            self.dt,
+            seed,
+            |k, t, _e| {
+                let direction_up = t.value() >= half;
+                let j = sweep.current_density_planned(&self.line_shapes, k, direction_up);
+                let mut i = j.value() * area;
+                if !direction_up {
+                    let shapes = &self.perturbation_shapes[k * substrates..(k + 1) * substrates];
+                    for (n, shape) in perturbations.iter().zip(shapes) {
+                        i -= n * shape;
+                    }
+                }
+                Amps::new(i)
+            },
+            |_, _, _| Amps::ZERO,
+        )?;
+
+        let voltammogram: Voltammogram = samples
+            .iter()
+            .map(|s| (s.t, s.applied, s.current))
+            .collect();
+        let segment = cathodic_segment(&voltammogram);
+        let peaks = detect_cathodic_peaks(
+            &segment,
+            PeakOptions {
+                min_height: self.protocol.min_peak_height,
+                smoothing: 2,
+            },
+        )?;
+        let matches = match_signature(&peaks, &self.expected, DEFAULT_WINDOW);
+        Ok(CvMeasurement {
+            voltammogram,
+            peaks,
+            matches,
+        })
+    }
 }
 
 /// Linear readout of the baseline-corrected cathodic current at an expected
@@ -347,5 +431,35 @@ mod tests {
         let r3 = peak_readout(&wave(3e-9), Volts::new(-0.4)).expect("readout");
         assert!((r3.value() / r1.value() - 3.0).abs() < 0.01);
         assert!((r1.as_nanoamps() - 1.0).abs() < 0.05);
+    }
+
+    #[test]
+    fn one_plan_serves_every_seed_panel_and_faulted_twin() {
+        use bios_afe::{Fault, FaultKind};
+        let (sensor, electrode, chain) = setup(CypIsoform::Cyp2B4);
+        let protocol = CvProtocol::default();
+        let plan = plan_cv(&sensor, &electrode, &chain, &protocol).expect("plan");
+        let twin = chain.clone().with_faults(
+            vec![Fault::new(FaultKind::CrosstalkSpike, Seconds::new(5.0), 0.4).expect("fault")],
+            9,
+        );
+        let panels = [
+            vec![],
+            vec![(Analyte::Aminopyrine, Molar::from_millimolar(3.0))],
+            vec![
+                (Analyte::Benzphetamine, Molar::from_millimolar(0.8)),
+                (Analyte::Aminopyrine, Molar::from_millimolar(4.0)),
+            ],
+        ];
+        for concs in &panels {
+            for seed in [6, 7] {
+                for chain in [&chain, &twin] {
+                    let fresh =
+                        run_cv(&sensor, &electrode, chain, concs, &protocol, seed).expect("fresh");
+                    let planned = plan.run(chain, concs, seed).expect("planned");
+                    assert_eq!(planned, fresh);
+                }
+            }
+        }
     }
 }

@@ -44,9 +44,10 @@ pub use calibration::{
     LinearFit,
 };
 pub use chrono_protocol::{
-    analyze_transient, run_chrono, run_chrono_with_interferents, ChronoMeasurement, ChronoProtocol,
+    analyze_transient, plan_chrono, run_chrono, run_chrono_with_interferents, ChronoMeasurement,
+    ChronoPlan, ChronoProtocol,
 };
-pub use cv_protocol::{peak_readout, run_cv, CvMeasurement, CvProtocol};
+pub use cv_protocol::{peak_readout, plan_cv, run_cv, CvMeasurement, CvPlan, CvProtocol};
 pub use error::InstrumentError;
 pub use injection::{run_injection_series, InjectionSchedule, InjectionSeriesResult};
 pub use peaks::{cathodic_segment, detect_cathodic_peaks, Peak, PeakOptions};

@@ -76,6 +76,7 @@ pub const HOT_ROOTS: &[(&str, Level)] = &[
     ("sweep_and_mark", Level::PerIter),
     ("score_shard_margins", Level::PerIter),
     ("acquire", Level::Warm),
+    ("acquire_planned", Level::Warm),
 ];
 
 /// The server's shard stepping loop: the reachability root for H3.
