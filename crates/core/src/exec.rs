@@ -26,6 +26,13 @@
 //! Thread count resolves from [`ExecPolicy`]; the `ADVDIAG_THREADS`
 //! environment variable forces a global override (`1` = sequential), which
 //! CI uses to digest-compare parallel against sequential runs.
+//!
+//! A process resolves [`ExecPolicy::Auto`] once: the first `Auto` fan-out
+//! reads `ADVDIAG_THREADS`, else asks the OS for its available
+//! parallelism, and every later one reuses that count. The OS query is a
+//! syscall plus cgroup reads (tens of µs per call on a 2-vCPU host, more
+//! after an idle gap), too dear for a per-tick or per-wave fan-out; a
+//! process that should see a changed core count restarts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -38,19 +45,30 @@ pub enum ExecPolicy {
     /// Fan out over exactly `threads` workers (clamped to ≥ 1).
     Threads(usize),
     /// Resolve from `ADVDIAG_THREADS` if set, else the machine's available
-    /// parallelism. The default everywhere.
+    /// parallelism, once per process. The default everywhere.
     #[default]
     Auto,
 }
 
-/// `ADVDIAG_THREADS`, parsed once per process (0/unset ⇒ no override).
-fn env_threads() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
+/// The worker count [`ExecPolicy::Auto`] resolves to, computed once per
+/// process: `ADVDIAG_THREADS` when set to a positive count, else the
+/// machine's available parallelism.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one OS core-count query; every fan-out reads its cached result"
+)]
+fn auto_threads() -> usize {
+    static AUTO: OnceLock<usize> = OnceLock::new();
+    *AUTO.get_or_init(|| {
         std::env::var("ADVDIAG_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
     })
 }
 
@@ -61,11 +79,7 @@ impl ExecPolicy {
         let raw = match self {
             ExecPolicy::Sequential => 1,
             ExecPolicy::Threads(n) => n.max(1),
-            ExecPolicy::Auto => env_threads().unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
+            ExecPolicy::Auto => auto_threads(),
         };
         raw.min(items.max(1))
     }
@@ -296,6 +310,9 @@ mod tests {
         // Never more workers than work.
         assert_eq!(ExecPolicy::Threads(64).threads_for(3), 3);
         assert!(ExecPolicy::Auto.threads_for(100) >= 1);
+        // Resolved once per process: every call reads the same count.
+        let auto = ExecPolicy::Auto.threads_for(usize::MAX);
+        assert_eq!(ExecPolicy::Auto.threads_for(usize::MAX), auto);
     }
 
     #[test]

@@ -423,7 +423,7 @@ pub type SampleResult = Result<(Vec<TargetReading>, QcVerdict), PlatformError>;
 /// pure function of these fields, running it batched, reordered, or on
 /// another thread produces the byte-for-byte result of the inline
 /// transition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleRequest {
     pub(crate) slot: usize,
     pub(crate) attempt: usize,
@@ -568,16 +568,9 @@ impl SessionMachine {
         Ok(event)
     }
 
-    /// True when the next round-robin transition is the expensive
-    /// `Sample` phase — the point where a scheduler should lift the
-    /// acquisition out with [`Self::begin_sample`] and batch it.
-    pub fn next_is_sample(&self) -> bool {
-        self.next_slot()
-            .is_some_and(|slot| self.machines[slot].phase == StepKind::Sample)
-    }
-
-    /// When the next transition is a `Sample`, lifts it out as a
-    /// self-contained [`SampleRequest`] without mutating the session.
+    /// When the next transition is the expensive `Sample` phase, lifts it
+    /// out as a self-contained [`SampleRequest`] without mutating the
+    /// session, so a scheduler can batch it.
     /// Execute it (batched or alone) with [`Platform::run_samples`], then
     /// apply the result with [`Self::complete_sample`].
     pub fn begin_sample(&self, platform: &Platform) -> Option<SampleRequest> {
@@ -586,6 +579,26 @@ impl SessionMachine {
             return None;
         }
         Some(self.sample_request_for(platform, slot))
+    }
+
+    /// Lifts the `Sample` transition of every electrode *other than the
+    /// next one* that already waits in `Sample` — a scheduler's
+    /// lookahead. Such an electrode's request cannot change while it
+    /// waits: its attempt seed and settled reference noise move only when
+    /// it samples. So the result can be computed now and applied with
+    /// [`Self::complete_sample`] once [`Self::begin_sample`] reaches the
+    /// same `(slot, attempt)` — which the round-robin does before any
+    /// electrode can enter `Sample` and park after it. The session is not
+    /// mutated.
+    pub fn begin_samples_ahead<'a>(
+        &'a self,
+        platform: &'a Platform,
+    ) -> impl Iterator<Item = SampleRequest> + 'a {
+        let next = self.next_slot();
+        self.machines
+            .iter()
+            .filter(move |m| Some(m.slot) != next && m.phase == StepKind::Sample)
+            .map(move |m| self.sample_request_for(platform, m.slot))
     }
 
     // advdiag::cold(per-acquisition request construction: clones the session inputs
@@ -833,6 +846,7 @@ mod tests {
     use super::*;
     use crate::builder::PlatformBuilder;
     use crate::requirements::PanelSpec;
+    use crate::ExecPolicy;
     use bios_afe::FaultPlan;
     use bios_instrument::QcGate;
 
@@ -1059,6 +1073,65 @@ mod tests {
         assert_eq!((backoffs, report.degradation().retries), (1, 1));
         assert_eq!((quality.class, quality.attempts), (QcClass::Pass, 2));
         assert!(!quality.quarantined);
+    }
+
+    #[test]
+    fn samples_ahead_are_the_requests_the_round_robin_lifts_later() {
+        let p = fig4();
+        let sample = fig4_sample();
+        let options = SessionOptions::default()
+            .with_fault_plan(FaultPlan::randomized(901, 5))
+            .with_qc(QcGate::default());
+        let blocking = p.run_session_with(&sample, 7, &options).expect("blocking");
+        let mut machine = p.session_machine(&sample, 7, &options);
+        // Drive the session as a scheduler that looks ahead at every park.
+        let mut held: Vec<(SampleRequest, SampleResult)> = Vec::new();
+        let (mut parks, mut applied) = (0, 0);
+        while !machine.is_done() {
+            let Some(request) = machine.begin_sample(&p) else {
+                machine.step(&p).expect("step");
+                continue;
+            };
+            let key = (request.slot, request.attempt);
+            let result = match held.iter().position(|(r, _)| (r.slot, r.attempt) == key) {
+                Some(pos) => {
+                    let (lifted, result) = held.swap_remove(pos);
+                    assert_eq!(
+                        lifted, request,
+                        "a waiting electrode's request never changes"
+                    );
+                    applied += 1;
+                    result
+                }
+                None => {
+                    assert!(
+                        held.is_empty(),
+                        "every held electrode is reached before a park"
+                    );
+                    let lifted: Vec<SampleRequest> = machine.begin_samples_ahead(&p).collect();
+                    assert!(lifted.iter().all(|r| r.slot != request.slot));
+                    held.extend(
+                        p.run_samples(&lifted, ExecPolicy::Sequential)
+                            .into_iter()
+                            .enumerate()
+                            .map(|(i, r)| (lifted[i].clone(), r)),
+                    );
+                    parks += 1;
+                    p.run_samples(std::slice::from_ref(&request), ExecPolicy::Sequential)
+                        .remove(0)
+                }
+            };
+            machine
+                .complete_sample(&p, &request, result)
+                .expect("applies");
+        }
+        assert!(held.is_empty());
+        assert!(
+            applied >= 4,
+            "the first park lifts the other four electrodes"
+        );
+        assert!(parks > 1, "retries park again: {parks}");
+        assert_eq!(machine.finish(&p).expect("done"), blocking);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! crate's public API only.
 //!
 //! Every test that touches `ADVDIAG_THREADS` sets it to the same value
-//! (`1`): the engine reads the variable once per process through a
-//! `OnceLock`, and integration tests share one process.
+//! (`1`): the engine resolves `Auto` (the variable, else the OS core
+//! count) once per process through a `OnceLock`, and integration tests
+//! share one process.
 
 use bios_platform::{par_map, par_map_chunks, par_map_mut, try_par_map, ExecPolicy};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -118,7 +118,7 @@ pub(crate) const BENCH_CRATE: &str = "bios-bench";
 pub(crate) const LINT_CRATE: &str = "bios-lint";
 
 /// The one module allowed to hold a `static`: the deterministic parallel
-/// engine's read-once `ADVDIAG_THREADS` override.
+/// engine's read-once `Auto` worker count.
 const D2_EXEMPT_FILE: &str = "crates/core/src/exec.rs";
 
 /// Interior-mutable types that make a `static` process-global mutable

@@ -30,8 +30,12 @@
 //! tick would be a no-op, is skipped), every session steps in admission
 //! order, and no wall clock enters the control path — time is a virtual
 //! tick counter, and telemetry timestamps come from an injected [`Clock`]
-//! that defaults to [`NullClock`]. The same submissions and ticks produce the same
-//! completed reports under any [`ExecPolicy`](bios_platform::ExecPolicy).
+//! that defaults to [`NullClock`]. Threads the busy shards leave idle go
+//! to each shard's acquisitions: its batch fans out over them, and a
+//! parking session's other electrodes already waiting in `Sample` are
+//! acquired ahead and held until the round-robin reaches them. The same
+//! submissions and ticks produce the same completed reports, stats and
+//! tick summaries under any [`ExecPolicy`](bios_platform::ExecPolicy).
 //!
 //! # Example
 //!

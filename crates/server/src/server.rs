@@ -19,6 +19,16 @@
 //! Acquisitions are pure functions of their requests, so coalescing
 //! changes dispatch count — not one bit of any report.
 //!
+//! When a tick leaves threads idle (fewer busy shards than workers), each
+//! busy shard gets the spare ones: its batch fans out over them, and a
+//! parking session also lifts the acquisitions of its other electrodes
+//! already waiting in `Sample`
+//! ([`SessionMachine::begin_samples_ahead`]). Those results are held on
+//! the in-flight session and applied, one step and one budget unit each,
+//! when the round-robin reaches their electrode — so a lone session's
+//! electrodes are read in parallel, and its schedule, reports and tick
+//! summaries are those of the sequential tick.
+//!
 //! The request/response interface is deliberately narrow and batched —
 //! [`submit`](DiagnosticsServer::submit) in,
 //! [`drain_completed`](DiagnosticsServer::drain_completed) out, plain
@@ -32,7 +42,7 @@ use crate::error::ServerError;
 use bios_biochem::Analyte;
 use bios_platform::{
     par_map_mut, ExecPolicy, Platform, SampleRequest, SampleResult, SessionMachine, SessionOptions,
-    SessionReport,
+    SessionReport, StepKind,
 };
 use bios_units::Molar;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -307,9 +317,11 @@ pub trait TickInputs {
 }
 
 /// The production [`TickInputs`]: chaos from the installed plan (none
-/// without one), acquisitions from the simulated physics.
+/// without one), acquisitions from the simulated physics, fanned out over
+/// the threads the tick left to this shard.
 struct Physics<'c> {
     chaos: Option<&'c ChaosPlan>,
+    spare: usize,
 }
 
 impl TickInputs for Physics<'_> {
@@ -326,7 +338,7 @@ impl TickInputs for Physics<'_> {
         _devices: &[u64],
         requests: &[SampleRequest],
     ) -> Vec<SampleResult> {
-        platform.run_samples(requests, ExecPolicy::Sequential)
+        platform.run_samples(requests, ExecPolicy::Threads(self.spare))
     }
 }
 
@@ -357,6 +369,58 @@ pub struct InFlight {
     pub wake_tick: u64,
     /// Chaos: tear the session down once it has taken this many steps.
     pub abort_after: Option<u64>,
+    /// Lookahead results not yet applied, at most one per electrode.
+    held: Vec<Held>,
+}
+
+/// A lookahead acquisition, computed before the round-robin reached its
+/// electrode. Its request is keyed by `(slot, attempt)`, which fixes it
+/// within the session: nothing it reads changes while the electrode
+/// waits in `Sample`.
+#[derive(Debug, Clone)]
+struct Held {
+    request: SampleRequest,
+    result: SampleResult,
+    /// This acquisition's share of its dispatch's elapsed time.
+    latency_nanos: u64,
+}
+
+impl InFlight {
+    // advdiag::cold(per-admission construction: one session's state, built once when
+    // it leaves the queue)
+    fn admitted(
+        pending: &Pending,
+        machine: SessionMachine,
+        now: u64,
+        stall: u64,
+        abort_after: Option<u64>,
+    ) -> Self {
+        Self {
+            device: pending.device,
+            tier: pending.tier,
+            seed: pending.seed,
+            machine,
+            admitted_tick: now,
+            wake_tick: now + stall,
+            abort_after,
+            held: Vec::new(),
+        }
+    }
+
+    /// The position of the held result that answers this session's next
+    /// transition, when that transition is a `Sample` looked ahead.
+    fn held_next(&self, platform: &Platform) -> Option<usize> {
+        if self.held.is_empty() {
+            return None;
+        }
+        let step = self.machine.next_step(platform)?;
+        if step.kind != StepKind::Sample {
+            return None;
+        }
+        self.held
+            .iter()
+            .position(|h| (h.request.slot(), h.request.attempt()) == (step.slot, step.attempt))
+    }
 }
 
 /// What one shard did during one tick.
@@ -383,6 +447,8 @@ struct StepScratch {
     lanes: Vec<usize>,
     devices: Vec<u64>,
     requests: Vec<SampleRequest>,
+    /// Per batch entry: a lookahead request, held rather than applied.
+    ahead: Vec<bool>,
     finished: Vec<(usize, SessionOutcome)>,
 }
 
@@ -485,15 +551,13 @@ impl Shard {
             };
             let machine = platform.session_machine(&pending.sample, pending.seed, &pending.options);
             let (stall, abort_after) = inputs.admission(pending.device);
-            self.active.push(InFlight {
-                device: pending.device,
-                tier: pending.tier,
-                seed: pending.seed,
+            self.active.push(InFlight::admitted(
+                &pending,
                 machine,
-                admitted_tick: now,
-                wake_tick: now + stall,
+                now,
+                stall,
                 abort_after,
-            });
+            ));
         }
     }
 
@@ -505,9 +569,19 @@ impl Shard {
     /// Batching is invisible in the results: each acquisition is a pure
     /// function of its [`SampleRequest`], so every per-session transition
     /// sequence — and every served report — is bit-identical to stepping
-    /// the machines one by one. The batch itself runs sequentially inside
-    /// the shard; busy shards remain the parallel axis (no nested
-    /// parallelism).
+    /// the machines one by one.
+    ///
+    /// `spare` is the thread count the tick left to this shard. Above 1, a
+    /// parking session also lifts its other `Sample`-phase electrodes'
+    /// requests into the batch (lookahead), which the inputs fan out over
+    /// `spare` threads; their results wait on the session until the
+    /// round-robin reaches each electrode, then apply as one step and one
+    /// budget unit with no new dispatch. Shards never share a thread:
+    /// `spare` is the shard's own share of the workers.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the tick context (platform, config, inputs, clock, now, spare) plus the summary it fills"
+    )]
     fn step_active(
         &mut self,
         platform: &Platform,
@@ -515,6 +589,7 @@ impl Shard {
         inputs: &mut dyn TickInputs,
         clock: &dyn Clock,
         now: u64,
+        spare: usize,
         tick: &mut ShardTick,
     ) {
         let lane_count = self.active.len();
@@ -563,9 +638,11 @@ impl Shard {
             let lanes = &mut scratch.lanes;
             let devices = &mut scratch.devices;
             let requests = &mut scratch.requests;
+            let ahead = &mut scratch.ahead;
             lanes.clear();
             devices.clear();
             requests.clear();
+            ahead.clear();
             for idx in 0..lane_count {
                 if stopped[idx] {
                     continue;
@@ -589,13 +666,50 @@ impl Shard {
                             break;
                         }
                     }
-                    if session.machine.next_is_sample() {
-                        if let Some(request) = session.machine.begin_sample(platform) {
-                            lanes.push(idx);
-                            devices.push(session.device);
-                            requests.push(request);
+                    if let Some(pos) = session.held_next(platform) {
+                        // A lookahead result: apply it as this step, with
+                        // no dispatch, exactly as a batched result.
+                        let held = session.held.swap_remove(pos);
+                        debug_assert_eq!(
+                            session.machine.begin_sample(platform).as_ref(),
+                            Some(&held.request),
+                            "a held request changed while its electrode waited"
+                        );
+                        self.latencies_nanos.push(held.latency_nanos);
+                        tick.steps += 1;
+                        budgets[idx] -= 1;
+                        if let Err(e) =
+                            session
+                                .machine
+                                .complete_sample(platform, &held.request, held.result)
+                        {
+                            outcomes[idx] = Some(SessionOutcome::Failed {
+                                error: e.to_string(),
+                            });
+                            stopped[idx] = true;
                             break;
                         }
+                        continue;
+                    }
+                    if let Some(request) = session.machine.begin_sample(platform) {
+                        lanes.push(idx);
+                        devices.push(session.device);
+                        requests.push(request);
+                        ahead.push(false);
+                        if spare > 1 {
+                            // Nothing is held here: a held electrode waits in
+                            // `Sample`, so the round-robin applies it before
+                            // any electrode that entered `Sample` after the
+                            // lookahead can park.
+                            debug_assert!(session.held.is_empty(), "parked while holding");
+                            let before = requests.len();
+                            requests.extend(session.machine.begin_samples_ahead(platform));
+                            let lifted = requests.len() - before;
+                            lanes.resize(lanes.len() + lifted, idx);
+                            devices.resize(devices.len() + lifted, session.device);
+                            ahead.resize(ahead.len() + lifted, true);
+                        }
+                        break;
                     }
                     let t0 = clock.now_nanos();
                     let event = session.machine.step(platform);
@@ -623,19 +737,27 @@ impl Shard {
             if requests.is_empty() {
                 break;
             }
-            // One dispatch serves every parked session's acquisition;
-            // latency is attributed evenly across the batch.
+            // One dispatch serves every parked session's acquisition and
+            // every lookahead; latency is attributed evenly across them.
             let t0 = clock.now_nanos();
             let results = inputs.acquire_batch(platform, devices, requests);
             let elapsed = clock.now_nanos().saturating_sub(t0);
             let per_sample = elapsed / requests.len() as u64;
-            for ((idx, request), result) in lanes.iter().copied().zip(requests.iter()).zip(results)
-            {
+            let batch = lanes.iter().zip(ahead.iter()).zip(requests.drain(..));
+            for (((&idx, &ahead), request), result) in batch.zip(results) {
                 let session = &mut self.active[idx];
+                if ahead {
+                    session.held.push(Held {
+                        request,
+                        result,
+                        latency_nanos: per_sample,
+                    });
+                    continue;
+                }
                 self.latencies_nanos.push(per_sample);
                 tick.steps += 1;
                 budgets[idx] -= 1;
-                if let Err(e) = session.machine.complete_sample(platform, request, result) {
+                if let Err(e) = session.machine.complete_sample(platform, &request, result) {
                     outcomes[idx] = Some(SessionOutcome::Failed {
                         error: e.to_string(),
                     });
@@ -731,7 +853,8 @@ impl Shard {
         }
     }
 
-    /// One full shard tick: shed, admit, step, harvest.
+    /// One full shard tick: shed, admit, step, harvest. `spare` is the
+    /// thread count left to this shard (see [`Self::step_active`]).
     fn tick(
         &mut self,
         platform: &Platform,
@@ -739,11 +862,12 @@ impl Shard {
         inputs: &mut dyn TickInputs,
         clock: &dyn Clock,
         now: u64,
+        spare: usize,
     ) -> ShardTick {
         let mut summary = ShardTick::default();
         self.shed_excess(config.shed_watermark, &mut summary);
         self.admit(platform, config, inputs, now);
-        self.step_active(platform, config, inputs, clock, now, &mut summary);
+        self.step_active(platform, config, inputs, clock, now, spare, &mut summary);
         summary
     }
 }
@@ -771,8 +895,10 @@ impl<'p> DiagnosticsServer<'p> {
 
     /// A server whose sessions all run under `options` (QC gate, retry
     /// policy, optional base fault plan). The server forces the
-    /// per-session exec policy to sequential — parallelism lives at the
-    /// shard level, one session machine is stepped by exactly one worker.
+    /// per-session exec policy to sequential: a session machine is stepped
+    /// by exactly one worker, and the tick alone decides how acquisitions
+    /// fan out — over busy shards, then over the threads each busy shard
+    /// is left.
     pub fn with_options(
         platform: &'p Platform,
         config: ServerConfig,
@@ -873,7 +999,9 @@ impl<'p> DiagnosticsServer<'p> {
     /// excess queue, admits work, and steps its in-flight sessions.
     /// Busy shards (queued or in-flight work) fan out across the execution
     /// engine, so a lone busy shard ticks inline with no spawn; an idle
-    /// shard's tick would do nothing, so it is skipped. The outcome is
+    /// shard's tick would do nothing, so it is skipped. Each busy shard is
+    /// left `max(1, threads / busy shards)` threads for its acquisitions
+    /// and their lookahead, so nothing is oversubscribed. The outcome is
     /// bit-identical for any [`ExecPolicy`].
     pub fn tick(&mut self, clock: &dyn Clock) -> TickSummary {
         let platform = self.platform;
@@ -882,8 +1010,16 @@ impl<'p> DiagnosticsServer<'p> {
         let now = self.now;
         // advdiag::allow(H1, at most one borrow per shard per tick; a stored scratch vector cannot hold borrows of the shards it sits beside)
         let mut busy: Vec<&mut Shard> = self.shards.iter_mut().filter(|s| s.has_work()).collect();
+        let spare = (config.exec.threads_for(usize::MAX) / busy.len().max(1)).max(1);
         let ticks = par_map_mut(config.exec, &mut busy, |_, shard| {
-            shard.tick(platform, config, &mut Physics { chaos }, clock, now)
+            shard.tick(
+                platform,
+                config,
+                &mut Physics { chaos, spare },
+                clock,
+                now,
+                spare,
+            )
         });
         let mut summary = TickSummary::default();
         for t in ticks {
@@ -895,7 +1031,9 @@ impl<'p> DiagnosticsServer<'p> {
 
     /// Ticks shard `shard` alone at the current virtual tick, drawing
     /// chaos and acquisition results from `inputs` — the per-shard tick
-    /// [`tick`](Self::tick) fans out. The clock does not move: call
+    /// [`tick`](Self::tick) fans out, with no spare threads: it never
+    /// looks ahead, so `inputs` sees exactly the request sequence of a
+    /// sequential tick. The clock does not move: call
     /// [`end_tick`](Self::end_tick) once every shard has ticked. `None`
     /// when `shard` is out of range.
     pub fn tick_shard(
@@ -904,10 +1042,14 @@ impl<'p> DiagnosticsServer<'p> {
         clock: &dyn Clock,
         inputs: &mut dyn TickInputs,
     ) -> Option<TickSummary> {
-        let t =
-            self.shards
-                .get_mut(shard)?
-                .tick(self.platform, &self.config, inputs, clock, self.now);
+        let t = self.shards.get_mut(shard)?.tick(
+            self.platform,
+            &self.config,
+            inputs,
+            clock,
+            self.now,
+            1,
+        );
         let mut summary = TickSummary::default();
         self.record(t, &mut summary);
         Some(summary)
@@ -1408,10 +1550,224 @@ mod tests {
                 &mut UndrawnInputs,
                 &UnreadClock,
                 server.now(),
+                4,
             );
             assert_eq!(t, ShardTick::default());
             assert_eq!(carried_state(&ticked), carried_state(&shard));
         }
+    }
+
+    /// Everything a served run shows from outside: every tick's summary,
+    /// the served sessions, the counters, the clock and the number of
+    /// latency samples.
+    #[derive(Debug, PartialEq)]
+    struct Served {
+        ticks: Vec<TickSummary>,
+        completed: Vec<CompletedSession>,
+        stats: ServerStats,
+        now: u64,
+        latencies: usize,
+    }
+
+    /// Submits each wave once the server is idle and ticks it to idle,
+    /// checking after every tick that held results stay within one per
+    /// waiting electrode and leave with their session. Returns what was
+    /// served and the largest held count seen.
+    fn serve_waves(server: &mut DiagnosticsServer<'_>, waves: &[&[u64]]) -> (Served, usize) {
+        let electrodes = server.platform.assignments().len();
+        let mut ticks = Vec::new();
+        let mut most_held = 0;
+        for (w, wave) in waves.iter().enumerate() {
+            for &device in *wave {
+                server
+                    .submit(request(
+                        device,
+                        ServiceTier::Routine,
+                        4000 + 97 * w as u64 + device,
+                    ))
+                    .expect("admitted");
+            }
+            while !server.is_idle() && server.now() < 100_000 {
+                ticks.push(server.tick(&NullClock));
+                for lane in server.shards.iter().flat_map(|s| &s.active) {
+                    assert!(lane.held.len() < electrodes, "{} held", lane.held.len());
+                    most_held = most_held.max(lane.held.len());
+                }
+            }
+            let held: usize = (server.shards.iter().flat_map(|s| &s.active))
+                .map(|l| l.held.len())
+                .sum();
+            assert_eq!(held, 0, "an idle server holds nothing");
+        }
+        let stats = server.stats();
+        let latencies = server.drain_latencies().len();
+        let served = Served {
+            ticks,
+            completed: server.drain_completed(),
+            stats,
+            now: server.now(),
+            latencies,
+        };
+        (served, most_held)
+    }
+
+    #[test]
+    fn lookahead_is_invisible_in_every_served_outcome() {
+        use bios_afe::{Fault, FaultKind, FaultPlan};
+
+        let p = platform();
+        let lone: &[&[u64]] = &[&[1], &[2], &[3]];
+        let mixed: &[&[u64]] = &[&[0], &[1, 2], &[3, 4, 5, 6], &[7, 8, 9, 10, 11, 12, 13, 14]];
+        // A dead WE0 fails QC on every attempt: retries, backoff sleeps,
+        // quarantine.
+        let dead_we0 = || {
+            SessionOptions::default().with_fault_plan(FaultPlan::new(3).with_fault(
+                0,
+                Fault::immediate(FaultKind::ElectrodeOpen, 1.0).expect("valid"),
+            ))
+        };
+        type Build<'a> = Box<dyn Fn(ExecPolicy) -> DiagnosticsServer<'a> + 'a>;
+        let base = |exec: ExecPolicy| ServerConfig::default().with_shards(2).with_exec(exec);
+        let scenarios: Vec<(&str, &[&[u64]], Build<'_>)> = vec![
+            (
+                "lone clean",
+                lone,
+                Box::new(|e| DiagnosticsServer::new(&p, base(e))),
+            ),
+            (
+                "faulted retries",
+                mixed,
+                Box::new(|e| DiagnosticsServer::with_options(&p, base(e), dead_we0())),
+            ),
+            (
+                "chaos afe faults",
+                mixed,
+                Box::new(|e| {
+                    DiagnosticsServer::new(&p, base(e))
+                        .with_chaos(ChaosPlan::new(21).with_afe_faults(0.6))
+                }),
+            ),
+            (
+                "chaos stalls and aborts",
+                mixed,
+                Box::new(|e| {
+                    DiagnosticsServer::new(&p, base(e))
+                        .with_chaos(ChaosPlan::new(5).with_stalls(0.4, 3).with_aborts(0.3))
+                }),
+            ),
+            // Two steps a tick: the lookahead lands on tick 5, and the cut
+            // on tick 6 drops a result still held.
+            (
+                "deadline cut while holding",
+                lone,
+                Box::new(|e| {
+                    let config = base(e).with_steps_per_tick(2).with_deadline_ticks(6);
+                    DiagnosticsServer::new(&p, config)
+                }),
+            ),
+            (
+                "deadline cut after holding",
+                mixed,
+                Box::new(|e| DiagnosticsServer::new(&p, base(e).with_deadline_ticks(3))),
+            ),
+        ];
+        for (name, waves, build) in &scenarios {
+            let (reference, held) = serve_waves(&mut build(ExecPolicy::Sequential), waves);
+            assert_eq!(held, 0, "{name}: a sequential tick never looks ahead");
+            assert_eq!(reference.latencies as u64, reference.stats.steps, "{name}");
+            if name.starts_with("deadline") {
+                assert!(reference.stats.deadline_misses > 0, "{name}");
+            }
+            for threads in [2, 4] {
+                let (got, held) = serve_waves(&mut build(ExecPolicy::Threads(threads)), waves);
+                assert!(held > 0, "{name}: threads = {threads} never looked ahead");
+                assert_eq!(got, reference, "{name}: threads = {threads}");
+            }
+        }
+    }
+
+    /// Tick inputs that serve the physics sequentially and record every
+    /// batch as `(device, slot, attempt)` triples.
+    #[derive(Default)]
+    struct Recording {
+        batches: Vec<Vec<(u64, usize, usize)>>,
+    }
+
+    impl TickInputs for Recording {
+        fn admission(&mut self, _: u64) -> (u64, Option<u64>) {
+            (0, None)
+        }
+
+        fn acquire_batch(
+            &mut self,
+            platform: &Platform,
+            devices: &[u64],
+            requests: &[SampleRequest],
+        ) -> Vec<SampleResult> {
+            self.batches.push(
+                devices
+                    .iter()
+                    .zip(requests)
+                    .map(|(&d, r)| (d, r.slot(), r.attempt()))
+                    .collect(),
+            );
+            platform.run_samples(requests, ExecPolicy::Sequential)
+        }
+    }
+
+    #[test]
+    fn tick_shard_never_looks_ahead() {
+        let p = platform();
+        let run = |exec: ExecPolicy| {
+            let mut server = DiagnosticsServer::new(&p, ServerConfig::default().with_exec(exec));
+            for k in [0, 1, 5] {
+                server
+                    .submit(request(k, ServiceTier::Routine, 60 + k))
+                    .expect("admitted");
+            }
+            let mut inputs = Recording::default();
+            let mut ticks = Vec::new();
+            while !server.is_idle() && server.now() < 10_000 {
+                for shard in 0..server.shards().len() {
+                    ticks.push(server.tick_shard(shard, &NullClock, &mut inputs));
+                }
+                server.end_tick();
+            }
+            (
+                inputs.batches,
+                ticks,
+                server.drain_completed(),
+                server.stats(),
+            )
+        };
+        let sequential = run(ExecPolicy::Sequential);
+        let mut seen = 0;
+        for batch in &sequential.0 {
+            for (k, &(device, _, _)) in batch.iter().enumerate() {
+                assert!(
+                    !batch[k + 1..].iter().any(|&(d, _, _)| d == device),
+                    "one session, one request per batch: {batch:?}"
+                );
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, 15, "every electrode of 3 clean sessions sampled once");
+        assert_eq!(run(ExecPolicy::Threads(4)), sequential);
+        // The same schedule `tick` serves under the sequential policy.
+        let mut server = DiagnosticsServer::new(
+            &p,
+            ServerConfig::default().with_exec(ExecPolicy::Sequential),
+        );
+        for k in [0, 1, 5] {
+            server
+                .submit(request(k, ServiceTier::Routine, 60 + k))
+                .expect("admitted");
+        }
+        server.run_until_idle(&NullClock, 10_000);
+        assert_eq!(
+            (server.drain_completed(), server.stats()),
+            (sequential.2, sequential.3)
+        );
     }
 
     #[test]
