@@ -4,16 +4,12 @@
 //! asserts the rule fires, then asserts an inline
 //! `// advdiag::allow(ID, reason)` suppresses it. Also exercises the
 //! crate-applicability exemptions (the bench harness and
-//! `bios-platform::exec`), the auto-fix engine (rewrites land, fixpoint
-//! is idempotent), and the live workspace, which must lint with zero
-//! findings.
+//! `bios-platform::exec`) and the live workspace, which must lint with
+//! zero findings.
 
 use std::path::Path;
 
-use bios_lint::fixer::{fix_source, unified_diff};
-use bios_lint::{
-    lint_files, lint_source, lint_workspace, FileContext, FixSafety, MemFile, RULE_IDS,
-};
+use bios_lint::{lint_files, lint_source, lint_workspace, FileContext, MemFile, RULE_IDS};
 
 /// A seeded violation: where it lives, the offending code, and the rule it
 /// must trigger.
@@ -267,45 +263,6 @@ fn main() {
         }
         println!("    workspace: {} finding(s)", findings.len());
         check("live workspace is clean", findings.is_empty());
-    }
-
-    // 6. The auto-fix engine: machine-applicable rewrites land, the
-    //    fixpoint is idempotent, and nothing fixable is left behind.
-    {
-        let ctx = FileContext {
-            crate_name: "bios-electrochem",
-            rel_path: "crates/electrochem/src/seeded.rs",
-        };
-        let src = "fn classify(x: f64) -> bool {\n    x == 0.5\n}\n\
-             // advdiag::allow(F1, long since fixed)\nfn settled() {}\n";
-        let (fixed, applied) = fix_source(&ctx, src);
-        check("fixer applies machine-applicable rewrites", applied >= 2);
-        check(
-            "F1 comparison rewritten to total_cmp",
-            fixed.contains("x.total_cmp(&0.5).is_eq()"),
-        );
-        check(
-            "stale allow deleted by W0 fix",
-            !fixed.contains("advdiag::allow"),
-        );
-        let (again, more) = fix_source(&ctx, &fixed);
-        check("fix fixpoint is idempotent", more == 0 && again == fixed);
-        let leftovers = lint_source(&ctx, &fixed)
-            .into_iter()
-            .filter(|f| {
-                f.fix
-                    .as_ref()
-                    .is_some_and(|fx| fx.safety == FixSafety::MachineApplicable)
-            })
-            .count();
-        check(
-            "no machine-applicable debt survives the fixpoint",
-            leftovers == 0,
-        );
-        check(
-            "unified diff renders the rewrite",
-            unified_diff(ctx.rel_path, src, &fixed).contains("-    x == 0.5"),
-        );
     }
 
     println!(

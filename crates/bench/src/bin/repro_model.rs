@@ -26,15 +26,14 @@
 //! Writes `BENCH_9.json` (`--json <path>` overrides) with canonical
 //! states/sec, dedup ratio and interleaving counts, plus the two
 //! counterexample artifacts (`model_cx_session.json`,
-//! `model_cx_server.json`). `--emit-dot <path>` additionally renders
-//! the small universe's state graph to Graphviz, terminal states
-//! colored by outcome.
+//! `model_cx_server.json`). Any other argument is a usage error (exit
+//! 2) before anything is explored.
 
 use std::time::Instant;
 
 use bios_model::{
-    explore, render_dot, ExploreLimits, ExploreReport, Interleave, MRequest, MVerdict, Mutation,
-    ServerModel, ServerModelConfig, SessionModel, SessionModelConfig, TraceArtifact,
+    explore, ExploreLimits, ExploreReport, Interleave, MRequest, MVerdict, Mutation, ServerModel,
+    ServerModelConfig, SessionModel, SessionModelConfig, TraceArtifact,
 };
 use bios_platform::RetryPolicy;
 use bios_server::ServiceTier;
@@ -77,8 +76,8 @@ fn flagship_config() -> ServerModelConfig {
         .with_abort_choices(vec![None, Some(2), Some(5)])
 }
 
-/// The small universe used for the full-vs-pruned twin and the DOT
-/// artifact: two sessions, two shards, binary verdicts, no chaos.
+/// The small universe used for the full-vs-pruned twin: two sessions,
+/// two shards, binary verdicts, no chaos.
 fn twin_config(interleave: Interleave) -> ServerModelConfig {
     let session = SessionModelConfig::new(1, model_retry(1))
         .with_alphabet(vec![MVerdict::Pass, MVerdict::Fail]);
@@ -95,11 +94,13 @@ fn twin_config(interleave: Interleave) -> ServerModelConfig {
     ServerModelConfig::new(2, requests, session).with_interleave(interleave)
 }
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The `BENCH_9.json` path: `--json <path>` is the only argument.
+fn parse_args(args: &[String]) -> Result<String, String> {
+    match args {
+        [] => Ok("BENCH_9.json".to_string()),
+        [flag, path] if flag == "--json" => Ok(path.clone()),
+        _ => Err(format!("unrecognised arguments {args:?}")),
+    }
 }
 
 fn explore_server(cfg: ServerModelConfig, limits: &ExploreLimits) -> Option<ExploreReport> {
@@ -127,6 +128,14 @@ fn replay_from_disk(artifact: &TraceArtifact, path: &str) -> Result<(), String> 
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let json_path = match parse_args(&args) {
+        Ok(path) => path,
+        Err(msg) => {
+            eprintln!("repro_model: {msg}\nusage: repro_model [--json PATH]");
+            std::process::exit(2);
+        }
+    };
     bios_bench::banner("repro_model — protocol model checker self-test");
     let mut failures = 0u32;
     let mut check = |name: &str, ok: bool| {
@@ -294,27 +303,6 @@ fn main() {
         }
     }
 
-    // Optional DOT artifact: the small universe with the graph recorded.
-    if let Some(dot_path) = arg_value("--emit-dot") {
-        let graph_limits = ExploreLimits {
-            record_graph: true,
-            ..ExploreLimits::default()
-        };
-        match explore_server(twin_config(Interleave::Pruned), &graph_limits) {
-            Some(report) => match report.graph {
-                Some(graph) => {
-                    let dot = render_dot(&graph, "bios-model: pruned server universe");
-                    match std::fs::write(&dot_path, &dot) {
-                        Ok(()) => println!("    wrote {dot_path} ({} nodes)", graph.nodes.len()),
-                        Err(e) => check(&format!("write {dot_path}: {e}"), false),
-                    }
-                }
-                None => check("state graph recorded", false),
-            },
-            None => check("state graph run constructs", false),
-        }
-    }
-
     let dedup_ratio = if states > 0 {
         dedup_hits as f64 / (states + dedup_hits) as f64
     } else {
@@ -328,7 +316,6 @@ fn main() {
             0.0
         },
     );
-    let json_path = arg_value("--json").unwrap_or_else(|| "BENCH_9.json".to_string());
     match std::fs::write(&json_path, &json) {
         Ok(()) => println!("    wrote {json_path}"),
         Err(e) => check(&format!("write {json_path}: {e}"), false),

@@ -413,12 +413,10 @@ impl Platform {
     /// engine) cannot change any session's outcome.
     pub fn run_samples(&self, requests: &[SampleRequest], policy: ExecPolicy) -> Vec<SampleResult> {
         par_map(policy, requests, |_, req| {
-            let chain = self.assignment_chain(&self.assignments[req.slot], &req.options);
             self.measure_assignment(
                 req.slot,
                 &req.sample,
                 &req.interferents,
-                &chain,
                 &req.options,
                 req.reference_noise,
                 req.attempt_seed,
@@ -551,9 +549,18 @@ impl Platform {
         }
     }
 
-    /// The per-electrode base seed every attempt seed derives from.
-    pub(crate) fn we_seed(seed: u64, we: usize) -> u64 {
-        seed.wrapping_add(17 * (we as u64 + 1))
+    /// The seed acquisition `attempt` (0-based) on the assignment in
+    /// `slot` measures with: the session `seed` offset per electrode,
+    /// then strided per attempt by `options.retry`.
+    pub(crate) fn attempt_seed(
+        &self,
+        seed: u64,
+        slot: usize,
+        attempt: usize,
+        options: &SessionOptions,
+    ) -> u64 {
+        let we_seed = seed.wrapping_add(17 * (self.assignments[slot].index as u64 + 1));
+        options.retry.attempt_seed(we_seed, attempt)
     }
 
     /// The readout chain electrode `assignment` measures through: the
@@ -688,12 +695,13 @@ impl Platform {
         }
     }
 
-    /// One acquisition on the assignment in `slot`: runs its planned
-    /// protocol against the (possibly faulted) chain and screens the
-    /// measurement through the session's QC gate. The plan is computed on
-    /// the slot's first acquisition and read from the commissioning
-    /// record thereafter.
-    #[allow(clippy::too_many_arguments)]
+    /// One acquisition on the assignment in `slot` — the inline `Sample`
+    /// transition and every batched request run exactly this: build the
+    /// (possibly faulted) chain, run the planned protocol against it with
+    /// `seed` (see [`Self::attempt_seed`]), and screen the measurement
+    /// through the session's QC gate. The plan is computed on the slot's
+    /// first acquisition and read from the commissioning record
+    /// thereafter.
     // advdiag::cold(whole-acquisition entry: one call simulates a full experiment;
     // everything below runs at per-acquisition cadence by contract)
     pub(crate) fn measure_assignment(
@@ -701,12 +709,12 @@ impl Platform {
         slot: usize,
         sample: &[(Analyte, Molar)],
         interferents: &[(Interferent, Molar)],
-        chain: &ReadoutChain,
         options: &SessionOptions,
         reference_noise: Option<Amps>,
         seed: u64,
     ) -> Result<(Vec<TargetReading>, QcVerdict), PlatformError> {
         let assignment = &self.assignments[slot];
+        let chain = &self.assignment_chain(assignment, options);
         let plan = &self.commissioning.plans[slot];
         let base = self.base_chain(assignment);
         let full_scale = chain.config().full_scale_current();

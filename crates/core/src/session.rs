@@ -229,17 +229,13 @@ impl WeMachine {
                 Ok(StepEvent::Progressed(descriptor))
             }
             StepKind::Sample => {
-                let we_seed = Platform::we_seed(seed, assignment.index());
-                let attempt_seed = options.retry.attempt_seed(we_seed, self.attempt);
-                let chain = platform.assignment_chain(assignment, options);
                 let outcome = platform.measure_assignment(
                     self.slot,
                     sample,
                     interferents,
-                    &chain,
                     options,
                     self.reference_noise,
-                    attempt_seed,
+                    platform.attempt_seed(seed, self.slot, self.attempt, options),
                 );
                 self.absorb_sample(outcome)?;
                 Ok(StepEvent::Progressed(descriptor))
@@ -605,14 +601,11 @@ impl SessionMachine {
     // once per parked acquisition, not per step)
     fn sample_request_for(&self, platform: &Platform, slot: usize) -> SampleRequest {
         let m = &self.machines[slot];
-        let assignment = &platform.assignments()[slot];
-        let we_seed = Platform::we_seed(self.seed, assignment.index());
-        let attempt_seed = self.options.retry.attempt_seed(we_seed, m.attempt);
         SampleRequest {
             slot,
             attempt: m.attempt,
             reference_noise: m.reference_noise,
-            attempt_seed,
+            attempt_seed: platform.attempt_seed(self.seed, slot, m.attempt, &self.options),
             sample: self.sample.clone(),
             interferents: self.interferents.clone(),
             options: self.options.clone(),

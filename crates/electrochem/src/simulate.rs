@@ -36,6 +36,49 @@ impl Default for SimOptions {
     }
 }
 
+/// The time discretization both drivers step on.
+struct TimeGrid {
+    dt: Seconds,
+    duration: Seconds,
+    steps: usize,
+    grid: Grid,
+}
+
+/// Resolves the step (`options.dt`, else the program's suggestion), the
+/// step count, and a spatial grid sized for the faster-diffusing species
+/// over the whole program.
+fn time_grid(
+    couple: &RedoxCouple,
+    program: &PotentialProgram,
+    options: SimOptions,
+) -> Result<TimeGrid, ElectrochemError> {
+    let dt = options.dt.unwrap_or_else(|| program.suggested_dt());
+    if dt.value() <= 0.0 {
+        return Err(ElectrochemError::invalid("dt", "must be positive"));
+    }
+    let duration = program.duration();
+    let steps = (duration.value() / dt.value()).round() as usize;
+    if steps == 0 {
+        return Err(ElectrochemError::EmptyProgram);
+    }
+    let d_max = couple
+        .diffusion_ox()
+        .value()
+        .max(couple.diffusion_red().value());
+    let grid = Grid::for_experiment_with(
+        bios_units::DiffusionCoefficient::new(d_max),
+        duration,
+        dt,
+        options.grid_gamma.unwrap_or(Grid::DEFAULT_GAMMA),
+    )?;
+    Ok(TimeGrid {
+        dt,
+        duration,
+        steps,
+        grid,
+    })
+}
+
 /// Shared stepping core for both drivers.
 ///
 /// Sign convention: the diffusion flux is positive for net *reduction*
@@ -57,25 +100,12 @@ fn run<F: FnMut(Seconds, bios_units::Volts, Amps)>(
             "must be non-negative",
         ));
     }
-    let dt = options.dt.unwrap_or_else(|| program.suggested_dt());
-    if dt.value() <= 0.0 {
-        return Err(ElectrochemError::invalid("dt", "must be positive"));
-    }
-    let duration = program.duration();
-    let steps = (duration.value() / dt.value()).round() as usize;
-    if steps == 0 {
-        return Err(ElectrochemError::EmptyProgram);
-    }
-    let d_max = couple
-        .diffusion_ox()
-        .value()
-        .max(couple.diffusion_red().value());
-    let grid = Grid::for_experiment_with(
-        bios_units::DiffusionCoefficient::new(d_max),
-        duration,
+    let TimeGrid {
         dt,
-        options.grid_gamma.unwrap_or(Grid::DEFAULT_GAMMA),
-    )?;
+        duration,
+        steps,
+        grid,
+    } = time_grid(couple, program, options)?;
     let mut sim = DiffusionSim::new(
         grid,
         couple.diffusion_ox(),
@@ -238,25 +268,12 @@ pub fn simulate_chrono_fleet(
             "must be non-negative",
         ));
     }
-    let dt = options.dt.unwrap_or_else(|| program.suggested_dt());
-    if dt.value() <= 0.0 {
-        return Err(ElectrochemError::invalid("dt", "must be positive"));
-    }
-    let duration = program.duration();
-    let steps = (duration.value() / dt.value()).round() as usize;
-    if steps == 0 {
-        return Err(ElectrochemError::EmptyProgram);
-    }
-    let d_max = couple
-        .diffusion_ox()
-        .value()
-        .max(couple.diffusion_red().value());
-    let grid = Grid::for_experiment_with(
-        bios_units::DiffusionCoefficient::new(d_max),
-        duration,
+    let TimeGrid {
         dt,
-        options.grid_gamma.unwrap_or(Grid::DEFAULT_GAMMA),
-    )?;
+        duration,
+        steps,
+        grid,
+    } = time_grid(couple, program, options)?;
     let bulks: Vec<(bios_units::MolesPerCm3, bios_units::MolesPerCm3)> = bulk_ox
         .iter()
         .zip(bulk_red)

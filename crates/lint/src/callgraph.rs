@@ -113,11 +113,6 @@ impl CallGraph {
         self.defs.get(name).copied().unwrap_or(0)
     }
 
-    /// The declared roots, in sorted order.
-    pub fn roots(&self) -> impl Iterator<Item = &str> {
-        self.roots.keys().map(String::as_str)
-    }
-
     /// Computes the hot region with cadence levels: every name reachable
     /// from the declared roots under the multiplicity/cold rules, mapped
     /// to the highest [`Level`] any path assigns it. Deterministic (BTree

@@ -33,7 +33,6 @@
 //! types it names alive until it is narrowed itself.
 
 use crate::ast::{Item, ItemKind};
-use crate::callgraph::Level;
 use crate::lexer::{lex, Lexed, Token, TokenKind};
 use crate::parser::parse_items;
 use crate::rules::Finding;
@@ -106,89 +105,6 @@ pub struct DepEdge {
     pub file: String,
     pub line: u32,
     pub col: u32,
-}
-
-/// The hot region inferred by [`crate::hotpath`], carried on the graph so
-/// `--emit-dot` can overlay it: declared roots (kernel entries, markers,
-/// `par_map*` closures) and every function name the call-graph fixpoint
-/// reached from them.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HotOverlay {
-    /// Declared hot roots that resolved to a workspace definition, sorted.
-    pub roots: Vec<String>,
-    /// The full hot set (roots included), each name with its cadence.
-    pub hot: BTreeMap<String, Level>,
-}
-
-/// The workspace crate dependency graph.
-#[derive(Debug, Default)]
-pub struct DepGraph {
-    /// Deduplicated edges, sorted by `(from, to, file)`.
-    pub edges: Vec<DepEdge>,
-    /// Hot-region overlay, when the hot-path analysis ran.
-    pub hot: Option<HotOverlay>,
-}
-
-impl DepGraph {
-    /// Renders the graph as Graphviz DOT, layers as `rank` labels, with
-    /// upward (violating) edges highlighted. When a [`HotOverlay`] is
-    /// attached, the hot region renders as a colored cluster: roots in
-    /// red (labelled `(root)`), reached functions in orange.
-    /// Deterministic output.
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph bios_layers {\n    rankdir=BT;\n");
-        let mut nodes: BTreeSet<&str> = BTreeSet::new();
-        for e in &self.edges {
-            nodes.insert(&e.from);
-            nodes.insert(&e.to);
-        }
-        for n in &nodes {
-            match layer_of(n) {
-                Some(l) => out.push_str(&format!("    \"{n}\" [label=\"{n}\\nlayer {l}\"];\n")),
-                None => out.push_str(&format!("    \"{n}\" [label=\"{n}\\nunconstrained\"];\n")),
-            }
-        }
-        let mut seen: BTreeSet<(&str, &str)> = BTreeSet::new();
-        for e in &self.edges {
-            if !seen.insert((&e.from, &e.to)) {
-                continue;
-            }
-            let upward = matches!(
-                (layer_of(&e.from), layer_of(&e.to)),
-                (Some(f), Some(t)) if t > f
-            );
-            if upward {
-                out.push_str(&format!(
-                    "    \"{}\" -> \"{}\" [color=red, penwidth=2];\n",
-                    e.from, e.to
-                ));
-            } else {
-                out.push_str(&format!("    \"{}\" -> \"{}\";\n", e.from, e.to));
-            }
-        }
-        if let Some(hot) = &self.hot {
-            out.push_str("    subgraph cluster_hot {\n");
-            out.push_str("        label=\"hot region (H1-H4)\";\n");
-            out.push_str("        style=filled;\n        color=\"#fff3e0\";\n");
-            let roots: BTreeSet<&str> = hot.roots.iter().map(String::as_str).collect();
-            for name in hot.hot.keys() {
-                if roots.contains(name.as_str()) {
-                    out.push_str(&format!(
-                        "        \"fn {name}\" [label=\"{name}\\n(root)\", style=filled, \
-                         fillcolor=\"#ef5350\", shape=box];\n"
-                    ));
-                } else {
-                    out.push_str(&format!(
-                        "        \"fn {name}\" [label=\"{name}\", style=filled, \
-                         fillcolor=\"#ffb74d\", shape=box];\n"
-                    ));
-                }
-            }
-            out.push_str("    }\n");
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 /// The workspace-relevant facts of ONE file, extracted independently of
@@ -467,9 +383,8 @@ fn close_of(toks: &[&Token], open: usize) -> usize {
 }
 
 /// Runs both workspace analyses over every file. Returns raw findings
-/// (excerpts unfilled, suppressions unapplied — the caller owns those)
-/// plus the dependency graph for the DOT artifact.
-pub fn analyze(files: &[MemFile]) -> (Vec<Finding>, DepGraph) {
+/// (excerpts unfilled, suppressions unapplied — the caller owns those).
+pub fn analyze(files: &[MemFile]) -> Vec<Finding> {
     let facts: Vec<(String, String, bool, FileFacts)> = files
         .iter()
         .map(|f| {
@@ -501,8 +416,8 @@ pub fn analyze(files: &[MemFile]) -> (Vec<Finding>, DepGraph) {
 }
 
 /// The pure workspace-analysis phase over pre-extracted facts: builds
-/// the dependency graph and runs A1/A2.
-pub fn analyze_facts(files: &[FactsRef<'_>]) -> (Vec<Finding>, DepGraph) {
+/// the dependency edges and runs A1/A2.
+pub fn analyze_facts(files: &[FactsRef<'_>]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut edges = Vec::new();
     for f in files.iter().filter(|f| f.lintable) {
@@ -517,15 +432,14 @@ pub fn analyze_facts(files: &[FactsRef<'_>]) -> (Vec<Finding>, DepGraph) {
         }
     }
     edges.sort_by(|a, b| (&a.from, &a.to, &a.file).cmp(&(&b.from, &b.to, &b.file)));
-    let graph = DepGraph { edges, hot: None };
-    rule_a1(&graph, &mut findings);
+    rule_a1(&edges, &mut findings);
     rule_a2_facts(files, &mut findings);
-    (findings, graph)
+    findings
 }
 
 /// A1: upward edges between constrained crates are layering violations.
-fn rule_a1(graph: &DepGraph, findings: &mut Vec<Finding>) {
-    for e in &graph.edges {
+fn rule_a1(edges: &[DepEdge], findings: &mut Vec<Finding>) {
+    for e in edges {
         let (Some(from_layer), Some(to_layer)) = (layer_of(&e.from), layer_of(&e.to)) else {
             continue;
         };
@@ -544,7 +458,6 @@ fn rule_a1(graph: &DepGraph, findings: &mut Vec<Finding>) {
                     e.from, from_layer, e.to, to_layer
                 ),
                 excerpt: String::new(),
-                fix: None,
             });
         }
     }
@@ -605,7 +518,6 @@ fn rule_a2_facts(files: &[FactsRef<'_>], findings: &mut Vec<Finding>) {
                         p.kind, p.name, f.crate_name
                     ),
                     excerpt: String::new(),
-                    fix: None,
                 });
             }
         }
@@ -674,8 +586,7 @@ mod tests {
 
     /// Names A2 reports over `files`.
     fn a2_names(files: &[MemFile]) -> Vec<String> {
-        let (findings, _) = analyze(files);
-        findings
+        analyze(files)
             .iter()
             .filter(|f| f.rule == "A2")
             .map(|f| f.message.split('`').nth(1).unwrap_or("").to_string())
@@ -696,12 +607,11 @@ mod tests {
                 "use bios_electrochem::waveform::Waveform;\n",
             ),
         ];
-        let (findings, graph) = analyze(&files);
+        let findings = analyze(&files);
         let a1: Vec<_> = findings.iter().filter(|f| f.rule == "A1").collect();
         assert_eq!(a1.len(), 1, "{findings:?}");
         assert_eq!(a1[0].file, "crates/electrochem/src/lib.rs");
         assert!(a1[0].message.contains("upward dependency"));
-        assert_eq!(graph.edges.len(), 2);
     }
 
     #[test]
@@ -718,7 +628,7 @@ mod tests {
                 "#[cfg(test)]\nmod t {\n    use bios_platform::Session;\n}\n",
             ),
         ];
-        let (findings, _) = analyze(&files);
+        let findings = analyze(&files);
         assert!(findings.iter().all(|f| f.rule != "A1"), "{findings:?}");
     }
 
@@ -736,7 +646,7 @@ mod tests {
                 "fn f() { bios_afe::used_gain(); }\n",
             ),
         ];
-        let (findings, _) = analyze(&files);
+        let findings = analyze(&files);
         let a2: Vec<_> = findings.iter().filter(|f| f.rule == "A2").collect();
         assert_eq!(a2.len(), 1, "{findings:?}");
         assert!(a2[0].message.contains("orphan_gain"));
@@ -876,21 +786,7 @@ mod tests {
                 "pub fn harness_entry() {}\n",
             ),
         ];
-        let (findings, _) = analyze(&files);
+        let findings = analyze(&files);
         assert!(findings.iter().all(|f| f.rule != "A2"), "{findings:?}");
-    }
-
-    #[test]
-    fn dot_marks_upward_edges() {
-        let files = vec![mem(
-            "bios-electrochem",
-            "crates/electrochem/src/lib.rs",
-            "use bios_instrument::qc::QcGate;\nuse bios_units::Volts;\n",
-        )];
-        let (_, graph) = analyze(&files);
-        let dot = graph.to_dot();
-        assert!(dot.contains("digraph bios_layers"));
-        assert!(dot.contains("\"bios-electrochem\" -> \"bios-instrument\" [color=red"));
-        assert!(dot.contains("\"bios-electrochem\" -> \"bios-units\";"));
     }
 }

@@ -27,7 +27,7 @@
 //! experiments and allocates by design. Like `advdiag::allow`, the marker
 //! is a visible in-code decision, reviewed with the code it marks.
 //!
-//! Rules over the hot region (all error severity, none machine-fixable):
+//! Rules over the hot region (all error severity):
 //!
 //! * **H1** — allocation in hot code: `Vec::new()`, `Box::new(…)`,
 //!   `vec![…]`, `format!(…)`, `.to_vec()`, `.clone()`, `.collect()`, and
@@ -54,11 +54,10 @@
 //! `Opaque` nodes, ambiguous names and unmarked indirection can only *hide*
 //! a violation (false negative), never invent one.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{Block, Expr, Item, Stmt};
 use crate::callgraph::{CallGraph, Level};
-use crate::depgraph::HotOverlay;
 use crate::rules::{push, FileContext, Finding, BENCH_CRATE, LINT_CRATE};
 
 /// Declared kernel entry points (every non-test definition of these names
@@ -138,9 +137,9 @@ struct FnDef<'a> {
 
 /// Runs the hot-region analysis over the whole workspace. Returns raw
 /// findings (excerpts unfilled, suppressions unapplied — the caller owns
-/// both, exactly like `depgraph::analyze_facts`) plus the overlay for
-/// `--emit-dot`.
-pub fn analyze_workspace(files: &[HotFile<'_>]) -> (Vec<Finding>, HotOverlay) {
+/// both, exactly like `depgraph::analyze_facts`) plus the hot set, each
+/// name with its cadence.
+pub fn analyze_workspace(files: &[HotFile<'_>]) -> (Vec<Finding>, BTreeMap<String, Level>) {
     // Collect definitions. Bench and the linter itself are exempt (the
     // bench crate measures hot loops, it is not one).
     let mut defs: Vec<FnDef<'_>> = Vec::new();
@@ -240,16 +239,7 @@ pub fn analyze_workspace(files: &[HotFile<'_>]) -> (Vec<Finding>, HotOverlay) {
         }
     }
 
-    let roots: BTreeSet<String> = graph
-        .roots()
-        .filter(|r| levels.contains_key(*r))
-        .map(str::to_string)
-        .collect();
-    let overlay = HotOverlay {
-        roots: roots.into_iter().collect(),
-        hot: levels,
-    };
-    (findings, overlay)
+    (findings, levels)
 }
 
 /// 1-based lines whose comment text contains `needle`.

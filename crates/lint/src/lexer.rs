@@ -40,15 +40,11 @@ pub enum TokenKind {
 pub struct Token {
     pub kind: TokenKind,
     /// Source text of the token (operators keep their full spelling).
-    /// Invariant: `text == src[offset..offset + text.len()]`, which is
-    /// what lets the auto-fix engine splice replacements byte-exactly.
     pub text: String,
     /// 1-based source line the token starts on.
     pub line: u32,
     /// 1-based column (in characters, not bytes) the token starts at.
     pub col: u32,
-    /// Byte offset of the token start in the source.
-    pub offset: usize,
     /// True if the token sits inside a `#[cfg(test)]` / `#[test]` item.
     pub in_test: bool,
 }
@@ -61,8 +57,6 @@ pub struct Comment {
     pub line: u32,
     /// 1-based character column the comment starts at.
     pub col: u32,
-    /// Byte offset of the comment start in the source.
-    pub offset: usize,
     /// Comment text including the `//` / `/*` markers.
     pub text: String,
 }
@@ -120,7 +114,6 @@ pub fn lex(src: &str) -> Lexed {
                     out.comments.push(Comment {
                         line,
                         col,
-                        offset: start,
                         text: src[start..i].to_string(),
                     });
                     continue;
@@ -148,7 +141,6 @@ pub fn lex(src: &str) -> Lexed {
                     out.comments.push(Comment {
                         line: start_line,
                         col,
-                        offset: start,
                         text: src[start..i].to_string(),
                     });
                     continue;
@@ -181,14 +173,12 @@ pub fn lex(src: &str) -> Lexed {
                 text: src[start..i].to_string(),
                 line,
                 col,
-                offset: start,
                 in_test: false,
             });
             continue;
         }
         // Numbers.
         if c.is_ascii_digit() {
-            let start = i;
             let (text, is_float) = scan_number(src, bytes, &mut i);
             out.tokens.push(Token {
                 kind: if is_float {
@@ -199,7 +189,6 @@ pub fn lex(src: &str) -> Lexed {
                 text,
                 line,
                 col,
-                offset: start,
                 in_test: false,
             });
             continue;
@@ -226,7 +215,6 @@ pub fn lex(src: &str) -> Lexed {
                 text: src[start..i].to_string(),
                 line,
                 col,
-                offset: start,
                 in_test: false,
             });
             continue;
@@ -247,7 +235,6 @@ pub fn lex(src: &str) -> Lexed {
                     text: src[start..i].to_string(),
                     line,
                     col,
-                    offset: start,
                     in_test: false,
                 });
             } else {
@@ -263,7 +250,6 @@ pub fn lex(src: &str) -> Lexed {
                     text: src[start..i].to_string(),
                     line,
                     col,
-                    offset: start,
                     in_test: false,
                 });
             }
@@ -284,14 +270,12 @@ pub fn lex(src: &str) -> Lexed {
             let ch_len = rest.chars().next().map(char::len_utf8).unwrap_or(1);
             rest[..ch_len].to_string()
         });
-        let op_start = i;
         i += op_text.len();
         out.tokens.push(Token {
             kind: TokenKind::Op,
             text: op_text,
             line,
             col,
-            offset: op_start,
             in_test: false,
         });
     }
@@ -359,7 +343,6 @@ fn scan_raw_or_byte(
             text: src[start..j.min(src.len())].to_string(),
             line: start_line,
             col,
-            offset: start,
             in_test: false,
         });
         *i = j;
@@ -379,7 +362,6 @@ fn scan_raw_or_byte(
             text: src[id_start..j].to_string(),
             line: start_line,
             col,
-            offset: id_start,
             in_test: false,
         });
         *i = j;
@@ -400,7 +382,6 @@ fn scan_raw_or_byte(
             text: src[start..k].to_string(),
             line: start_line,
             col,
-            offset: start,
             in_test: false,
         });
         *i = k;
@@ -668,21 +649,6 @@ mod tests {
         assert_eq!(lexed.tokens[let_y - 1].text, "let");
         assert_eq!(lexed.tokens[let_y - 1].col, 9);
         assert_eq!(lexed.tokens[let_y].col, 13);
-    }
-
-    #[test]
-    fn token_offsets_index_exact_source_slices() {
-        // Multi-byte chars, comments, raw strings: every token and
-        // comment must satisfy `text == src[offset..offset+len]` — the
-        // invariant the auto-fix splicer relies on.
-        let src = "let µx = 1.5; // c Ω\nfn f(s: &str) -> f64 { r#\"q\"# ; x == 1.5 }\n";
-        let lexed = lex(src);
-        for t in &lexed.tokens {
-            assert_eq!(&src[t.offset..t.offset + t.text.len()], t.text, "{t:?}");
-        }
-        for c in &lexed.comments {
-            assert_eq!(&src[c.offset..c.offset + c.text.len()], c.text, "{c:?}");
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! adds the workspace rules — layering and dead API (A1, A2,
 //! [`depgraph`]), the hot-path guards (H1–H4, [`hotpath`]) — and
 //! stale-suppression detection (W0); [`report`] renders every finding for
-//! humans or machines; [`fixer`] applies the machine-applicable rewrites.
+//! humans or machines.
 //!
 //! The crate is dependency-free by design — the linter must not depend on
 //! code it lints, and must stay trivially auditable.
@@ -41,7 +41,6 @@
 pub mod ast;
 pub mod callgraph;
 pub mod depgraph;
-pub mod fixer;
 pub mod hotpath;
 pub mod lexer;
 pub mod parser;
@@ -50,10 +49,6 @@ pub mod rules;
 pub mod workspace;
 
 pub use callgraph::{CallGraph, Level};
-pub use depgraph::{DepGraph, HotOverlay};
-pub use fixer::{Fix, FixOutcome, FixSafety};
 pub use report::Report;
 pub use rules::{lint_file, lint_source, AllowSite, FileContext, FileLint, Finding, RULE_IDS};
-pub use workspace::{
-    discover, gather, lint_files, lint_files_graph, lint_workspace, lint_workspace_graph, MemFile,
-};
+pub use workspace::{discover, gather, lint_files, lint_files_hot, lint_workspace, MemFile};

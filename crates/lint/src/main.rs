@@ -6,19 +6,10 @@
 //! cargo run -p bios-lint -- --format json        # machine-readable report
 //! cargo run -p bios-lint -- --format github      # GitHub Actions annotations
 //! cargo run -p bios-lint -- --format json --out lint-report.json
-//! cargo run -p bios-lint -- --emit-dot target/deps.dot
-//! cargo run -p bios-lint -- --fix                # apply machine-applicable fixes
-//! cargo run -p bios-lint -- --fix-check --diff target/fixes.patch
 //! ```
 //!
-//! `--fix` applies every machine-applicable fix to disk (iterating to a
-//! fixpoint) and then lints the repaired tree; `--fix-check` computes
-//! the same fixes without touching disk and fails the run if any would
-//! apply — CI uses it to keep auto-fixable debt at zero. `--diff`
-//! writes the would-be (or applied) rewrites as a unified diff.
-//!
-//! Exit codes: 0 = clean (no findings), 1 = findings
-//! (or, under `--fix-check`, pending fixes), 2 = usage or I/O error.
+//! Exit codes: 0 = clean (no findings), 1 = findings, 2 = usage or I/O
+//! error (an unknown flag included).
 
 #![cfg_attr(
     not(test),
@@ -34,7 +25,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bios_lint::fixer;
 use bios_lint::Report;
 
 enum Format {
@@ -47,10 +37,6 @@ struct Options {
     root: PathBuf,
     format: Format,
     out: Option<PathBuf>,
-    emit_dot: Option<PathBuf>,
-    fix: bool,
-    fix_check: bool,
-    diff: Option<PathBuf>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -58,10 +44,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         root: PathBuf::from("."),
         format: Format::Text,
         out: None,
-        emit_dot: None,
-        fix: false,
-        fix_check: false,
-        diff: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -84,87 +66,23 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--root" => opts.root = path_value("--root")?,
             "--out" => opts.out = Some(path_value("--out")?),
-            "--emit-dot" => opts.emit_dot = Some(path_value("--emit-dot")?),
-            "--fix" => opts.fix = true,
-            "--fix-check" => opts.fix_check = true,
-            "--diff" => opts.diff = Some(path_value("--diff")?),
             "--help" | "-h" => {
-                return Err("usage: bios-lint [--root DIR] [--format text|json|github] \
-                     [--out FILE] [--emit-dot FILE] [--fix | --fix-check] [--diff FILE]"
-                    .to_string())
+                return Err(
+                    "usage: bios-lint [--root DIR] [--format text|json|github] [--out FILE]"
+                        .to_string(),
+                )
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
-    }
-    if opts.fix && opts.fix_check {
-        return Err("--fix and --fix-check are mutually exclusive".to_string());
     }
     Ok(opts)
 }
 
 fn run(opts: &Options) -> Result<bool, String> {
-    let mut files = bios_lint::gather(&opts.root)?;
-    let lintable = files.iter().filter(|f| f.lintable).count();
-
-    // Auto-fix: compute the machine-applicable fixpoint in memory, then
-    // either write it back (`--fix`) or gate on it (`--fix-check`).
-    let mut pending_fixes = 0usize;
-    if opts.fix || opts.fix_check {
-        let mut working = files.clone();
-        let outcome = fixer::fix_files(&mut working)?;
-        let mut diffs = String::new();
-        for rel in &outcome.changed {
-            let old = files.iter().find(|f| &f.rel_path == rel);
-            let new = working.iter().find(|f| &f.rel_path == rel);
-            if let (Some(old), Some(new)) = (old, new) {
-                diffs.push_str(&fixer::unified_diff(rel, &old.source, &new.source));
-            }
-        }
-        if let Some(path) = &opts.diff {
-            std::fs::write(path, &diffs)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        }
-        if opts.fix {
-            for rel in &outcome.changed {
-                if let Some(new) = working.iter().find(|f| &f.rel_path == rel) {
-                    let path = opts.root.join(rel);
-                    std::fs::write(&path, &new.source)
-                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                }
-            }
-            eprintln!(
-                "bios-lint: applied {} fix(es) to {} file(s) in {} round(s)",
-                outcome.applied,
-                outcome.changed.len(),
-                outcome.rounds
-            );
-            files = working; // lint the repaired tree below
-        } else {
-            pending_fixes = outcome.applied;
-            if pending_fixes > 0 {
-                eprintln!(
-                    "bios-lint: {} machine-applicable fix(es) pending in {} file(s) — \
-                     run with --fix to apply",
-                    pending_fixes,
-                    outcome.changed.len()
-                );
-            }
-        }
-    }
-
-    let (findings, graph) = bios_lint::lint_files_graph(&files);
-
-    if let Some(path) = &opts.emit_dot {
-        std::fs::write(path, graph.to_dot())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!(
-            "bios-lint: wrote dependency graph ({} edge(s)) to {}",
-            graph.edges.len(),
-            path.display()
-        );
-    }
+    let files = bios_lint::gather(&opts.root)?;
+    let findings = bios_lint::lint_files(&files);
     let report = Report {
-        files: lintable,
+        files: files.iter().filter(|f| f.lintable).count(),
         findings: &findings,
     };
     let rendered = match opts.format {
@@ -185,7 +103,7 @@ fn run(opts: &Options) -> Result<bool, String> {
         }
         None => print!("{rendered}"),
     }
-    Ok(findings.is_empty() && pending_fixes == 0)
+    Ok(findings.is_empty())
 }
 
 fn main() -> ExitCode {

@@ -33,7 +33,7 @@ impl Report<'_> {
     /// The machine-readable report (one finding per line for greppable
     /// artifacts).
     pub fn json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": 3,\n  \"tool\": \"bios-lint\",\n");
+        let mut out = String::from("{\n  \"version\": 4,\n  \"tool\": \"bios-lint\",\n");
         out.push_str(&format!(
             "  \"summary\": {{\"files\": {}, \"errors\": {}}},\n",
             self.files,
@@ -41,19 +41,14 @@ impl Report<'_> {
         ));
         out.push_str("  \"findings\": [\n");
         for (i, f) in self.findings.iter().enumerate() {
-            let fixable = match &f.fix {
-                Some(fix) => escape(fix.safety.label()),
-                None => "null".to_string(),
-            };
             out.push_str(&format!(
-                "    {{\"rule\": {}, \"severity\": {}, \"file\": {}, \"line\": {}, \"col\": {}, \"end_col\": {}, \"fixable\": {}, \"message\": {}, \"excerpt\": {}}}{}\n",
+                "    {{\"rule\": {}, \"severity\": {}, \"file\": {}, \"line\": {}, \"col\": {}, \"end_col\": {}, \"message\": {}, \"excerpt\": {}}}{}\n",
                 escape(f.rule),
                 escape("error"),
                 escape(&f.file),
                 f.line,
                 f.col,
                 f.end_col,
-                fixable,
                 escape(&f.message),
                 escape(&f.excerpt),
                 if i + 1 < self.findings.len() { "," } else { "" }
@@ -130,7 +125,6 @@ mod tests {
             end_col: 18,
             message: "`==` against a float literal".to_string(),
             excerpt: "x == 0.5 // \"exact\"\ttab".to_string(),
-            fix: None,
         }
     }
 

@@ -22,17 +22,12 @@
 //! | M1 | token | no wildcard `_ =>` arm in a `match` over a protocol enum (`SessionStep`/`StepEvent`/`SessionOutcome`/`ServerError`/`ServiceTier`) | everywhere |
 //! | W0 | meta | no stale `advdiag::allow` suppressions | everywhere |
 //!
-//! Some rules attach a [`Fix`] to their findings (F1, U1, W0); see
-//! [`crate::fixer`] for the applicability taxonomy and the splicing
-//! engine behind `--fix`.
-//!
 //! Token and hot-path rules skip `#[cfg(test)]` / `#[test]` regions. A
 //! finding on line *n* is suppressed by
 //! `// advdiag::allow(ID, reason)` on line *n* or *n − 1*; the reason is
 //! mandatory. A well-formed allow that suppresses nothing is itself
 //! reported (W0), so grandfathered suppressions cannot go stale silently.
 
-use crate::fixer::{Fix, FixSafety};
 use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
 
 /// One diagnostic produced by a rule. Every finding is an error: any one
@@ -55,8 +50,6 @@ pub struct Finding {
     pub message: String,
     /// Trimmed source line.
     pub excerpt: String,
-    /// Optional rewrite that repairs the finding (see [`crate::fixer`]).
-    pub fix: Option<Fix>,
 }
 
 /// Where a source file sits in the workspace, which decides rule
@@ -82,11 +75,6 @@ pub struct AllowSite {
     pub has_reason: bool,
     /// Set once the site suppresses at least one finding.
     pub used: bool,
-    /// Byte span to delete when the allow is stale: the whole comment if
-    /// the comment holds nothing but this allow, else just the
-    /// `advdiag::allow(…)` text.
-    pub byte_start: usize,
-    pub byte_end: usize,
 }
 
 /// The per-file lint result: surviving findings plus every suppression
@@ -188,7 +176,7 @@ pub fn lint_source(ctx: &FileContext<'_>, source: &str) -> Vec<Finding> {
     let items = crate::parser::parse_items(&lexed);
     let mut fl = lint_file_prepared(ctx, source, &lexed);
     let lines: Vec<&str> = source.lines().collect();
-    let (mut hot, _overlay) = crate::hotpath::analyze_workspace(&[crate::hotpath::HotFile {
+    let (mut hot, _levels) = crate::hotpath::analyze_workspace(&[crate::hotpath::HotFile {
         ctx: *ctx,
         items: &items,
         source,
@@ -246,14 +234,6 @@ pub fn unused_allow_findings(
             end_col: 0,
             message,
             excerpt: String::new(),
-            // Deleting the stale allow is always sound: it suppresses
-            // nothing, so removing it changes no diagnostics.
-            fix: Some(Fix {
-                start: a.byte_start,
-                end: a.byte_end,
-                replacement: String::new(),
-                safety: FixSafety::MachineApplicable,
-            }),
         });
     }
     // One level of self-suppression: allow(W0, reason) covers these.
@@ -305,7 +285,6 @@ pub fn collect_allows(comments: &[Comment]) -> Vec<AllowSite> {
     for c in comments {
         let mut rest = c.text.as_str();
         while let Some(pos) = rest.find("advdiag::allow(") {
-            let base = c.text.len() - rest.len();
             let args_start = pos + "advdiag::allow(".len();
             let tail = &rest[args_start..];
             let Some(close) = tail.find(')') else {
@@ -317,30 +296,12 @@ pub fn collect_allows(comments: &[Comment]) -> Vec<AllowSite> {
                 None => (args.trim(), ""),
             };
             if is_rule_shaped(rule) {
-                // Deletion span for W0: the whole comment when nothing
-                // but comment markers and whitespace surrounds the allow
-                // (the common `// advdiag::allow(…)` case), else just
-                // the `advdiag::allow(…)` text.
-                let rel_start = base + pos;
-                let rel_end = base + args_start + close + 1;
-                let marker_only = |s: &str| {
-                    s.chars()
-                        .all(|ch| matches!(ch, '/' | '*' | '!') || ch.is_whitespace())
-                };
-                let whole = marker_only(&c.text[..rel_start]) && marker_only(&c.text[rel_end..]);
-                let (byte_start, byte_end) = if whole {
-                    (c.offset, c.offset + c.text.len())
-                } else {
-                    (c.offset + rel_start, c.offset + rel_end)
-                };
                 sites.push(AllowSite {
                     rule: rule.to_string(),
                     line: c.line,
                     col: c.col,
                     has_reason: !reason.is_empty(),
                     used: false,
-                    byte_start,
-                    byte_end,
                 });
             }
             rest = &tail[close + 1..];
@@ -379,7 +340,6 @@ pub(crate) fn push(
         end_col: 0,
         message,
         excerpt: String::new(),
-        fix: None,
     });
 }
 
@@ -482,18 +442,9 @@ fn rule_u1(ctx: &FileContext<'_>, lexed: &Lexed, findings: &mut Vec<Finding>) {
                                     name.text, newtype
                                 ),
                             );
+                            // The underline covers the parameter name.
                             if let Some(f) = findings.last_mut() {
-                                // Suggested, never applied: swapping the
-                                // parameter type is an API change every
-                                // caller must follow.
-                                let ty = &toks[j + 1];
                                 f.end_col = name.col + name.text.chars().count() as u32;
-                                f.fix = Some(Fix {
-                                    start: ty.offset,
-                                    end: ty.offset + ty.text.len(),
-                                    replacement: format!("bios_units::{newtype}"),
-                                    safety: FixSafety::Suggested,
-                                });
                             }
                         }
                     }
@@ -536,70 +487,42 @@ fn rule_f1(ctx: &FileContext<'_>, lexed: &Lexed, findings: &mut Vec<Finding>) {
                     t.text
                 ),
             );
-            if let (Some(f), Some((fix, end_col))) = (findings.last_mut(), f1_fix(toks, i)) {
-                f.fix = Some(fix);
-                if end_col > 0 {
-                    f.end_col = end_col;
-                }
+            if let (Some(f), Some(end_col)) = (findings.last_mut(), f1_end_col(toks, i)) {
+                f.end_col = end_col;
             }
         }
     }
 }
 
-/// Tokens that may legally precede the left operand of a comparison the
-/// F1 fix rewrites — they guarantee the operand token *is* the whole
-/// operand (no dropped `a.` / `a::` / closing-paren prefix).
+/// Tokens that may precede the left operand of a standalone comparison:
+/// they prove the operand token *is* the whole operand (no `a.` / `a::`
+/// / closing-paren prefix).
 const F1_LEFT_BOUNDARY: &[&str] = &[
     ";", "(", "{", "}", ",", "[", "=", "&&", "||", "return", "if", "while", "=>",
 ];
 
-/// Tokens that may legally follow the right operand (the comparison is
-/// not a prefix of a larger expression the rewrite would mangle).
+/// Tokens that may follow the right operand of a standalone comparison
+/// (it is not a prefix of a larger expression).
 const F1_RIGHT_BOUNDARY: &[&str] = &[";", ")", "}", "]", ",", "&&", "||", "{"];
 
-/// Machine-applicable rewrite of `lhs == lit` / `lhs != lit` into
-/// `lhs.total_cmp(&lit).is_eq()` / `.is_ne()`, attempted only when both
-/// operands are single ident/float-literal tokens bounded by tokens that
-/// prove the comparison stands alone. Returns the fix and the 1-based
-/// end column of the rewritten region (0 when it spans lines).
-fn f1_fix(toks: &[Token], i: usize) -> Option<(Fix, u32)> {
+/// The F1 underline's end column for the operator at token `i`: one past
+/// the right operand when the comparison stands alone on one line (both
+/// operands single ident/float-literal tokens, bounded by the tables
+/// above). `None` leaves the underline to run to the end of the line.
+fn f1_end_col(toks: &[Token], i: usize) -> Option<u32> {
     let lhs = toks.get(i.checked_sub(1)?)?;
     let rhs = toks.get(i + 1)?;
     let operand_ok =
         |t: &Token| matches!(t.kind, TokenKind::Ident | TokenKind::FloatLit) && !t.text.is_empty();
-    if !operand_ok(lhs) || !operand_ok(rhs) {
-        return None;
-    }
-    let left_ok = match i.checked_sub(2).and_then(|k| toks.get(k)) {
-        Some(prev) => F1_LEFT_BOUNDARY.contains(&prev.text.as_str()),
-        None => true,
-    };
-    let right_ok = match toks.get(i + 2) {
-        Some(next) => F1_RIGHT_BOUNDARY.contains(&next.text.as_str()),
-        None => true,
-    };
-    if !left_ok || !right_ok {
-        return None;
-    }
-    let method = if toks[i].text == "==" {
-        "is_eq"
-    } else {
-        "is_ne"
-    };
-    let end_col = if rhs.line == lhs.line {
-        rhs.col + rhs.text.chars().count() as u32
-    } else {
-        0
-    };
-    Some((
-        Fix {
-            start: lhs.offset,
-            end: rhs.offset + rhs.text.len(),
-            replacement: format!("{}.total_cmp(&{}).{method}()", lhs.text, rhs.text),
-            safety: FixSafety::MachineApplicable,
-        },
-        end_col,
-    ))
+    let left_ok = i
+        .checked_sub(2)
+        .and_then(|k| toks.get(k))
+        .is_none_or(|prev| F1_LEFT_BOUNDARY.contains(&prev.text.as_str()));
+    let right_ok = toks
+        .get(i + 2)
+        .is_none_or(|next| F1_RIGHT_BOUNDARY.contains(&next.text.as_str()));
+    (operand_ok(lhs) && operand_ok(rhs) && left_ok && right_ok && rhs.line == lhs.line)
+        .then(|| rhs.col + rhs.text.chars().count() as u32)
 }
 
 /// The protocol enums whose `match`es must stay exhaustive (M1). A
@@ -811,6 +734,8 @@ mod tests {
         let findings = lint_source(&ctx_det(), src);
         assert_eq!(findings.len(), 1);
         assert_eq!((findings[0].rule, findings[0].line), ("U1", 1));
+        // The underline spans the parameter name.
+        assert_eq!((findings[0].col, findings[0].end_col), (12, 22));
     }
 
     #[test]
@@ -818,6 +743,11 @@ mod tests {
         let findings = lint_source(&ctx_det(), "fn f(x: f64) -> bool { x == 0.0 }\n");
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "F1");
+        // A standalone comparison is underlined through the literal; one
+        // inside a larger expression, to the end of the line.
+        assert_eq!((findings[0].col, findings[0].end_col), (26, 32));
+        let nested = lint_source(&ctx_det(), "fn f(x: f64) -> bool { a.x == 0.5 }\n");
+        assert_eq!((nested[0].col, nested[0].end_col), (28, 36));
         // Integer comparisons are fine.
         assert!(lint_source(&ctx_det(), "fn f(x: i64) -> bool { x == 0 }\n").is_empty());
     }

@@ -8,15 +8,14 @@
 //! - **corpus-only** files — `tests/`, `benches/` and `examples/` trees
 //!   of every package, plus the stand-alone `perfbench/src` tree (its
 //!   own workspace, path-depending on the library crates). They are never
-//!   linted nor rewritten, but their text feeds A2's reference corpus so
-//!   an item used only from integration tests or the benchmark is not
-//!   reported dead.
+//!   linted, but their text feeds A2's reference corpus so an item used
+//!   only from integration tests or the benchmark is not reported dead.
 //!
-//! The walk is sorted so diagnostics, reports and the DOT artifact are
-//! deterministic. The vendored dependency stand-ins under `shims/` are
-//! deliberately excluded: they imitate external crates' APIs (panicking
-//! included) and are not governed by the platform's invariants. In-file
-//! `#[cfg(test)]` modules are already skipped by the lexer.
+//! The walk is sorted so diagnostics and reports are deterministic. The
+//! vendored dependency stand-ins under `shims/` are deliberately
+//! excluded: they imitate external crates' APIs (panicking included) and
+//! are not governed by the platform's invariants. In-file `#[cfg(test)]`
+//! modules are already skipped by the lexer.
 //!
 //! Pipeline of [`lint_files`]: a per-file phase (lex, parse, token
 //! rules, per-file suppression, fact extraction), then the
@@ -30,7 +29,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::ast::Item;
-use crate::depgraph::{self, DepGraph, FactsRef, FileFacts};
+use crate::callgraph::Level;
+use crate::depgraph::{self, FactsRef, FileFacts};
 use crate::hotpath;
 use crate::lexer::lex;
 use crate::parser::parse_items;
@@ -117,8 +117,7 @@ pub fn gather(root: &Path) -> Result<Vec<MemFile>, String> {
 /// stale-suppression detection (W0). Findings come back sorted by
 /// `(file, line, col, rule)`.
 pub fn lint_files(files: &[MemFile]) -> Vec<Finding> {
-    let (findings, _) = lint_files_graph(files);
-    findings
+    lint_files_hot(files).0
 }
 
 /// One file's per-file-phase output.
@@ -134,8 +133,9 @@ struct PerFile<'a> {
     items: Vec<Item>,
 }
 
-/// [`lint_files`] plus the dependency graph (for the DOT artifact).
-pub fn lint_files_graph(files: &[MemFile]) -> (Vec<Finding>, DepGraph) {
+/// [`lint_files`] plus the hot region H1–H4 scanned: every function
+/// name the call graph reached from the declared roots, with its cadence.
+pub fn lint_files_hot(files: &[MemFile]) -> (Vec<Finding>, BTreeMap<String, Level>) {
     // Per-file phase: each lintable file is lexed and parsed once; the
     // tokens feed the token rules and fact extraction, the AST feeds
     // fact extraction and the hot-path analysis. Corpus-only files
@@ -185,10 +185,10 @@ pub fn lint_files_graph(files: &[MemFile]) -> (Vec<Finding>, DepGraph) {
             source: pf.file.source.as_str(),
         })
         .collect();
-    let (hot_findings, hot_overlay) = hotpath::analyze_workspace(&hot_files);
+    let (hot_findings, hot_levels) = hotpath::analyze_workspace(&hot_files);
 
     // Workspace-scope rules over the merged facts.
-    let (ws_findings, mut graph) = {
+    let ws_findings = {
         let facts_refs: Vec<FactsRef<'_>> = per_file
             .iter()
             .map(|pf| FactsRef {
@@ -200,7 +200,6 @@ pub fn lint_files_graph(files: &[MemFile]) -> (Vec<Finding>, DepGraph) {
             .collect();
         depgraph::analyze_facts(&facts_refs)
     };
-    graph.hot = Some(hot_overlay);
 
     // Suppress workspace-scope findings against their file's allows
     // (marking usage), then fill excerpts.
@@ -245,17 +244,12 @@ pub fn lint_files_graph(files: &[MemFile]) -> (Vec<Finding>, DepGraph) {
     }
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    (findings, graph)
+    (findings, hot_levels)
 }
 
 /// Lints the workspace on disk: [`gather`] + [`lint_files`].
 pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     Ok(lint_files(&gather(root)?))
-}
-
-/// As [`lint_workspace`], also returning the dependency graph.
-pub fn lint_workspace_graph(root: &Path) -> Result<(Vec<Finding>, DepGraph), String> {
-    Ok(lint_files_graph(&gather(root)?))
 }
 
 /// Enumerates `(package_dir, subdir_path, rel_prefix)` for the root

@@ -10,7 +10,7 @@ use std::path::Path;
 
 use bios_lint::hotpath::{HOT_ROOTS, PURE_CTORS};
 use bios_lint::lexer::{self, TokenKind};
-use bios_lint::{gather, lint_files_graph, lint_source, FileContext};
+use bios_lint::{gather, lint_files_hot, lint_source, FileContext};
 
 fn ctx() -> FileContext<'static> {
     FileContext {
@@ -173,11 +173,8 @@ fn workspace_hot_levels_match_the_committed_list() {
         .ancestors()
         .nth(2)
         .expect("workspace root");
-    let (_, graph) = lint_files_graph(&gather(root).expect("workspace gathers"));
-    let got: BTreeSet<String> = graph
-        .hot
-        .expect("the hot-path analysis ran")
-        .hot
+    let (_, hot) = lint_files_hot(&gather(root).expect("workspace gathers"));
+    let got: BTreeSet<String> = hot
         .iter()
         .map(|(name, level)| format!("{name} {level:?}"))
         .collect();

@@ -6,8 +6,9 @@
 //! 1. **Canonical** — two semantically equal states must encode to the
 //!    same byte string, independent of how they were reached. The
 //!    encoding is therefore field-by-field and order-pinned (maps encode
-//!    in key order, vectors in index order), with no pointers, padding,
-//!    or float formatting in play.
+//!    in key order, vectors in index order), with no pointers or
+//!    padding in play; floats appear only inside JSON text, in shortest
+//!    round-trip form.
 //! 2. **Collision-safe** — a hash collision would silently merge two
 //!    distinct states and could mask a reachable violation. Frontier
 //!    keys are 128-bit FNV-1a digests of the canonical encoding: at the
@@ -15,10 +16,15 @@
 //!    collision probability is below 10⁻²⁴, far past the point where a
 //!    soundness argument would need the full encoding as the key.
 //!
-//! The trait is implemented by hand for every model state type rather
-//! than derived through serde so the byte layout is explicit, compact
-//! (a server state is ~100–300 bytes), and independent of the JSON
-//! field names used by the replay artifacts.
+//! Primitives and containers encode by hand below, as fixed-width
+//! little-endian fields with length prefixes. The two model states mix
+//! in JSON: [`SessionMachine`](bios_platform::SessionMachine) encodes as
+//! the JSON text of its checkpoint, and [`ServerState`](crate::ServerState)
+//! as the JSON text of its clock, stats, phase, queues, in-flight lanes
+//! and ledger, with the resolved draws, ticked shards, strikes and
+//! quarantine sets encoded by hand. So every state hash and exploration
+//! counter changes when a serialized field of those platform and server
+//! types is renamed, added or reordered.
 
 /// Types with a canonical, order-pinned byte encoding.
 pub trait CanonEncode {

@@ -116,12 +116,6 @@ pub trait Model {
     /// A human-readable invariant-violation description.
     fn check(&self, state: &Self::State) -> Result<(), String>;
 
-    /// A coarse label for terminal states (drives dot coloring).
-    fn terminal_label(&self, state: &Self::State) -> Option<&'static str> {
-        let _ = state;
-        None
-    }
-
     /// The equivalence class a terminal state must be the unique
     /// representative of. For the server model this is the hash of the
     /// oracle (the resolved nondeterminism): all interleavings under one
@@ -141,9 +135,6 @@ pub struct ExploreLimits {
     pub max_states: usize,
     /// Maximum BFS depth (trace length) to expand.
     pub max_depth: usize,
-    /// Record the full state graph for dot rendering (memory-heavy;
-    /// meant for small configs).
-    pub record_graph: bool,
 }
 
 impl Default for ExploreLimits {
@@ -151,7 +142,6 @@ impl Default for ExploreLimits {
         Self {
             max_states: 5_000_000,
             max_depth: 100_000,
-            record_graph: false,
         }
     }
 }
@@ -190,37 +180,6 @@ pub struct Counterexample {
     pub trace: Vec<Choice>,
 }
 
-/// One node of a recorded state graph.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct GraphNode {
-    /// Canonical hash, hex.
-    pub hash: String,
-    /// Terminal label, when terminal.
-    pub label: Option<String>,
-    /// BFS depth.
-    pub depth: u64,
-}
-
-/// One edge of a recorded state graph.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct GraphEdge {
-    /// Source node index.
-    pub from: usize,
-    /// Target node index.
-    pub to: usize,
-    /// Rendered choice label.
-    pub choice: String,
-}
-
-/// The full reachable state graph (recorded only on request).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct StateGraph {
-    /// Nodes in BFS discovery order.
-    pub nodes: Vec<GraphNode>,
-    /// Edges in expansion order.
-    pub edges: Vec<GraphEdge>,
-}
-
 /// What one exploration produced.
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
@@ -231,8 +190,6 @@ pub struct ExploreReport {
     /// True when a limit stopped the search before the space was
     /// exhausted — the run proves nothing past the bound.
     pub truncated: bool,
-    /// The recorded graph, when `record_graph` was set.
-    pub graph: Option<StateGraph>,
 }
 
 /// Reconstructs the minimal trace to `hash` from the BFS parent map.
@@ -261,8 +218,6 @@ fn hex128(h: u128) -> String {
 pub fn explore<M: Model>(model: &M, limits: &ExploreLimits) -> ExploreReport {
     let mut stats = ExploreStats::default();
     let mut truncated = false;
-    let mut graph = limits.record_graph.then(StateGraph::default);
-    let mut node_index: BTreeMap<u128, usize> = BTreeMap::new();
 
     let initial = match model.initial() {
         Ok(s) => s,
@@ -276,7 +231,6 @@ pub fn explore<M: Model>(model: &M, limits: &ExploreLimits) -> ExploreReport {
                     trace: Vec::new(),
                 }),
                 truncated,
-                graph,
             };
         }
     };
@@ -291,18 +245,9 @@ pub fn explore<M: Model>(model: &M, limits: &ExploreLimits) -> ExploreReport {
     visited.insert(initial_hash);
     stats.states = 1;
     frontier.push_back((initial, initial_hash, 0));
-    if let Some(g) = graph.as_mut() {
-        node_index.insert(initial_hash, 0);
-        g.nodes.push(GraphNode {
-            hash: hex128(initial_hash),
-            label: None,
-            depth: 0,
-        });
-    }
 
     let fail = |stats: ExploreStats,
                 truncated: bool,
-                graph: Option<StateGraph>,
                 parents: &BTreeMap<u128, (u128, Choice)>,
                 hash: u128,
                 depth: u64,
@@ -321,7 +266,6 @@ pub fn explore<M: Model>(model: &M, limits: &ExploreLimits) -> ExploreReport {
                 trace,
             }),
             truncated,
-            graph,
         }
     };
 
@@ -329,17 +273,11 @@ pub fn explore<M: Model>(model: &M, limits: &ExploreLimits) -> ExploreReport {
         stats.max_depth_seen = stats.max_depth_seen.max(depth);
 
         if let Err(msg) = model.check(&state) {
-            return fail(stats, truncated, graph, &parents, hash, depth, msg, None);
+            return fail(stats, truncated, &parents, hash, depth, msg, None);
         }
 
         if model.is_terminal(&state) {
             stats.terminal_states += 1;
-            let label = model.terminal_label(&state);
-            if let (Some(g), Some(l)) = (graph.as_mut(), label) {
-                if let Some(&idx) = node_index.get(&hash) {
-                    g.nodes[idx].label = Some(l.to_string());
-                }
-            }
             if let Some(class) = model.terminal_class(&state) {
                 match classes.get(&class) {
                     None => {
@@ -350,7 +288,6 @@ pub fn explore<M: Model>(model: &M, limits: &ExploreLimits) -> ExploreReport {
                         return fail(
                             stats,
                             truncated,
-                            graph,
                             &parents,
                             hash,
                             depth,
@@ -376,7 +313,6 @@ pub fn explore<M: Model>(model: &M, limits: &ExploreLimits) -> ExploreReport {
             return fail(
                 stats,
                 truncated,
-                graph,
                 &parents,
                 hash,
                 depth,
@@ -392,7 +328,6 @@ pub fn explore<M: Model>(model: &M, limits: &ExploreLimits) -> ExploreReport {
                     return fail(
                         stats,
                         truncated,
-                        graph,
                         &parents,
                         hash,
                         depth + 1,
@@ -403,22 +338,6 @@ pub fn explore<M: Model>(model: &M, limits: &ExploreLimits) -> ExploreReport {
             };
             stats.edges += 1;
             let next_hash = canon_hash(&next);
-            if let Some(g) = graph.as_mut() {
-                let from = node_index.get(&hash).copied().unwrap_or(0);
-                let to = *node_index.entry(next_hash).or_insert_with(|| {
-                    g.nodes.push(GraphNode {
-                        hash: hex128(next_hash),
-                        label: None,
-                        depth: depth + 1,
-                    });
-                    g.nodes.len() - 1
-                });
-                g.edges.push(GraphEdge {
-                    from,
-                    to,
-                    choice: choice.to_string(),
-                });
-            }
             if visited.contains(&next_hash) {
                 stats.dedup_hits += 1;
                 continue;
@@ -439,7 +358,6 @@ pub fn explore<M: Model>(model: &M, limits: &ExploreLimits) -> ExploreReport {
         stats,
         violation: None,
         truncated,
-        graph,
     }
 }
 
@@ -568,17 +486,5 @@ mod tests {
         assert!(report.truncated);
         assert!(report.violation.is_none());
         assert_eq!(report.stats.states, 3);
-    }
-
-    #[test]
-    fn graph_recording_captures_nodes_and_edges() {
-        let limits = ExploreLimits {
-            record_graph: true,
-            ..ExploreLimits::default()
-        };
-        let report = explore(&Counter { n: 2, bug: false }, &limits);
-        let graph = report.graph.expect("recorded");
-        assert_eq!(graph.nodes.len(), 3);
-        assert_eq!(graph.edges.len(), 2);
     }
 }

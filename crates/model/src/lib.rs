@@ -75,7 +75,6 @@
 
 mod canon;
 mod config;
-mod dot;
 mod error;
 mod explore;
 mod server_model;
@@ -84,11 +83,10 @@ mod trace;
 
 pub use canon::CanonEncode;
 pub use config::{Interleave, MRequest, MVerdict, Mutation, ServerModelConfig, SessionModelConfig};
-pub use dot::render_dot;
 pub use error::ModelError;
 pub use explore::{
-    explore, replay, Choice, Counterexample, ExploreLimits, ExploreReport, ExploreStats, GraphEdge,
-    GraphNode, Model, ReplayOutcome, StateGraph,
+    explore, replay, Choice, Counterexample, ExploreLimits, ExploreReport, ExploreStats, Model,
+    ReplayOutcome,
 };
 pub use server_model::{ServerModel, ServerState};
 pub use session_model::SessionModel;

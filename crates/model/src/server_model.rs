@@ -462,25 +462,6 @@ impl<'p> Model for ServerModel<'p> {
         Ok(())
     }
 
-    fn terminal_label(&self, state: &ServerState<'p>) -> Option<&'static str> {
-        let stats = state.server.stats();
-        let failed = state.ledger.values().any(|u| {
-            let d = u.outcome.report().map(|r| r.degradation());
-            d.is_some_and(|d| !d.quarantined.is_empty() || !d.failed_targets.is_empty())
-        });
-        (state.phase == Phase::Done).then_some(if stats.quarantined_devices > 0 {
-            "quarantined-device"
-        } else if stats.shed > 0 {
-            "shed"
-        } else if stats.deadline_misses > 0 || stats.aborted > 0 {
-            "degraded"
-        } else if failed {
-            "failed-session"
-        } else {
-            "served-clean"
-        })
-    }
-
     fn terminal_class(&self, state: &ServerState<'p>) -> Option<u128> {
         (state.phase == Phase::Done).then(|| fnv128(&oracle_bytes(&state.oracle)))
     }

@@ -246,18 +246,6 @@ impl Model for SessionModel {
         state.check_invariants()?;
         self.check_closure(state)
     }
-
-    fn terminal_label(&self, state: &SessionMachine) -> Option<&'static str> {
-        let report = state.finish(&self.platform).ok()?;
-        let d = report.degradation();
-        Some(if !d.quarantined.is_empty() {
-            "quarantined"
-        } else if d.retries > 0 || !d.failed_targets.is_empty() {
-            "degraded"
-        } else {
-            "completed"
-        })
-    }
 }
 
 #[cfg(test)]
